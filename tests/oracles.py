@@ -66,3 +66,27 @@ def min_walk_length(g, max_length):
         if closed_dominating_walks(g, length):
             return length
     return None
+
+
+def has_closed_dominating_walk(g):
+    """True iff some vertex dominates alone, or some vertex lies on a cycle
+    whose strong component dominates (a closed walk can tour all of it)."""
+    out = out_lists(g)
+    n = g.vertex_count
+    reach = []
+    for v in range(n):
+        seen, stack = set(), list(out[v])
+        while stack:
+            u = stack.pop()
+            if u not in seen:
+                seen.add(u)
+                stack.extend(out[u])
+        reach.append(seen)
+    for v in range(n):
+        if dominates(out, n, [v]):
+            return True
+        if v in reach[v]:
+            component = [u for u in reach[v] if v in reach[u]]
+            if dominates(out, n, component):
+                return True
+    return False

@@ -10,6 +10,7 @@ import random
 
 from debruijn.analysis import Verdict, classify, verify
 from debruijn.graphcore import (
+    Digraph,
     build_de_bruijn_graph,
     gen_eulerian,
     generated_subdigraph,
@@ -18,6 +19,7 @@ from debruijn.graphcore import (
 from debruijn.seqcore import (
     Alphabet,
     CyclicSequence,
+    KString,
     gen_fkm,
     gen_greedy,
     is_de_bruijn_sequence,
@@ -32,7 +34,7 @@ from debruijn.watchman import (
     watchman_number,
 )
 
-from oracles import min_walk_length
+from oracles import has_closed_dominating_walk, min_walk_length
 
 GRID = [(2, 2, 2), (2, 3, 4), (2, 4, 8), (3, 2, 3)]
 
@@ -150,6 +152,21 @@ def test_08_all_generators_valid_for_every_size_within_cap():
     print(f"\n{len(pairs)} (a, k) pairs x 3 generators validated")
 
 
+def _random_custom_digraph(rng):
+    # arbitrary arc sets on up to nine vertices, feasible or not
+    ternary = Alphabet(3)
+    n = rng.randint(1, 9)
+    density = rng.choice([0.15, 0.3, 0.5])
+    labels = [KString((i // 3, i % 3), ternary) for i in range(n)]
+    arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+    return Digraph(labels, arcs)
+
+
+def _assert_witness_is_least_minimum_walk(g, result):
+    least = enumerate_min_walks(g, result.optimum_length)[0]
+    assert result.witness.vertex_indices == least.vertex_indices
+
+
 def test_09_oracle_agrees_with_naive_enumeration_on_random_subdigraphs():
     rng = random.Random(74207281)
     checked = 0
@@ -163,5 +180,23 @@ def test_09_oracle_agrees_with_naive_enumeration_on_random_subdigraphs():
             continue
         result = solve_min_walk(g)
         assert min_walk_length(g, result.optimum_length) == result.optimum_length
+        _assert_witness_is_least_minimum_walk(g, result)
         checked += 1
-    print(f"\n{checked} random subdigraphs, exact agreement")
+    infeasible = 0
+    for _ in range(200):
+        g = _random_custom_digraph(rng)
+        result = solve_min_walk(g)
+        assert result.feasible == has_closed_dominating_walk(g)
+        if not result.feasible:
+            infeasible += 1
+            for length in range(g.vertex_count + 1):
+                assert enumerate_min_walks(g, length) == []
+            continue
+        if g.vertex_count <= 5:
+            assert min_walk_length(g, result.optimum_length) == result.optimum_length
+        _assert_witness_is_least_minimum_walk(g, result)
+    assert infeasible > 0
+    print(
+        f"\n{checked} random subdigraphs and 200 custom digraphs "
+        f"({infeasible} infeasible), exact agreement"
+    )

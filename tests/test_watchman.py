@@ -22,7 +22,7 @@ from debruijn.watchman import (
     watchman_number,
 )
 
-from oracles import closed_dominating_walks, min_walk_length
+from oracles import closed_dominating_walks, has_closed_dominating_walk, min_walk_length
 
 FIXTURE_SEQ = "01210123"  # repeated 2-windows, induced walk still minimum
 
@@ -35,6 +35,14 @@ def custom_graph(texts, arcs, a=2):
     alphabet = Alphabet(a)
     labels = [KString(tuple(alphabet.decode(c) for c in t), alphabet) for t in texts]
     return Digraph(labels, arcs, Provenance("custom"))
+
+
+def random_custom_graph(rng, max_vertices=9):
+    """A random arc set on up to nine vertices; sparse draws are often infeasible."""
+    n = rng.randint(1, max_vertices)
+    density = rng.choice([0.15, 0.3, 0.5])
+    arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+    return custom_graph([f"{i // 3}{i % 3}" for i in range(n)], arcs, a=3)
 
 
 class TestWatchmanNumber:
@@ -259,9 +267,44 @@ class TestOracleCrossChecks:
             result = solve_min_walk(g)
             assert is_closed_dominating_walk(g, result.witness)
             assert min_walk_length(g, result.optimum_length) == result.optimum_length
+            least = enumerate_min_walks(g, result.optimum_length)[0]
+            assert result.witness.vertex_indices == least.vertex_indices
             checked += 1
+
+    def test_random_custom_digraphs_agree_with_naive_search(self):
+        # the witness is the least canonical minimum walk, which the
+        # enumerator lists first; infeasible draws leave both searches empty
+        rng = random.Random(2718)
+        infeasible = 0
+        for _ in range(300):
+            g = random_custom_graph(rng)
+            n = g.vertex_count
+            result = solve_min_walk(g)
+            assert result.feasible == has_closed_dominating_walk(g)
+            if not result.feasible:
+                infeasible += 1
+                assert all(enumerate_min_walks(g, length) == [] for length in range(n + 1))
+                continue
+            assert is_closed_dominating_walk(g, result.witness)
+            least = enumerate_min_walks(g, result.optimum_length)[0]
+            assert result.witness.vertex_indices == least.vertex_indices
+            if n <= 5:
+                assert min_walk_length(g, result.optimum_length) == result.optimum_length
+        assert 0 < infeasible < 300
+
+    def test_stationary_witness_is_the_least_dominating_vertex(self):
+        g = custom_graph(["00", "01", "10"], [(1, 0), (1, 2), (2, 0), (2, 1)])
+        result = solve_min_walk(g)
+        assert result.witness.label_texts == ("01",)
+        assert result.witness.vertex_indices == enumerate_min_walks(g, 0)[0].vertex_indices
 
     def test_naive_agrees_on_infeasible(self):
         g = custom_graph(["00", "01"], [(0, 0)])
         assert min_walk_length(g, 6) is None
         assert not solve_min_walk(g).feasible
+        # every vertex is dominated by some vertex, but the only dominating
+        # component is a sink nothing can leave and come back to
+        g = custom_graph(["00", "01", "02", "10"], [(1, 0), (2, 0), (3, 0)], a=3)
+        assert not has_closed_dominating_walk(g)
+        assert not solve_min_walk(g).feasible
+        assert all(enumerate_min_walks(g, length) == [] for length in range(5))
