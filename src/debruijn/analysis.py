@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import generated_subdigraph
-from .seqcore import Alphabet, CyclicSequence
+from .seqcore import Alphabet, CyclicSequence, necklaces
 from .watchman import (
     DEFAULT_VERTEX_CAP,
     enumerate_min_walks,
@@ -228,14 +227,12 @@ def verify(
 def rotation_representatives(a: int, n: int):
     """All sequences of length n over a symbols, one per rotation class.
 
-    Yields the lexicographically least member of each class, in
-    lexicographic order.
+    Yields the lexicographically least member of each class (its
+    necklace), in lexicographic order.
     """
     alphabet = Alphabet(a)
-    for tup in itertools.product(range(a), repeat=n):
-        seq = CyclicSequence(tup, alphabet)
-        if seq.is_least_rotation():
-            yield seq
+    for word, _ in necklaces(a, n):
+        yield CyclicSequence(word, alphabet)
 
 
 @dataclass

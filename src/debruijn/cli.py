@@ -80,8 +80,12 @@ def _parse_lengths(text: str) -> range:
 
 def _sequences_from_args(args) -> list:
     if getattr(args, "seq_file", None):
-        with open(args.seq_file, "r", encoding="utf-8") as fh:
-            seqs = read_sequences(fh.read(), args.alphabet)
+        try:
+            with open(args.seq_file, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read {args.seq_file}: {exc}") from None
+        seqs = read_sequences(text, args.alphabet)
         if not seqs:
             raise DomainError(f"no sequences in {args.seq_file}")
         return seqs

@@ -12,12 +12,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError
 from .seqcore import (
     DEFAULT_SIZE_CAP,
     Alphabet,
     CyclicSequence,
     KString,
+    _check_generator_args,
     k_tour,
     successors,
 )
@@ -186,20 +187,30 @@ class Digraph:
         for key in ("alphabet", "order", "vertices", "arcs"):
             if key not in obj:
                 raise DomainError(f"digraph JSON is missing the {key!r} field")
+        if not _is_int(obj["alphabet"]):
+            raise DomainError("alphabet must be an integer")
         alphabet = Alphabet(obj["alphabet"])
         order = obj["order"]
-        if not isinstance(order, int) or order < 1:
+        if not _is_int(order) or order < 1:
             raise DomainError("order must be a positive integer")
+        if not isinstance(obj["vertices"], list) or not isinstance(obj["arcs"], list):
+            raise DomainError("'vertices' and 'arcs' must be lists")
         labels = []
         for text in obj["vertices"]:
-            if len(text) != order:
-                raise DomainError(f"vertex {text!r} does not have length {order}")
+            if not isinstance(text, str) or len(text) != order:
+                raise DomainError(
+                    f"vertex {text!r} must be a string of length {order}"
+                )
             labels.append(
                 KString(tuple(alphabet.decode(ch) for ch in text), alphabet)
             )
         arcs = []
         for arc in obj["arcs"]:
-            if not isinstance(arc, (list, tuple)) or len(arc) != 2:
+            if (
+                not isinstance(arc, (list, tuple))
+                or len(arc) != 2
+                or not all(map(_is_int, arc))
+            ):
                 raise DomainError(f"arc {arc!r} must be a pair of vertex indices")
             arcs.append((arc[0], arc[1]))
         provenance = (
@@ -208,6 +219,11 @@ class Digraph:
             else Provenance("custom")
         )
         return cls(labels, arcs, provenance)
+
+
+def _is_int(x: object) -> bool:
+    # JSON true/false decode to bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,11 +287,7 @@ def build_de_bruijn_graph(
     Vertices appear in lexicographic order; every vertex has out-degree
     and in-degree exactly a.
     """
-    alphabet = Alphabet(a)
-    if k < 1:
-        raise DomainError("order must be at least 1")
-    if a**k > size_cap:
-        raise ResourceCapError(f"a^k = {a ** k} exceeds size cap {size_cap}")
+    alphabet = _check_generator_args(a, k, size_cap)
     labels = [
         KString(sym, alphabet) for sym in itertools.product(range(a), repeat=k)
     ]
@@ -384,11 +396,7 @@ def gen_eulerian(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequ
     single vertex with one loop per symbol, so the reading is simply each
     symbol once in canonical order.
     """
-    alphabet = Alphabet(a)
-    if k < 1:
-        raise DomainError("order must be at least 1")
-    if a**k > size_cap:
-        raise ResourceCapError(f"a^k = {a ** k} exceeds size cap {size_cap}")
+    alphabet = _check_generator_args(a, k, size_cap)
     if k == 1:
         return CyclicSequence(tuple(range(a)), alphabet)
     g = build_de_bruijn_graph(a, k - 1, size_cap)

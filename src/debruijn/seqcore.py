@@ -170,20 +170,6 @@ def read_sequences(text: str, a: int) -> list[CyclicSequence]:
     return out
 
 
-def cycle_shift(s: KString) -> KString:
-    """Drop the first symbol and re-append it at the end."""
-    return KString(s.symbols[1:] + s.symbols[:1], s.alphabet)
-
-
-def de_bruijn_shift_successors(s: KString) -> set[KString]:
-    """The a-1 left shifts appending a symbol different from the dropped one."""
-    first = s.symbols[0]
-    tail = s.symbols[1:]
-    return {
-        KString(tail + (c,), s.alphabet) for c in s.alphabet.symbols if c != first
-    }
-
-
 def successors(s: KString) -> list[KString]:
     """All ``a`` left shifts of ``s``, appended symbol in canonical order."""
     tail = s.symbols[1:]
@@ -222,29 +208,43 @@ def _check_generator_args(a: int, k: int, size_cap: int) -> Alphabet:
     return alphabet
 
 
+def necklaces(a: int, n: int):
+    """Every length-n necklace over ``a`` symbols, in lexicographic order.
+
+    A necklace is the lexicographically least rotation of its class.
+    Yields (word, p) where p is the length of the word's longest Lyndon
+    prefix, so the necklace is word[:p] repeated n // p times. Iterative
+    FKM successor rule (Ruskey, Savage & Wang 1992): bump the last
+    symbol below a - 1, then extend the new prefix periodically; the
+    result is a prenecklace with period p, and a necklace iff p divides n.
+    """
+    word = [0] * n
+    p = 1
+    while True:
+        if n % p == 0:
+            yield tuple(word), p
+        i = n - 1
+        while i >= 0 and word[i] == a - 1:
+            i -= 1
+        if i < 0:
+            return
+        word[i] += 1
+        for j in range(i + 1, n):
+            word[j] = word[j - i - 1]
+        p = i + 1
+
+
 def gen_fkm(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
     """Lexicographically least de Bruijn sequence of order ``k``.
 
     Concatenates, in lexicographic order, every Lyndon word over the
-    alphabet whose length divides ``k``. Deterministic; the canonical
-    reference generator.
+    alphabet whose length divides ``k``: the Lyndon prefixes of the
+    order-k necklaces. Deterministic; the canonical reference generator.
     """
     alphabet = _check_generator_args(a, k, size_cap)
     seq: list[int] = []
-    work = [0] * (k + 1)
-
-    def extend(t: int, p: int) -> None:
-        if t > k:
-            if k % p == 0:
-                seq.extend(work[1 : p + 1])
-            return
-        work[t] = work[t - p]
-        extend(t + 1, p)
-        for c in range(work[t - p] + 1, a):
-            work[t] = c
-            extend(t + 1, t)
-
-    extend(1, 1)
+    for word, p in necklaces(a, k):
+        seq.extend(word[:p])
     return CyclicSequence(tuple(seq), alphabet)
 
 

@@ -117,33 +117,75 @@ def induced_walk(
     return Walk(graph, tuple(graph.index(w) for w in windows), closed=True)
 
 
-def _neighborhood_masks(g: Digraph) -> list[int]:
-    masks = []
-    for v in range(g.vertex_count):
-        m = 1 << v
-        for u in g.out_neighbors(v):
-            m |= 1 << u
-        masks.append(m)
-    return masks
+class _SearchSetup:
+    """Per-graph data shared by the oracle and the enumerator.
 
+    Both searches find each closed walk from its least vertex: the search
+    from ``start`` never steps to a smaller vertex, so every walk is met
+    from exactly one start.
+    """
 
-def _check_vertex_cap(g: Digraph, vertex_cap: int) -> None:
-    n = g.vertex_count
-    if n > vertex_cap:
-        raise ResourceCapError(
-            f"digraph has {n} vertices, oracle cap is {vertex_cap} "
-            f"(worst-case state space ~{n * (1 << n)})"
-        )
+    def __init__(self, g: Digraph, vertex_cap: int) -> None:
+        n = g.vertex_count
+        if n > vertex_cap:
+            raise ResourceCapError(
+                f"digraph has {n} vertices, oracle cap is {vertex_cap} "
+                f"(worst-case state space ~{n * (1 << n)})"
+            )
+        self.n = n
+        self.full = (1 << n) - 1
+        self.out = [g.out_neighbors(v) for v in range(n)]
+        self.nb = []  # closed out-neighborhood of each vertex, as a bitset
+        for v, targets in enumerate(self.out):
+            m = 1 << v
+            for u in targets:
+                m |= 1 << u
+            self.nb.append(m)
+        self.max_gain = max(m.bit_count() for m in self.nb)
+
+    def starts(self) -> list[tuple[int, list[int]]]:
+        """Every start whose walks could dominate, with its return distances.
+
+        dist_back[u] is the arc-distance from u back to start through
+        vertices >= start, or -1 if there is no such path; the searches
+        skip vertices at -1, which covers every vertex below start. A walk
+        from start stays in start's strong component among the vertices
+        >= start, so a start whose component cannot dominate is left out.
+        """
+        n, out, nb = self.n, self.out, self.nb
+        in_adj: list[list[int]] = [[] for _ in range(n)]
+        for u, targets in enumerate(out):
+            for v in targets:
+                in_adj[v].append(u)
+        starts = []
+        for start in range(n):
+            dist_back = [-1] * n
+            dist_back[start] = 0
+            dq = deque([start])
+            while dq:
+                u = dq.popleft()
+                for p in in_adj[u]:
+                    if p >= start and dist_back[p] < 0:
+                        dist_back[p] = dist_back[u] + 1
+                        dq.append(p)
+            # the component is what start reaches among the vertices that
+            # can return to it
+            potential = nb[start]
+            component = {start}
+            stack = [start]
+            while stack:
+                for u in out[stack.pop()]:
+                    if dist_back[u] >= 0 and u not in component:
+                        component.add(u)
+                        potential |= nb[u]
+                        stack.append(u)
+            if potential == self.full:
+                starts.append((start, dist_back))
+        return starts
 
 
 def _bounded_bfs(
-    start: int,
-    limit: int,
-    out: list[tuple[int, ...]],
-    nb: list[int],
-    dist_back: list[int],
-    full: int,
-    max_gain: int,
+    setup: _SearchSetup, start: int, dist_back: list[int], limit: int
 ) -> tuple[list[int] | None, int]:
     """Shortest closed dominating walk through ``start`` of length <= limit.
 
@@ -152,8 +194,11 @@ def _bounded_bfs(
     expanded. States are pruned when the depth plus an admissible
     lower bound (return distance, or ceil(undominated / max
     closed-neighborhood size)) exceeds the limit, so a goal within the
-    limit is never missed.
+    limit is never missed. The first parent to reach a state keeps it
+    and out-neighbors are tried in ascending order, so of all such walks
+    the lexicographically least is found.
     """
+    out, nb, full, max_gain = setup.out, setup.nb, setup.full, setup.max_gain
     explored = 0
     init = (start, nb[start])
     parent: dict[tuple[int, int], tuple[int, int] | None] = {init: None}
@@ -194,82 +239,44 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     """Exact minimum closed dominating walk by state-space search.
 
     States are (current vertex, bitset of dominated vertices), reached by
-    breadth-first search from every start vertex with transitions along
-    out-arcs; the goal is being back at the start with everything
-    dominated. All arc costs are 1, so breadth-first order is
-    uniform-cost order. The target length is iteratively deepened from
-    the bound ceil(n / max closed-neighborhood size), which keeps every
-    search tightly pruned without ever sacrificing exactness.
+    breadth-first search with transitions along out-arcs; the goal is
+    being back at the start with everything dominated. All arc costs are
+    1, so breadth-first order is uniform-cost order. The target length is
+    iteratively deepened from the bound ceil(n / max closed-neighborhood
+    size), which keeps every search tightly pruned without ever
+    sacrificing exactness.
 
-    A stationary length-0 walk is returned iff some single vertex
-    dominates the whole graph. Starts whose surrounding cycle-component
-    cannot possibly dominate are skipped; if no start survives, the
-    instance is infeasible. Among equal-length per-start witnesses the
-    one with the lexicographically least canonical rotation wins, and the
-    witness is presented in that rotation.
+    Each walk is searched from its least vertex only: the search from a
+    start never steps to a smaller vertex, and starts whose strong
+    component among the vertices >= start cannot dominate are skipped;
+    if no start survives, the instance is infeasible. Within a deepening
+    round the starts are tried in ascending order and the first walk
+    found is returned. A stationary length-0 walk is returned iff some
+    single vertex dominates the whole graph, the least such vertex.
+
+    The witness is therefore the least canonical minimum walk: it starts
+    at its least vertex, is the lexicographically least rotation of
+    itself, and equals ``enumerate_min_walks(g, optimum)[0]``.
     """
-    _check_vertex_cap(g, vertex_cap)
-    n = g.vertex_count
-    full = (1 << n) - 1
-    nb = _neighborhood_masks(g)
-    for v in range(n):
-        if nb[v] == full:
+    setup = _SearchSetup(g, vertex_cap)
+    for v in range(setup.n):
+        if setup.nb[v] == setup.full:
             return SolveResult(0, Walk(g, (v,), closed=True), 0)
 
-    out = [g.out_neighbors(v) for v in range(n)]
-    in_adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.arcs:
-        in_adj[v].append(u)
-    for preds in in_adj:
-        preds.sort()
-    max_gain = max(m.bit_count() for m in nb)
-
-    explored = 0
-    starts: list[tuple[int, list[int]]] = []
-    for start in range(n):
-        dist_back = [-1] * n  # arc-distance from each vertex back to start
-        dist_back[start] = 0
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for p in in_adj[u]:
-                if dist_back[p] < 0:
-                    dist_back[p] = dist_back[u] + 1
-                    dq.append(p)
-        forward = {start}
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for w in out[u]:
-                if w not in forward:
-                    forward.add(w)
-                    dq.append(w)
-        # a walk through start stays inside forward-reach ∩ backward-reach;
-        # if even that whole component cannot dominate, skip the start
-        potential = 0
-        for u in forward:
-            if dist_back[u] >= 0:
-                potential |= nb[u]
-        if potential == full:
-            starts.append((start, dist_back))
-
+    starts = setup.starts()
     if not starts:
-        return SolveResult(None, None, explored)
+        return SolveResult(None, None, 0)
 
-    limit = max(2, -(-n // max_gain))
+    n = setup.n
+    explored = 0
+    limit = max(2, -(-n // setup.max_gain))
     while True:
-        best_canon: tuple[int, ...] | None = None
         for start, dist_back in starts:
-            found, expanded = _bounded_bfs(
-                start, limit, out, nb, dist_back, full, max_gain
-            )
+            found, expanded = _bounded_bfs(setup, start, dist_back, limit)
             explored += expanded
             if found is not None:
-                canon = least_rotation(tuple(found))
-                if best_canon is None or canon < best_canon:
-                    best_canon = canon
-        if best_canon is not None:
-            return SolveResult(len(best_canon), Walk(g, best_canon, closed=True), explored)
+                witness = Walk(g, tuple(found), closed=True)
+                return SolveResult(len(found), witness, explored)
         limit += 1
         if limit > n * n:  # pragma: no cover - feasibility precheck forbids this
             raise InvariantViolation("iterative deepening exceeded the n^2 bound")
@@ -284,12 +291,10 @@ def enumerate_min_walks(
     rotation, in deterministic sorted order. Vertices may repeat within a
     walk. Asking below the optimum yields an empty list.
     """
-    _check_vertex_cap(g, vertex_cap)
+    setup = _SearchSetup(g, vertex_cap)
     if length < 0:
         raise DomainError("walk length cannot be negative")
-    n = g.vertex_count
-    full = (1 << n) - 1
-    nb = _neighborhood_masks(g)
+    n, full, nb, out = setup.n, setup.full, setup.nb, setup.out
     if length == 0:
         return [Walk(g, (v,), closed=True) for v in range(n) if nb[v] == full]
     if length == 1:
@@ -299,27 +304,11 @@ def enumerate_min_walks(
         # optimal: the stationary walk dominates the same set)
         return []
 
-    out = [g.out_neighbors(v) for v in range(n)]
     out_set = [frozenset(ts) for ts in out]
-    in_adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.arcs:
-        in_adj[v].append(u)
-    max_gain = max(m.bit_count() for m in nb)
+    max_gain = setup.max_gain
     found: set[tuple[int, ...]] = set()
 
-    for start in range(n):
-        # every walk is enumerated from its least vertex, so the search
-        # below never descends to an index smaller than the start
-        dist_back = [-1] * n
-        dist_back[start] = 0
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for p in in_adj[u]:
-                if p >= start and dist_back[p] < 0:
-                    dist_back[p] = dist_back[u] + 1
-                    dq.append(p)
-
+    for start, dist_back in setup.starts():
         path = [start]
 
         def extend(v: int, dom: int) -> None:
@@ -330,8 +319,6 @@ def enumerate_min_walks(
                 return
             remaining = length - used  # arcs left after stepping away from v
             for u in out[v]:
-                if u < start:
-                    continue
                 db = dist_back[u]
                 if db < 0 or db > remaining:
                     continue

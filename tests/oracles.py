@@ -7,6 +7,19 @@ and enumerate by brute force.
 import itertools
 
 
+def naive_fkm(a, k):
+    """Every Lyndon word whose length divides k, concatenated in the
+    lexicographic order of the necklaces they repeat to, found by
+    filtering all a**k words."""
+    seq = []
+    for word in itertools.product(range(a), repeat=k):
+        rotations = [word[i:] + word[:i] for i in range(k)]
+        if word == min(rotations):
+            period = next(p for p in range(1, k + 1) if rotations[p % k] == word)
+            seq.extend(word[:period])
+    return tuple(seq)
+
+
 def cyclic_windows(symbols, k):
     n = len(symbols)
     return [tuple(symbols[(i + j) % n] for j in range(k)) for i in range(n)]

@@ -169,6 +169,18 @@ class TestRotationRepresentatives:
             seen.update(r.symbols for r in rep.rotations())
         assert seen == set(itertools.product(range(2), repeat=4))
 
+    @pytest.mark.parametrize(
+        "a,n", [(a, n) for a in range(2, 37) for n in range(1, 13) if a**n <= 5000]
+    )
+    def test_matches_brute_force_filter(self, a, n):
+        alphabet = Alphabet(a)
+        expected = [
+            syms
+            for syms in itertools.product(range(a), repeat=n)
+            if CyclicSequence(syms, alphabet).is_least_rotation()
+        ]
+        assert [s.symbols for s in rotation_representatives(a, n)] == expected
+
 
 class TestSweep:
     def test_small_binary_sweep(self):

@@ -127,6 +127,29 @@ class TestSolve:
         b.pop("explored_states")
         assert json.dumps(a) == json.dumps(b)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("arcs", [[0.5, 1]]),
+            ("arcs", [[True, 1]]),
+            ("arcs", [["0", 1]]),
+            ("arcs", {"0": 1}),
+            ("vertices", [0, 1]),
+            ("vertices", "01"),
+            ("alphabet", 2.0),
+            ("order", True),
+        ],
+    )
+    def test_malformed_graph_json_is_a_domain_error(
+        self, capsys, monkeypatch, field, value
+    ):
+        graph = {"alphabet": 2, "order": 1, "vertices": ["0", "1"], "arcs": [[0, 1]]}
+        graph[field] = value
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve")
+        assert (code, out) == (1, "")
+        assert err.startswith("watchman: error:") and "Traceback" not in err
+
     def test_missing_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         code, _, err = run(capsys, "solve")
@@ -197,6 +220,14 @@ class TestVerify:
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["sequence"] for r in records] == ["0001", "0011"]
         assert [r["is_watchman"] for r in records] == [False, True]
+
+    def test_unreadable_seq_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run(
+            capsys, "verify", "--seq-file", missing, "-a", "2", "-k", "3"
+        )
+        assert (code, out) == (1, "")
+        assert "missing.txt" in err and "Traceback" not in err
 
     def test_cap_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("WATCHMAN_MAX_VERTICES", "4")
