@@ -79,7 +79,7 @@ def _parse_lengths(text: str) -> range:
 
 
 def _sequences_from_args(args) -> list:
-    if getattr(args, "seq_file", None):
+    if args.seq_file is not None:
         try:
             with open(args.seq_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -99,11 +99,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    if args.highlight_induced and not args.from_seq:
+    if args.highlight_induced and args.from_seq is None:
         raise DomainError("--highlight-induced needs --from-seq")
     if args.highlight_induced and not args.dot:
         raise DomainError("--highlight-induced needs --dot")
-    if args.from_seq:
+    if args.from_seq is not None:
         d = parse_sequence(args.from_seq, args.alphabet)
         graph = generated_subdigraph(d, args.order)
         highlight = induced_walk(d, args.order, graph) if args.highlight_induced else None
@@ -118,14 +118,14 @@ def cmd_graph(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    seed = parse_sequence(args.seq, args.alphabet) if args.seq else None
+    seed = None if args.seq is None else parse_sequence(args.seq, args.alphabet)
     walk = construct_watchman_walk(args.alphabet, args.order, seed, _size_cap())
     print(",".join(walk.label_texts))
     return 0
 
 
 def cmd_solve(args) -> int:
-    if args.from_seq:
+    if args.from_seq is not None:
         if args.alphabet is None or args.order is None:
             raise DomainError("--from-seq needs -a and -k")
         d = parse_sequence(args.from_seq, args.alphabet)
@@ -176,8 +176,11 @@ def cmd_sweep(args) -> int:
     )
     sys.stdout.write(report.to_jsonl())
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.to_csv())
+        try:
+            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+                fh.write(report.to_csv())
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.csv}: {exc}") from None
     return 0
 
 
@@ -270,7 +273,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
 
     if args.command in ("classify", "verify"):
-        if bool(args.seq) == bool(args.seq_file):
+        if (args.seq is None) == (args.seq_file is None):
             print(
                 "watchman: error: exactly one of --seq / --seq-file is required",
                 file=sys.stderr,

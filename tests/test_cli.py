@@ -62,6 +62,11 @@ class TestWalk:
         assert code == 1
         assert "de Bruijn" in err
 
+    def test_empty_seed_is_an_error_not_the_default(self, capsys):
+        code, out, err = run(capsys, "walk", "-a", "2", "-k", "3", "--seq", "")
+        assert (code, out) == (1, "")
+        assert "empty sequence text" in err
+
 
 class TestGraph:
     def test_json_default(self, capsys):
@@ -96,6 +101,11 @@ class TestGraph:
             "graph", "--from-seq", "0011", "-a", "2", "-k", "2", "--highlight-induced",
         )
         assert code == 1 and "--dot" in err
+
+    def test_empty_from_seq_is_an_error_not_the_full_graph(self, capsys):
+        code, out, err = run(capsys, "graph", "-a", "2", "-k", "3", "--from-seq", "")
+        assert (code, out) == (1, "")
+        assert "empty sequence text" in err
 
 
 class TestSolve:
@@ -155,6 +165,13 @@ class TestSolve:
         code, _, err = run(capsys, "solve")
         assert code == 1
 
+    def test_empty_from_seq_does_not_read_stdin(self, capsys, monkeypatch):
+        graph = {"alphabet": 2, "order": 1, "vertices": ["0", "1"], "arcs": [[0, 1]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve", "--from-seq", "", "-a", "2", "-k", "2")
+        assert (code, out) == (1, "")
+        assert "empty sequence text" in err
+
     def test_from_seq_needs_dimensions(self, capsys):
         code, _, err = run(capsys, "solve", "--from-seq", "0011")
         assert code == 1 and "-a" in err
@@ -191,6 +208,18 @@ class TestClassify:
             capsys, "classify", "--seq", "0001", "--seq-file", "x", "-a", "2", "-k", "3"
         )
         assert code == 1
+
+    def test_empty_seq_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "seqs.txt"
+        path.write_text("0011\n")
+        code, out, err = run(
+            capsys,
+            "classify", "--seq", "", "--seq-file", str(path), "-a", "2", "-k", "3",
+        )
+        assert (code, out) == (1, "")
+        code, out, err = run(capsys, "classify", "--seq", "", "-a", "2", "-k", "3")
+        assert (code, out) == (1, "")
+        assert "empty sequence text" in err
 
     def test_invalid_symbol_exit(self, capsys):
         code, _, err = run(capsys, "classify", "--seq", "102", "-a", "2", "-k", "2")
@@ -251,6 +280,17 @@ class TestSweep:
         csv_lines = csv_path.read_text().strip().splitlines()
         assert csv_lines[0].startswith("sequence,length,")
         assert len(csv_lines) == 8
+
+    @pytest.mark.parametrize("target", ["missing/report.csv", "."])
+    def test_unwritable_csv_is_a_domain_error(self, capsys, tmp_path, target):
+        csv_path = tmp_path / target
+        code, _, err = run(
+            capsys,
+            "sweep", "-a", "2", "-k", "2", "--lengths", "2..2", "--csv", str(csv_path),
+        )
+        assert code == 1
+        assert err.startswith("watchman: error: cannot write")
+        assert "Traceback" not in err
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "sweep", "-a", "2", "-k", "2", "--lengths", "3..2")
