@@ -1,26 +1,30 @@
 """Directed graph representation, de Bruijn graph and generated-subdigraph
 construction, domination predicates, Eulerian circuits, and DOT/JSON export.
 
-Digraphs are immutable after construction and keep both out- and
-in-adjacency indices. Vertex order is always lexicographic by label, so
-every export and every derived walk is deterministic.
+A vertex is a k-string, stored as its base-``a`` rank: the successors of
+rank ``r`` are ``(r*a + c) % a**k``, and for a fixed ``k`` rank order is
+lexicographic order. The builders work on ranks alone; ``KString``
+labels and their text are made only when a caller asks for them
+(``labels``, ``label``, ``to_json``, ``to_dot``, ``Walk.label_texts``).
+Digraphs are immutable after construction and keep sorted
+out-adjacency and in-degrees. Builders list vertices in lexicographic
+order, so every export and every derived walk is deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 from .errors import DomainError
 from .seqcore import (
     DEFAULT_SIZE_CAP,
+    SYMBOL_CHARS,
     Alphabet,
     CyclicSequence,
     KString,
     _check_generator_args,
-    k_tour,
-    successors,
+    window_ranks,
 )
 
 PROVENANCE_KINDS = ("de_bruijn", "generated", "custom")
@@ -54,12 +58,28 @@ class Provenance:
         return cls(obj["kind"], obj.get("sequence"))
 
 
+def _rank(symbols: Sequence[int], a: int) -> int:
+    rank = 0
+    for sym in symbols:
+        rank = rank * a + sym
+    return rank
+
+
+def _unrank(rank: int, a: int, k: int) -> tuple[int, ...]:
+    syms = [0] * k
+    for i in range(k - 1, -1, -1):
+        rank, syms[i] = divmod(rank, a)
+    return tuple(syms)
+
+
 class Digraph:
     """A vertex-labelled digraph with arcs stored as index pairs.
 
-    Unless the provenance is custom, every arc (u, v) must be a left
-    shift: label(v) drops the first symbol of label(u) and appends one
-    symbol. Self-loops are permitted.
+    Each vertex is held as the base-``a`` rank of its k-string label;
+    the ``KString`` labels are built once, on first use. Unless the
+    provenance is custom, every arc (u, v) must be a left shift:
+    label(v) drops the first symbol of label(u) and appends one symbol.
+    Self-loops are permitted.
     """
 
     def __init__(
@@ -76,10 +96,45 @@ class Digraph:
         for lbl in labels:
             if lbl.alphabet != alphabet or lbl.order != order:
                 raise DomainError("vertex labels must share one alphabet and order")
-        if len({lbl.symbols for lbl in labels}) != len(labels):
-            raise DomainError("vertex labels must be pairwise distinct")
+        ranks = [_rank(lbl.symbols, alphabet.size) for lbl in labels]
+        self._build(alphabet, order, ranks, arcs, provenance)
+        self._labels = labels
 
-        n = len(labels)
+    @classmethod
+    def _from_ranks(
+        cls,
+        alphabet: Alphabet,
+        order: int,
+        ranks: Sequence[int],
+        arcs: Iterable[tuple[int, int]],
+        provenance: Provenance,
+    ) -> "Digraph":
+        """A digraph whose i-th vertex has rank ``ranks[i]``; same checks."""
+        g = cls.__new__(cls)
+        g._build(alphabet, order, ranks, arcs, provenance)
+        return g
+
+    def _build(
+        self,
+        alphabet: Alphabet,
+        order: int,
+        ranks: Sequence[int],
+        arcs: Iterable[tuple[int, int]],
+        provenance: Provenance,
+    ) -> None:
+        ranks = tuple(ranks)
+        if not ranks:
+            raise DomainError("a digraph needs at least one vertex")
+        index = {r: i for i, r in enumerate(ranks)}
+        if len(index) != len(ranks):
+            raise DomainError("vertex labels must be pairwise distinct")
+        self._alphabet = alphabet
+        self._order = order
+        self._ranks = ranks
+        self._index = index
+        self._labels: tuple[KString, ...] | None = None
+
+        n = len(ranks)
         arcset: set[tuple[int, int]] = set()
         for arc in arcs:
             u, v = arc
@@ -87,18 +142,17 @@ class Digraph:
                 raise DomainError(f"arc {arc!r} references an unknown vertex")
             arcset.add((int(u), int(v)))
         if provenance.kind != "custom":
+            a = alphabet.size
+            drop = a ** (order - 1)
             for u, v in arcset:
-                if labels[v].symbols[:-1] != labels[u].symbols[1:]:
+                if ranks[v] // a != ranks[u] % drop:
                     raise DomainError(
-                        f"arc {labels[u]} -> {labels[v]} is not a left shift"
+                        f"arc {self._text(ranks[u])} -> {self._text(ranks[v])} "
+                        "is not a left shift"
                     )
 
-        self._labels = labels
         self._arcs = frozenset(arcset)
         self._provenance = provenance
-        self._alphabet = alphabet
-        self._order = order
-        self._index = {lbl.symbols: i for i, lbl in enumerate(labels)}
         out: list[list[int]] = [[] for _ in range(n)]
         in_deg = [0] * n
         for u, v in arcset:
@@ -107,9 +161,28 @@ class Digraph:
         self._out = tuple(tuple(sorted(ts)) for ts in out)
         self._in_deg = tuple(in_deg)
 
+    def _text(self, rank: int) -> str:
+        syms = _unrank(rank, self._alphabet.size, self._order)
+        return "".join(SYMBOL_CHARS[s] for s in syms)
+
     @property
     def labels(self) -> tuple[KString, ...]:
+        if self._labels is None:
+            a, k = self._alphabet.size, self._order
+            self._labels = tuple(
+                KString(_unrank(r, a, k), self._alphabet) for r in self._ranks
+            )
         return self._labels
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """The base-``a`` rank of each vertex label, by vertex index."""
+        return self._ranks
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted out-neighbour indices of each vertex, by vertex index."""
+        return self._out
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -129,30 +202,40 @@ class Digraph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._labels)
+        return len(self._ranks)
 
     @property
     def arc_count(self) -> int:
         return len(self._arcs)
 
     def label(self, i: int) -> KString:
-        if not 0 <= i < len(self._labels):
+        if not 0 <= i < len(self._ranks):
             raise DomainError(f"vertex index {i} out of range")
-        return self._labels[i]
+        return self.labels[i]
 
     def index(self, v: VertexRef) -> int:
         """Resolve an index, KString, or label text to a vertex index."""
         if isinstance(v, int):
-            if not 0 <= v < len(self._labels):
+            if not 0 <= v < len(self._ranks):
                 raise DomainError(f"vertex index {v} out of range")
             return v
         if isinstance(v, KString):
-            key = v.symbols
+            symbols = v.symbols
         else:
-            key = tuple(self._alphabet.decode(ch) for ch in v)
-        idx = self._index.get(key)
+            symbols = tuple(self._alphabet.decode(ch) for ch in v)
+        a = self._alphabet.size
+        idx = None
+        if len(symbols) == self._order and max(symbols) < a:
+            idx = self._index.get(_rank(symbols, a))
         if idx is None:
             raise DomainError(f"unknown vertex {v!s}")
+        return idx
+
+    def index_of_rank(self, rank: int) -> int:
+        """The index of the vertex whose label has base-``a`` rank ``rank``."""
+        idx = self._index.get(rank)
+        if idx is None:
+            raise DomainError(f"unknown vertex {self._text(rank)}")
         return idx
 
     def has_vertex(self, v: VertexRef) -> bool:
@@ -175,7 +258,7 @@ class Digraph:
         return {
             "alphabet": self._alphabet.size,
             "order": self._order,
-            "vertices": [lbl.text for lbl in self._labels],
+            "vertices": [lbl.text for lbl in self.labels],
             "arcs": [list(arc) for arc in sorted(self._arcs)],
             "provenance": self._provenance.to_json(),
         }
@@ -195,15 +278,13 @@ class Digraph:
             raise DomainError("order must be a positive integer")
         if not isinstance(obj["vertices"], list) or not isinstance(obj["arcs"], list):
             raise DomainError("'vertices' and 'arcs' must be lists")
-        labels = []
+        ranks = []
         for text in obj["vertices"]:
             if not isinstance(text, str) or len(text) != order:
                 raise DomainError(
                     f"vertex {text!r} must be a string of length {order}"
                 )
-            labels.append(
-                KString(tuple(alphabet.decode(ch) for ch in text), alphabet)
-            )
+            ranks.append(_rank([alphabet.decode(ch) for ch in text], alphabet.size))
         arcs = []
         for arc in obj["arcs"]:
             if (
@@ -218,7 +299,7 @@ class Digraph:
             if "provenance" in obj
             else Provenance("custom")
         )
-        return cls(labels, arcs, provenance)
+        return cls._from_ranks(alphabet, order, ranks, arcs, provenance)
 
 
 def _is_int(x: object) -> bool:
@@ -284,20 +365,13 @@ def build_de_bruijn_graph(
 ) -> Digraph:
     """The digraph on all a**k k-strings with an arc per left shift.
 
-    Vertices appear in lexicographic order; every vertex has out-degree
-    and in-degree exactly a.
+    Vertices appear in lexicographic order, so vertex i has rank i;
+    every vertex has out-degree and in-degree exactly a.
     """
     alphabet = _check_generator_args(a, k, size_cap)
-    labels = [
-        KString(sym, alphabet) for sym in itertools.product(range(a), repeat=k)
-    ]
-    index = {lbl.symbols: i for i, lbl in enumerate(labels)}
-    arcs = set()
-    for i, lbl in enumerate(labels):
-        tail = lbl.symbols[1:]
-        for c in range(a):
-            arcs.add((i, index[tail + (c,)]))
-    return Digraph(labels, arcs, Provenance("de_bruijn"))
+    size = a**k
+    arcs = [(r, r * a % size + c) for r in range(size) for c in range(a)]
+    return Digraph._from_ranks(alphabet, k, range(size), arcs, Provenance("de_bruijn"))
 
 
 def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
@@ -308,19 +382,25 @@ def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
     vertices (the arc-induced subdigraph of the full de Bruijn graph).
     Successor-only vertices may end up with out-degree 0.
     """
-    tour = k_tour(d, k)
-    vertex_syms = {w.symbols for w in tour.windows}
-    for w in set(tour.windows):
-        vertex_syms.update(s.symbols for s in successors(w))
-    labels = [KString(sym, d.alphabet) for sym in sorted(vertex_syms)]
-    index = {lbl.symbols: i for i, lbl in enumerate(labels)}
-    arcs = set()
-    for i, lbl in enumerate(labels):
-        for s in successors(lbl):
-            j = index.get(s.symbols)
+    a = d.alphabet.size
+    size = a**k
+    windows = set(window_ranks(d, k))
+    vertex_set = set(windows)
+    for r in windows:
+        first = r * a % size
+        vertex_set.update(range(first, first + a))
+    ranks = sorted(vertex_set)
+    index = {r: i for i, r in enumerate(ranks)}
+    arcs = []
+    for i, r in enumerate(ranks):
+        first = r * a % size
+        for s in range(first, first + a):
+            j = index.get(s)
             if j is not None:
-                arcs.add((i, j))
-    return Digraph(labels, arcs, Provenance("generated", d.text))
+                arcs.append((i, j))
+    return Digraph._from_ranks(
+        d.alphabet, k, ranks, arcs, Provenance("generated", d.text)
+    )
 
 
 def closed_out_neighborhood(g: Digraph, v: VertexRef) -> frozenset[int]:
@@ -369,7 +449,7 @@ def eulerian_circuit(g: Digraph) -> Walk:
                 f"vertex {g.label(v)} has out-degree {g.out_degree(v)} "
                 f"!= in-degree {g.in_degree(v)}"
             )
-    out = [g.out_neighbors(v) for v in range(n)]
+    out = g.adjacency
     ptr = [0] * n
     start = next(v for v in range(n) if out[v])
     stack = [start]
@@ -403,7 +483,7 @@ def gen_eulerian(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequ
     circuit = eulerian_circuit(g)
     vi = circuit.vertex_indices
     m = len(vi)
-    syms = tuple(g.label(vi[(i + 1) % m]).symbols[-1] for i in range(m))
+    syms = tuple(g.ranks[vi[(i + 1) % m]] % a for i in range(m))
     return CyclicSequence(syms, alphabet)
 
 
@@ -412,9 +492,10 @@ def to_dot(g: Digraph, highlight: Walk | None = None) -> str:
     if highlight is not None and highlight.digraph is not g:
         raise DomainError("highlight walk does not reference this digraph")
     bold = set(highlight.arc_steps()) if highlight is not None else set()
+    texts = [lbl.text for lbl in g.labels]
     lines = ["digraph debruijn {"]
-    for lbl in g.labels:
-        lines.append(f'  "{lbl.text}";')
+    for text in texts:
+        lines.append(f'  "{text}";')
     for u, v in sorted(g.arcs):
         if highlight is None:
             attr = ""
@@ -422,6 +503,6 @@ def to_dot(g: Digraph, highlight: Walk | None = None) -> str:
             attr = " [style=bold, color=black]"
         else:
             attr = " [color=grey]"
-        lines.append(f'  "{g.label(u).text}" -> "{g.label(v).text}"{attr};')
+        lines.append(f'  "{texts[u]}" -> "{texts[v]}"{attr};')
     lines.append("}")
     return "\n".join(lines) + "\n"

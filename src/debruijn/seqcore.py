@@ -176,13 +176,39 @@ def successors(s: KString) -> list[KString]:
     return [KString(tail + (c,), s.alphabet) for c in s.alphabet.symbols]
 
 
-def k_tour(d: CyclicSequence, k: int) -> KTour:
-    """All cyclic windows of length ``k`` in order, starting at position 0."""
+def _check_tour_args(d: CyclicSequence, k: int) -> None:
     if k < 1:
         raise DomainError("order must be at least 1")
     if len(d) < k:
         raise DomainError(f"sequence shorter than order: length {len(d)} < k = {k}")
+
+
+def k_tour(d: CyclicSequence, k: int) -> KTour:
+    """All cyclic windows of length ``k`` in order, starting at position 0."""
+    _check_tour_args(d, k)
     return KTour(tuple(d.window(i, k) for i in range(len(d))), d, k)
+
+
+def window_ranks(d: CyclicSequence, k: int) -> list[int]:
+    """Base-``a`` rank of each k-tour window of ``d``, in tour order.
+
+    The rank of a window is its symbols read as a base-``a`` number, so
+    for a fixed ``k`` rank order is lexicographic order. One rolling
+    pass: the next rank drops the leading digit and appends one symbol.
+    """
+    _check_tour_args(d, k)
+    a = d.alphabet.size
+    syms = d.symbols
+    n = len(syms)
+    rank = 0
+    for s in syms[:k]:
+        rank = rank * a + s
+    ranks = [rank]
+    drop = a ** (k - 1)
+    for i in range(k, k + n - 1):
+        rank = rank % drop * a + syms[i % n]
+        ranks.append(rank)
+    return ranks
 
 
 def is_de_bruijn_sequence(s: CyclicSequence, k: int) -> bool:
@@ -195,8 +221,7 @@ def is_de_bruijn_sequence(s: CyclicSequence, k: int) -> bool:
         raise DomainError("order must be at least 1")
     if len(s) != s.alphabet.size ** k:
         return False
-    seen = {w.symbols for w in k_tour(s, k).windows}
-    return len(seen) == len(s)
+    return len(set(window_ranks(s, k))) == len(s)
 
 
 def _check_generator_args(a: int, k: int, size_cap: int) -> Alphabet:

@@ -26,7 +26,7 @@ from .seqcore import (
     CyclicSequence,
     gen_fkm,
     is_de_bruijn_sequence,
-    k_tour,
+    window_ranks,
 )
 
 #: The oracle refuses digraphs with more vertices than this unless the
@@ -98,8 +98,7 @@ def construct_watchman_walk(
         if not is_de_bruijn_sequence(seed, k - 1):
             raise DomainError(f"seed is not a de Bruijn sequence of order {k - 1}")
     g = build_de_bruijn_graph(a, k, size_cap)
-    windows = k_tour(seed, k).windows
-    return Walk(g, tuple(g.index(w) for w in windows), closed=True)
+    return Walk(g, tuple(map(g.index_of_rank, window_ranks(seed, k))), closed=True)
 
 
 def induced_walk(
@@ -109,12 +108,14 @@ def induced_walk(
 
     Repeated windows are revisited, not skipped, so the length is always
     exactly len(d). ``graph`` may supply a pre-built generated
-    subdigraph; by default one is constructed.
+    subdigraph over the same alphabet and order; by default one is
+    constructed.
     """
     if graph is None:
         graph = generated_subdigraph(d, k)
-    windows = k_tour(d, k).windows
-    return Walk(graph, tuple(graph.index(w) for w in windows), closed=True)
+    elif graph.alphabet != d.alphabet or graph.order != k:
+        raise DomainError("graph alphabet and order do not match the sequence")
+    return Walk(graph, tuple(map(graph.index_of_rank, window_ranks(d, k))), closed=True)
 
 
 class _SearchSetup:
@@ -134,7 +135,7 @@ class _SearchSetup:
             )
         self.n = n
         self.full = (1 << n) - 1
-        self.out = [g.out_neighbors(v) for v in range(n)]
+        self.out = g.adjacency
         self.nb = []  # closed out-neighborhood of each vertex, as a bitset
         for v, targets in enumerate(self.out):
             m = 1 << v

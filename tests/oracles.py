@@ -103,3 +103,50 @@ def has_closed_dominating_walk(g):
             if dominates(out, n, component):
                 return True
     return False
+
+
+SYMBOL_TEXT = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def _shift_arcs(labels):
+    """Every pair (u, v) of label texts with v a left shift of u."""
+    return {(u, v) for u in labels for v in labels if u[1:] == v[:-1]}
+
+
+def text_generated_subdigraph(text, a, k):
+    """Sorted label texts and text arcs of the subdigraph generated by
+    ``text``: its cyclic text windows plus their text shifts, with arcs
+    found by string comparison."""
+    doubled = text * (k // len(text) + 2)
+    windows = {doubled[i : i + k] for i in range(len(text))}
+    labels = sorted(windows | {w[1:] + c for w in windows for c in SYMBOL_TEXT[:a]})
+    return labels, _shift_arcs(labels)
+
+
+def text_de_bruijn_graph(a, k):
+    """Sorted label texts and text arcs of the full order-k graph."""
+    labels = sorted(
+        "".join(p) for p in itertools.product(SYMBOL_TEXT[:a], repeat=k)
+    )
+    return labels, _shift_arcs(labels)
+
+
+def text_graph_json(labels, arcs, a, k, provenance):
+    """The expected to_json() of a graph on sorted ``labels``."""
+    where = {t: i for i, t in enumerate(labels)}
+    return {
+        "alphabet": a,
+        "order": k,
+        "vertices": list(labels),
+        "arcs": sorted([where[u], where[v]] for u, v in arcs),
+        "provenance": provenance,
+    }
+
+
+def text_graph_dot(labels, arcs):
+    """The expected to_dot() of a graph on sorted ``labels``: with equal
+    length labels in sorted order, text order of arcs is index order."""
+    lines = ["digraph debruijn {"]
+    lines += [f'  "{t}";' for t in labels]
+    lines += [f'  "{u}" -> "{v}";' for u, v in sorted(arcs)]
+    return "\n".join(lines + ["}"]) + "\n"

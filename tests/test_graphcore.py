@@ -1,7 +1,10 @@
 import itertools
 import json
+import random
 
 import pytest
+
+import oracles
 
 from debruijn import DomainError, ResourceCapError
 from debruijn.graphcore import (
@@ -335,3 +338,85 @@ class TestJson:
     def test_generated_provenance_requires_sequence(self):
         with pytest.raises(DomainError):
             Provenance("generated")
+
+
+def _kstring(text, a):
+    return KString(tuple(oracles.SYMBOL_TEXT.index(c) for c in text), Alphabet(a))
+
+
+def assert_matches_text_graph(g, labels, arcs, a, k, provenance):
+    assert [lbl.text for lbl in g.labels] == labels
+    assert {(g.label(u).text, g.label(v).text) for u, v in g.arcs} == arcs
+    assert g.to_json() == oracles.text_graph_json(labels, arcs, a, k, provenance)
+    assert to_dot(g) == oracles.text_graph_dot(labels, arcs)
+    for i, text in enumerate(labels):
+        assert g.index(text) == i
+        assert g.index(_kstring(text, a)) == i
+    back = Digraph.from_json(json.loads(json.dumps(g.to_json())))
+    assert back.to_json() == g.to_json()
+
+
+class TestRankConstructionMatchesStrings:
+    """The rank-built graphs against oracles' string-built references.
+
+    A rotation of a sequence has the same windows, so the sequences are
+    taken one per rotation class; test_seqcore checks window_ranks on
+    every sequence.
+    """
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_every_short_sequence(self, a):
+        for n in range(1, 9):
+            for syms in itertools.product(oracles.SYMBOL_TEXT[:a], repeat=n):
+                text = "".join(syms)
+                if text != min(text[i:] + text[:i] for i in range(n)):
+                    continue
+                for k in range(1, min(n, 3) + 1):
+                    g = generated_subdigraph(parse_sequence(text, a), k)
+                    labels, arcs = oracles.text_generated_subdigraph(text, a, k)
+                    provenance = {"kind": "generated", "sequence": text}
+                    assert_matches_text_graph(g, labels, arcs, a, k, provenance)
+
+    def test_random_quaternary_sequences(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            text = "".join(rng.choice("0123") for _ in range(rng.randint(4, 12)))
+            k = rng.randint(1, 4)
+            g = generated_subdigraph(parse_sequence(text, 4), k)
+            labels, arcs = oracles.text_generated_subdigraph(text, 4, k)
+            provenance = {"kind": "generated", "sequence": text}
+            assert_matches_text_graph(g, labels, arcs, 4, k, provenance)
+
+    @pytest.mark.parametrize("a,k", SMALL_PAIRS)
+    def test_full_graphs(self, a, k):
+        labels, arcs = oracles.text_de_bruijn_graph(a, k)
+        g = build_de_bruijn_graph(a, k)
+        assert_matches_text_graph(g, labels, arcs, a, k, {"kind": "de_bruijn"})
+
+    def test_index_rejects_labels_of_another_order_or_alphabet(self):
+        g = build_de_bruijn_graph(2, 3)
+        assert g.index(_kstring("011", 3)) == 3
+        assert g.index_of_rank(3) == 3
+        for ref in [_kstring("01", 2), _kstring("0001", 2), _kstring("002", 3), "01"]:
+            with pytest.raises(DomainError, match="unknown vertex"):
+                g.index(ref)
+        with pytest.raises(DomainError, match="unknown vertex 110"):
+            generated_subdigraph(parse_sequence("0001", 2), 3).index_of_rank(6)
+
+    @pytest.mark.parametrize("kind", ["generated", "de_bruijn"])
+    def test_non_shift_arc_names_both_labels(self, kind):
+        alphabet = Alphabet(3)
+        labels = [_kstring(t, 3) for t in ("012", "120", "201")]
+        provenance = Provenance(kind, "012" if kind == "generated" else None)
+        assert Digraph(labels, [(0, 1), (1, 2)], provenance).arc_count == 2
+        with pytest.raises(DomainError, match="arc 012 -> 201 is not a left shift"):
+            Digraph(labels, [(0, 1), (0, 2)], provenance)
+        obj = {
+            "alphabet": alphabet.size,
+            "order": 3,
+            "vertices": ["012", "120", "201"],
+            "arcs": [[2, 1]],
+            "provenance": provenance.to_json(),
+        }
+        with pytest.raises(DomainError, match="arc 201 -> 120 is not a left shift"):
+            Digraph.from_json(obj)

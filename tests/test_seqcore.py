@@ -15,9 +15,10 @@ from debruijn.seqcore import (
     parse_sequence,
     read_sequences,
     successors,
+    window_ranks,
 )
 
-from oracles import naive_fkm, naive_is_de_bruijn
+from oracles import cyclic_windows, naive_fkm, naive_is_de_bruijn
 
 
 def ks(text, a):
@@ -123,6 +124,29 @@ class TestKTour:
             assert w.symbols == tuple(seq[i + j] for j in range(k))
             nxt = tour.windows[(i + 1) % len(seq)]
             assert nxt.symbols[:-1] == w.symbols[1:]
+
+
+class TestWindowRanks:
+    def test_quaternary_unroll(self):
+        ranks = window_ranks(parse_sequence("01210123", 4), 3)
+        assert ranks == [6, 25, 36, 17, 6, 27, 44, 49]
+
+    def test_errors_match_k_tour(self):
+        with pytest.raises(DomainError, match="shorter than order"):
+            window_ranks(parse_sequence("10", 2), 3)
+        with pytest.raises(DomainError, match="at least 1"):
+            window_ranks(parse_sequence("10", 2), 0)
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_every_short_sequence_against_text_windows(self, a):
+        for n in range(1, 9):
+            for syms in itertools.product(range(a), repeat=n):
+                seq = CyclicSequence(syms, Alphabet(a))
+                for k in range(1, min(n, 4) + 1):
+                    expected = [
+                        int("".join(map(str, w)), a) for w in cyclic_windows(syms, k)
+                    ]
+                    assert window_ranks(seq, k) == expected
 
 
 class TestValidator:

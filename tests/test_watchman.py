@@ -122,6 +122,19 @@ class TestInducedWalk:
         with pytest.raises(DomainError):
             induced_walk(parse_sequence("01", 2), 3)
 
+    def test_graph_must_match_alphabet_and_order(self):
+        d = parse_sequence("0011", 2)
+        other_order = generated_subdigraph(d, 2)
+        other_alphabet = generated_subdigraph(parse_sequence("0011", 3), 3)
+        for graph in (other_order, other_alphabet):
+            with pytest.raises(DomainError, match="do not match"):
+                induced_walk(d, 3, graph)
+
+    def test_window_missing_from_graph(self):
+        graph = generated_subdigraph(parse_sequence("0001", 2), 3)
+        with pytest.raises(DomainError, match="unknown vertex 110"):
+            induced_walk(parse_sequence("0011", 2), 3, graph)
+
 
 class TestSolve:
     @pytest.mark.parametrize("a,k", [(2, 2), (2, 3), (3, 2)])
