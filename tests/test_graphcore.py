@@ -354,6 +354,8 @@ def assert_matches_text_graph(g, labels, arcs, a, k, provenance):
         assert g.index(_kstring(text, a)) == i
     back = Digraph.from_json(json.loads(json.dumps(g.to_json())))
     assert back.to_json() == g.to_json()
+    relabelled = Digraph([_kstring(t, a) for t in labels], g.arcs, g.provenance)
+    assert relabelled.to_json() == g.to_json()
 
 
 class TestRankConstructionMatchesStrings:
@@ -405,14 +407,13 @@ class TestRankConstructionMatchesStrings:
 
     @pytest.mark.parametrize("kind", ["generated", "de_bruijn"])
     def test_non_shift_arc_names_both_labels(self, kind):
-        alphabet = Alphabet(3)
         labels = [_kstring(t, 3) for t in ("012", "120", "201")]
         provenance = Provenance(kind, "012" if kind == "generated" else None)
         assert Digraph(labels, [(0, 1), (1, 2)], provenance).arc_count == 2
         with pytest.raises(DomainError, match="arc 012 -> 201 is not a left shift"):
             Digraph(labels, [(0, 1), (0, 2)], provenance)
         obj = {
-            "alphabet": alphabet.size,
+            "alphabet": 3,
             "order": 3,
             "vertices": ["012", "120", "201"],
             "arcs": [[2, 1]],
