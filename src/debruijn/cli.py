@@ -175,7 +175,7 @@ def cmd_sweep(args) -> int:
         vertex_cap=_vertex_cap(),
     )
     sys.stdout.write(report.to_jsonl())
-    if args.csv:
+    if args.csv is not None:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="") as fh:
                 fh.write(report.to_csv())

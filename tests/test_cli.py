@@ -281,12 +281,12 @@ class TestSweep:
         assert csv_lines[0].startswith("sequence,length,")
         assert len(csv_lines) == 8
 
-    @pytest.mark.parametrize("target", ["missing/report.csv", "."])
+    @pytest.mark.parametrize("target", ["missing/report.csv", ".", None])
     def test_unwritable_csv_is_a_domain_error(self, capsys, tmp_path, target):
-        csv_path = tmp_path / target
+        csv_path = "" if target is None else str(tmp_path / target)
         code, _, err = run(
             capsys,
-            "sweep", "-a", "2", "-k", "2", "--lengths", "2..2", "--csv", str(csv_path),
+            "sweep", "-a", "2", "-k", "2", "--lengths", "2..2", "--csv", csv_path,
         )
         assert code == 1
         assert err.startswith("watchman: error: cannot write")
