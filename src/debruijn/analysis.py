@@ -20,7 +20,13 @@ from enum import Enum
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import generated_subdigraph
-from .seqcore import Alphabet, CyclicSequence, necklaces
+from .seqcore import (
+    Alphabet,
+    CyclicSequence,
+    _check_tour_args,
+    necklaces,
+    window_ranks,
+)
 from .watchman import (
     DEFAULT_VERTEX_CAP,
     enumerate_min_walks,
@@ -64,20 +70,13 @@ class Classification:
         return f"{self.verdict.value} ({self.reason.value})"
 
 
-def _require_length(d: CyclicSequence, k: int) -> None:
-    if k < 1:
-        raise DomainError("order must be at least 1")
-    if len(d) < k:
-        raise DomainError(f"sequence shorter than order: length {len(d)} < k = {k}")
-
-
 def has_constant_run(d: CyclicSequence, k: int) -> bool:
     """True iff some cyclic window of length k is constant.
 
     Runs may cross the seam: 1001 has the cyclic 2-run 11 at positions
     3, 0 even though no linear window repeats.
     """
-    _require_length(d, k)
+    _check_tour_args(d, k)
     return any(
         all(d[i + j] == d[i] for j in range(1, k)) for i in range(len(d))
     )
@@ -85,7 +84,7 @@ def has_constant_run(d: CyclicSequence, k: int) -> bool:
 
 def has_linear_constant_run(d: CyclicSequence, k: int) -> bool:
     """Like has_constant_run but without wraparound, for seam diagnostics."""
-    _require_length(d, k)
+    _check_tour_args(d, k)
     syms = d.symbols
     return any(
         len(set(syms[i : i + k])) == 1 for i in range(len(syms) - k + 1)
@@ -101,9 +100,10 @@ def is_doubled(d: CyclicSequence, k: int) -> bool:
 
 def has_distinct_windows(d: CyclicSequence, k: int) -> bool:
     """True iff all cyclic windows of length k-1 are pairwise distinct."""
-    _require_length(d, k)
-    windows = {d.window(i, k - 1).symbols if k > 1 else () for i in range(len(d))}
-    return len(windows) == len(d)
+    _check_tour_args(d, k)
+    if k == 1:  # every sequence has the one empty window
+        return len(d) == 1
+    return len(set(window_ranks(d, k - 1))) == len(d)
 
 
 def classify(d: CyclicSequence, k: int) -> Classification:
@@ -112,7 +112,7 @@ def classify(d: CyclicSequence, k: int) -> Classification:
     Negative certificates first (they settle the question); a doubled
     constant sequence therefore reports ConstantRun.
     """
-    _require_length(d, k)
+    _check_tour_args(d, k)
     if has_constant_run(d, k):
         return Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.CONSTANT_RUN)
     if is_doubled(d, k):
@@ -182,7 +182,7 @@ def verify(
     disagree (which would falsify a certificate, so it must never pass
     silently).
     """
-    _require_length(d, k)
+    _check_tour_args(d, k)
     graph = generated_subdigraph(d, k)
     walk = induced_walk(d, k, graph)
     result = solve_min_walk(graph, vertex_cap)
@@ -191,8 +191,9 @@ def verify(
     optimum = result.optimum_length
     induced_length = walk.length
     if induced_length == optimum:
+        # enumerate_min_walks returns each walk as its canonical rotation
         minimum_set = {
-            w.canonical_rotation() for w in enumerate_min_walks(graph, optimum, vertex_cap)
+            w.vertex_indices for w in enumerate_min_walks(graph, optimum, vertex_cap)
         }
         if walk.canonical_rotation() not in minimum_set:
             raise InvariantViolation(
@@ -212,7 +213,10 @@ def verify(
         raise InvariantViolation(
             f"negative certificate violated by {d.text} (k={k})"
         )
-    seam_only = has_constant_run(d, k) and not has_linear_constant_run(d, k)
+    seam_only = (
+        classification.reason is Reason.CONSTANT_RUN
+        and not has_linear_constant_run(d, k)
+    )
     return VerificationRecord(
         sequence=d,
         order=k,

@@ -24,6 +24,8 @@ from .seqcore import (
     CyclicSequence,
     KString,
     _check_generator_args,
+    _rank,
+    _unrank,
     window_ranks,
 )
 
@@ -56,20 +58,6 @@ class Provenance:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise DomainError("provenance must be an object with a 'kind' field")
         return cls(obj["kind"], obj.get("sequence"))
-
-
-def _rank(symbols: Sequence[int], a: int) -> int:
-    rank = 0
-    for sym in symbols:
-        rank = rank * a + sym
-    return rank
-
-
-def _unrank(rank: int, a: int, k: int) -> tuple[int, ...]:
-    syms = [0] * k
-    for i in range(k - 1, -1, -1):
-        rank, syms[i] = divmod(rank, a)
-    return tuple(syms)
 
 
 class Digraph:

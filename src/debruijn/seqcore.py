@@ -1,15 +1,19 @@
-"""Alphabets, cyclic symbol sequences, shift operations, k-tours, and
+"""Alphabets, cyclic symbol sequences, k-tours, base-``a`` ranks, and
 de Bruijn sequence validation and generation.
 
 Symbols are integer indices ``0..a-1`` rendered as the characters 0-9
 then A-Z, so every sequence has an exact one-character-per-symbol text
 form. Sequences are always read cyclically; there is no linear mode.
-All values are immutable after construction.
+All values are immutable after construction. This module is the only
+place that converts between symbols and base-``a`` ranks: a k-string's
+rank is its symbols read as a base-``a`` number, so for a fixed ``k``
+rank order is lexicographic order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 
@@ -110,12 +114,6 @@ class CyclicSequence:
     def __str__(self) -> str:
         return self.text
 
-    def window(self, start: int, k: int) -> KString:
-        n = len(self.symbols)
-        return KString(
-            tuple(self.symbols[(start + j) % n] for j in range(k)), self.alphabet
-        )
-
     def rotate(self, offset: int) -> "CyclicSequence":
         off = offset % len(self.symbols)
         return CyclicSequence(self.symbols[off:] + self.symbols[:off], self.alphabet)
@@ -170,10 +168,18 @@ def read_sequences(text: str, a: int) -> list[CyclicSequence]:
     return out
 
 
-def successors(s: KString) -> list[KString]:
-    """All ``a`` left shifts of ``s``, appended symbol in canonical order."""
-    tail = s.symbols[1:]
-    return [KString(tail + (c,), s.alphabet) for c in s.alphabet.symbols]
+def _rank(symbols: Sequence[int], a: int) -> int:
+    rank = 0
+    for sym in symbols:
+        rank = rank * a + sym
+    return rank
+
+
+def _unrank(rank: int, a: int, k: int) -> tuple[int, ...]:
+    syms = [0] * k
+    for i in range(k - 1, -1, -1):
+        rank, syms[i] = divmod(rank, a)
+    return tuple(syms)
 
 
 def _check_tour_args(d: CyclicSequence, k: int) -> None:
@@ -185,24 +191,22 @@ def _check_tour_args(d: CyclicSequence, k: int) -> None:
 
 def k_tour(d: CyclicSequence, k: int) -> KTour:
     """All cyclic windows of length ``k`` in order, starting at position 0."""
-    _check_tour_args(d, k)
-    return KTour(tuple(d.window(i, k) for i in range(len(d))), d, k)
+    a = d.alphabet.size
+    windows = (KString(_unrank(r, a, k), d.alphabet) for r in window_ranks(d, k))
+    return KTour(tuple(windows), d, k)
 
 
 def window_ranks(d: CyclicSequence, k: int) -> list[int]:
     """Base-``a`` rank of each k-tour window of ``d``, in tour order.
 
-    The rank of a window is its symbols read as a base-``a`` number, so
-    for a fixed ``k`` rank order is lexicographic order. One rolling
-    pass: the next rank drops the leading digit and appends one symbol.
+    One rolling pass: the next rank drops the leading digit and appends
+    one symbol.
     """
     _check_tour_args(d, k)
     a = d.alphabet.size
     syms = d.symbols
     n = len(syms)
-    rank = 0
-    for s in syms[:k]:
-        rank = rank * a + s
+    rank = _rank(syms[:k], a)
     ranks = [rank]
     drop = a ** (k - 1)
     for i in range(k, k + n - 1):

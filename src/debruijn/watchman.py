@@ -97,8 +97,7 @@ def construct_watchman_walk(
             )
         if not is_de_bruijn_sequence(seed, k - 1):
             raise DomainError(f"seed is not a de Bruijn sequence of order {k - 1}")
-    g = build_de_bruijn_graph(a, k, size_cap)
-    return Walk(g, tuple(map(g.index_of_rank, window_ranks(seed, k))), closed=True)
+    return induced_walk(seed, k, build_de_bruijn_graph(a, k, size_cap))
 
 
 def induced_walk(

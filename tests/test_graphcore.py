@@ -27,7 +27,6 @@ from debruijn.seqcore import (
     is_de_bruijn_sequence,
     k_tour,
     parse_sequence,
-    successors,
 )
 from debruijn.watchman import induced_walk
 

@@ -14,16 +14,10 @@ from debruijn.seqcore import (
     k_tour,
     parse_sequence,
     read_sequences,
-    successors,
     window_ranks,
 )
 
 from oracles import cyclic_windows, naive_fkm, naive_is_de_bruijn
-
-
-def ks(text, a):
-    alphabet = Alphabet(a)
-    return KString(tuple(alphabet.decode(ch) for ch in text), alphabet)
 
 
 @st.composite
@@ -84,13 +78,6 @@ class TestParse:
     def test_read_sequences_reports_line(self):
         with pytest.raises(DomainError, match="line 2"):
             read_sequences("11\n12\n", 2)
-
-
-class TestShifts:
-    def test_successors_in_canonical_order(self):
-        assert [s.text for s in successors(ks("100", 2))] == ["000", "001"]
-        assert [s.text for s in successors(ks("11", 2))] == ["10", "11"]
-        assert len(successors(ks("201", 3))) == 3
 
 
 class TestKTour:
@@ -228,7 +215,7 @@ class TestValueTypes:
         seq = parse_sequence("012", 3)
         assert seq[3] == 0
         assert seq[-1] == 2
-        assert seq.window(2, 2).text == "20"
+        assert k_tour(seq, 2).windows[2].text == "20"
 
     def test_rotation_helpers(self):
         seq = parse_sequence("0011", 2)
