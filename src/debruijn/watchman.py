@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import (
@@ -143,6 +144,7 @@ class _SearchSetup:
             self.nb.append(m)
         self.max_gain = max(m.bit_count() for m in self.nb)
 
+    @cached_property
     def starts(self) -> list[tuple[int, list[int]]]:
         """Every start whose walks could dominate, with its return distances.
 
@@ -182,6 +184,15 @@ class _SearchSetup:
             if potential == self.full:
                 starts.append((start, dist_back))
         return starts
+
+
+@lru_cache(maxsize=1)
+def _search_setup(g: Digraph, vertex_cap: int) -> _SearchSetup:
+    """The setup of the last graph searched, so that solving and then
+    enumerating one graph (as ``verify`` and ``solve --count`` do) builds
+    its masks and runs ``starts`` once. Digraphs hash by identity.
+    """
+    return _SearchSetup(g, vertex_cap)
 
 
 def _bounded_bfs(
@@ -258,12 +269,12 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     at its least vertex, is the lexicographically least rotation of
     itself, and equals ``enumerate_min_walks(g, optimum)[0]``.
     """
-    setup = _SearchSetup(g, vertex_cap)
+    setup = _search_setup(g, vertex_cap)
     for v in range(setup.n):
         if setup.nb[v] == setup.full:
             return SolveResult(0, Walk(g, (v,), closed=True), 0)
 
-    starts = setup.starts()
+    starts = setup.starts
     if not starts:
         return SolveResult(None, None, 0)
 
@@ -291,7 +302,7 @@ def enumerate_min_walks(
     rotation, in deterministic sorted order. Vertices may repeat within a
     walk. Asking below the optimum yields an empty list.
     """
-    setup = _SearchSetup(g, vertex_cap)
+    setup = _search_setup(g, vertex_cap)
     if length < 0:
         raise DomainError("walk length cannot be negative")
     n, full, nb, out = setup.n, setup.full, setup.nb, setup.out
@@ -308,17 +319,15 @@ def enumerate_min_walks(
     max_gain = setup.max_gain
     found: set[tuple[int, ...]] = set()
 
-    for start, dist_back in setup.starts():
+    for start, dist_back in setup.starts:
+        # depth-first with one frame per path vertex: its out-neighbours
+        # not yet tried and the vertices dominated so far
         path = [start]
-
-        def extend(v: int, dom: int) -> None:
-            used = len(path)
-            if used == length:
-                if dom == full and start in out_set[v]:
-                    found.add(least_rotation(tuple(path)))
-                return
-            remaining = length - used  # arcs left after stepping away from v
-            for u in out[v]:
+        frames = [(iter(out[start]), nb[start])]
+        while frames:
+            succ, dom = frames[-1]
+            remaining = length - len(path)  # arcs left after stepping on
+            for u in succ:
                 db = dist_back[u]
                 if db < 0 or db > remaining:
                     continue
@@ -327,9 +336,14 @@ def enumerate_min_walks(
                 if -(-undone // max_gain) > remaining:
                     continue
                 path.append(u)
-                extend(u, dom2)
+                if len(path) < length:
+                    frames.append((iter(out[u]), dom2))
+                    break
+                if dom2 == full and start in out_set[u]:
+                    found.add(least_rotation(tuple(path)))
                 path.pop()
-
-        extend(start, nb[start])
+            else:
+                frames.pop()
+                path.pop()
 
     return [Walk(g, t, closed=True) for t in sorted(found)]

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from debruijn import DomainError, ResourceCapError
+from debruijn import DomainError, ResourceCapError, watchman
 from debruijn.analysis import (
     Classification,
     Reason,
@@ -112,6 +112,19 @@ class TestVerify:
         assert rec.oracle_optimum == 8
         assert rec.is_watchman
         assert rec.classification.verdict is Verdict.UNDETERMINED
+
+    def test_solve_and_enumerate_share_one_search_setup(self, monkeypatch):
+        built = []
+
+        class CountingSetup(watchman._SearchSetup):
+            def __init__(self, g, vertex_cap):
+                built.append(g)
+                super().__init__(g, vertex_cap)
+
+        monkeypatch.setattr(watchman, "_SearchSetup", CountingSetup)
+        rec = verify(parse_sequence("01210123", 4), 3)
+        assert rec.is_watchman  # so verify enumerated after solving
+        assert len(built) == 1
 
     def test_constant_run_is_never_minimum(self):
         rec = verify(parse_sequence("0001", 2), 3)

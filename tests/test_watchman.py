@@ -237,6 +237,21 @@ class TestEnumerate:
         assert [w.label_texts for w in enumerate_min_walks(g, 0)] == [("00",)]
         assert enumerate_min_walks(g, 1) == []
 
+    def test_walks_longer_than_the_recursion_limit(self):
+        # the only closed dominating walk of a directed n-cycle is the cycle
+        n = 1100
+        g = Digraph.from_json(
+            {
+                "alphabet": 2,
+                "order": 11,
+                "vertices": [format(i, "011b") for i in range(n)],
+                "arcs": [[i, (i + 1) % n] for i in range(n)],
+            }
+        )
+        walks = enumerate_min_walks(g, n, vertex_cap=n)
+        assert [w.vertex_indices for w in walks] == [tuple(range(n))]
+        assert enumerate_min_walks(g, n - 1, vertex_cap=n) == []
+
 
 @st.composite
 def generating_sequences(draw):
