@@ -136,7 +136,7 @@ def cmd_solve(args) -> int:
             raise DomainError("no graph JSON on standard input and no --from-seq")
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # includes integers past the str-digits limit
             raise DomainError(f"invalid graph JSON: {exc}") from None
         graph = Digraph.from_json(obj)
     cap = _vertex_cap()

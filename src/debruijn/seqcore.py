@@ -232,8 +232,10 @@ def _check_generator_args(a: int, k: int, size_cap: int) -> Alphabet:
     alphabet = Alphabet(a)
     if k < 1:
         raise DomainError("order must be at least 1")
-    if a**k > size_cap:
-        raise ResourceCapError(f"a^k = {a ** k} exceeds size cap {size_cap}")
+    # a >= 2, so a**k >= 2**k > size_cap once k reaches the cap's bit
+    # length; testing that first never builds a huge power
+    if k >= size_cap.bit_length() or a**k > size_cap:
+        raise ResourceCapError(f"a^k = {a}^{k} exceeds size cap {size_cap}")
     return alphabet
 
 

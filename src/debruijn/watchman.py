@@ -131,7 +131,7 @@ class _SearchSetup:
         if n > vertex_cap:
             raise ResourceCapError(
                 f"digraph has {n} vertices, oracle cap is {vertex_cap} "
-                f"(worst-case state space ~{n * (1 << n)})"
+                f"(worst-case state space ~{n} * 2^{n})"
             )
         self.n = n
         self.full = (1 << n) - 1

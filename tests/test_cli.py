@@ -305,6 +305,36 @@ class TestSweep:
         assert code == 1 and "budget" in err
 
 
+class TestHugeIntegers:
+    """Values past Python's int-to-str digit limit are named by their inputs."""
+
+    @pytest.mark.parametrize("command", ["gen", "graph", "walk"])
+    def test_huge_order_is_a_cap_error(self, capsys, command):
+        code, out, err = run(capsys, command, "-a", "2", "-k", "20000")
+        assert (code, out) == (2, "")
+        assert err.startswith("watchman: resource cap: a^k = 2^")
+
+    def test_huge_custom_graph_is_a_cap_error(self, capsys, monkeypatch):
+        n = 15000
+        graph = {
+            "alphabet": 2,
+            "order": 14,
+            "vertices": [format(i, "014b") for i in range(n)],
+            "arcs": [],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve")
+        assert (code, out) == (2, "")
+        assert f"~{n} * 2^{n}" in err
+
+    def test_huge_json_integer_is_invalid_json(self, capsys, monkeypatch):
+        text = '{"alphabet": ' + "9" * 5000 + "}"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "solve")
+        assert (code, out) == (1, "")
+        assert err.startswith("watchman: error: invalid graph JSON")
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "bogus")
