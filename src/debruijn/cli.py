@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .analysis import DEFAULT_SWEEP_BUDGET, classify, sweep, verify
 from .errors import DomainError, ResourceCapError
@@ -166,21 +167,28 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _open_csv(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_sweep(args) -> int:
-    report = sweep(
-        args.alphabet,
-        args.order,
-        _parse_lengths(args.lengths),
-        budget=args.budget,
-        vertex_cap=_vertex_cap(),
-    )
-    sys.stdout.write(report.to_jsonl())
-    if args.csv is not None:
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-                fh.write(report.to_csv())
-        except OSError as exc:
-            raise DomainError(f"cannot write {args.csv}: {exc}") from None
+    lengths = _parse_lengths(args.lengths)
+    # open the CSV target first, so that a bad path fails before the sweep
+    csv_target = nullcontext() if args.csv is None else _open_csv(args.csv)
+    with csv_target as fh:
+        report = sweep(
+            args.alphabet,
+            args.order,
+            lengths,
+            budget=args.budget,
+            vertex_cap=_vertex_cap(),
+        )
+        sys.stdout.write(report.to_jsonl())
+        if fh is not None:
+            fh.write(report.to_csv())
     return 0
 
 
@@ -201,6 +209,12 @@ def _add_alphabet_order(parser, alphabet_required=True, order_required=True):
         default=None,
         help="string/window order k",
     )
+
+
+def _add_sequence_source(parser):
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--seq", help="sequence text")
+    source.add_argument("--seq-file", help="sequence file (one per line, # comments)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,14 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="certificate classification of a sequence")
     _add_alphabet_order(p)
-    p.add_argument("--seq", help="sequence text")
-    p.add_argument("--seq-file", help="sequence file (one per line, # comments)")
+    _add_sequence_source(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="classify and cross-check against the oracle")
     _add_alphabet_order(p)
-    p.add_argument("--seq", help="sequence text")
-    p.add_argument("--seq-file", help="sequence file (one per line, # comments)")
+    _add_sequence_source(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify every sequence in a length range")
@@ -271,14 +283,6 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help and friends
         return exc.code if isinstance(exc.code, int) else 0
-
-    if args.command in ("classify", "verify"):
-        if (args.seq is None) == (args.seq_file is None):
-            print(
-                "watchman: error: exactly one of --seq / --seq-file is required",
-                file=sys.stderr,
-            )
-            return 1
 
     try:
         return args.func(args)
