@@ -84,7 +84,7 @@ def _sequences_from_args(args) -> list:
         try:
             with open(args.seq_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or a NUL
             raise DomainError(f"cannot read {args.seq_file}: {exc}") from None
         seqs = read_sequences(text, args.alphabet)
         if not seqs:
@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
 def _open_csv(path: str):
     try:
         return open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise DomainError(f"cannot write {path}: {exc}") from None
 
 
