@@ -175,17 +175,11 @@ def _open_csv(path: str):
 
 
 def cmd_sweep(args) -> int:
-    lengths = _parse_lengths(args.lengths)
+    lengths, cap = _parse_lengths(args.lengths), _vertex_cap()
     # open the CSV target first, so that a bad path fails before the sweep
     csv_target = nullcontext() if args.csv is None else _open_csv(args.csv)
     with csv_target as fh:
-        report = sweep(
-            args.alphabet,
-            args.order,
-            lengths,
-            budget=args.budget,
-            vertex_cap=_vertex_cap(),
-        )
+        report = sweep(args.alphabet, args.order, lengths, args.budget, cap)
         sys.stdout.write(report.to_jsonl())
         if fh is not None:
             fh.write(report.to_csv())
