@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
-from .graphcore import generated_subdigraph
+from .graphcore import generated_subdigraph, is_closed_dominating_walk
 from .seqcore import (
     Alphabet,
     CyclicSequence,
@@ -27,12 +27,7 @@ from .seqcore import (
     necklaces,
     window_ranks,
 )
-from .watchman import (
-    DEFAULT_VERTEX_CAP,
-    enumerate_min_walks,
-    induced_walk,
-    solve_min_walk,
-)
+from .watchman import DEFAULT_VERTEX_CAP, induced_walk, solve_min_walk
 
 
 class Verdict(Enum):
@@ -126,8 +121,9 @@ def classify(d: CyclicSequence, k: int) -> Classification:
 class VerificationRecord:
     """One sequence checked against the exact oracle.
 
-    is_watchman means the induced walk attains the oracle optimum and its
-    canonical rotation appears in the enumerated minimum set.
+    is_watchman means the induced walk attains the oracle optimum; such a
+    walk is also checked to be a closed dominating walk of the generated
+    subdigraph, so it is one of the minimum walks.
     constant_run_seam_only flags sequences whose constant run exists only
     across the cyclic seam, as evidence for the cyclic reading.
     """
@@ -180,7 +176,8 @@ def verify(
     Raises ResourceCapError when the subdigraph exceeds the oracle cap,
     and InvariantViolation if the certificates and the oracle ever
     disagree (which would falsify a certificate, so it must never pass
-    silently).
+    silently), or if an induced walk of optimum length is not a closed
+    dominating walk.
     """
     _check_tour_args(d, k)
     graph = generated_subdigraph(d, k)
@@ -190,19 +187,12 @@ def verify(
         raise InvariantViolation("generated subdigraph reported infeasible")
     optimum = result.optimum_length
     induced_length = walk.length
-    if induced_length == optimum:
-        # enumerate_min_walks returns each walk as its canonical rotation
-        minimum_set = {
-            w.vertex_indices for w in enumerate_min_walks(graph, optimum, vertex_cap)
-        }
-        if walk.canonical_rotation() not in minimum_set:
-            raise InvariantViolation(
-                "induced walk attains the optimum but is missing from the "
-                "enumerated minimum set"
-            )
-        is_watchman = True
-    else:
-        is_watchman = False
+    is_watchman = induced_length == optimum
+    if is_watchman and not is_closed_dominating_walk(graph, walk):
+        raise InvariantViolation(
+            f"induced walk of {d.text} (k={k}) attains the optimum but is "
+            "not a closed dominating walk"
+        )
 
     classification = classify(d, k)
     if classification.verdict is Verdict.PROVABLY_WATCHMAN and not is_watchman:

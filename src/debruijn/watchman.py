@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import (
@@ -186,15 +186,6 @@ class _SearchSetup:
         return starts
 
 
-@lru_cache(maxsize=1)
-def _search_setup(g: Digraph, vertex_cap: int) -> _SearchSetup:
-    """The setup of the last graph searched, so that solving and then
-    enumerating one graph (as ``verify`` and ``solve --count`` do) builds
-    its masks and runs ``starts`` once. Digraphs hash by identity.
-    """
-    return _SearchSetup(g, vertex_cap)
-
-
 def _bounded_bfs(
     setup: _SearchSetup, start: int, dist_back: list[int], limit: int
 ) -> tuple[list[int] | None, int]:
@@ -269,7 +260,7 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     at its least vertex, is the lexicographically least rotation of
     itself, and equals ``enumerate_min_walks(g, optimum)[0]``.
     """
-    setup = _search_setup(g, vertex_cap)
+    setup = _SearchSetup(g, vertex_cap)
     for v in range(setup.n):
         if setup.nb[v] == setup.full:
             return SolveResult(0, Walk(g, (v,), closed=True), 0)
@@ -302,7 +293,7 @@ def enumerate_min_walks(
     rotation, in deterministic sorted order. Vertices may repeat within a
     walk. Asking below the optimum yields an empty list.
     """
-    setup = _search_setup(g, vertex_cap)
+    setup = _SearchSetup(g, vertex_cap)
     if length < 0:
         raise DomainError("walk length cannot be negative")
     n, full, nb, out = setup.n, setup.full, setup.nb, setup.out

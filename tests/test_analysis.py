@@ -123,7 +123,7 @@ class TestVerify:
 
         monkeypatch.setattr(watchman, "_SearchSetup", CountingSetup)
         rec = verify(parse_sequence("01210123", 4), 3)
-        assert rec.is_watchman  # so verify enumerated after solving
+        assert rec.is_watchman  # so verify ran its optimum-length check
         assert len(built) == 1
 
     def test_constant_run_is_never_minimum(self):
