@@ -132,7 +132,10 @@ def cmd_solve(args) -> int:
         d = parse_sequence(args.from_seq, args.alphabet)
         graph = generated_subdigraph(d, args.order)
     else:
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
+            raise DomainError(f"cannot read standard input: {exc}") from None
         if not text.strip():
             raise DomainError("no graph JSON on standard input and no --from-seq")
         try:

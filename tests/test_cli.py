@@ -165,6 +165,14 @@ class TestSolve:
         code, _, err = run(capsys, "solve")
         assert code == 1
 
+    def test_non_utf8_stdin_is_a_domain_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff{"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "solve")
+        assert (code, out) == (1, "")
+        assert err.startswith("watchman: error: cannot read standard input")
+        assert "Traceback" not in err
+
     def test_empty_from_seq_does_not_read_stdin(self, capsys, monkeypatch):
         graph = {"alphabet": 2, "order": 1, "vertices": ["0", "1"], "arcs": [[0, 1]]}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
