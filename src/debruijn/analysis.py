@@ -17,6 +17,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import generated_subdigraph, is_closed_dominating_walk
@@ -65,6 +66,19 @@ class Classification:
         return f"{self.verdict.value} ({self.reason.value})"
 
 
+def _longest_run(d: CyclicSequence, cyclic: bool) -> int:
+    """Length of the longest run of equal symbols, from one linear scan.
+
+    Read cyclically, the first and last runs join across the seam when
+    their symbols agree; an all-equal sequence is a single run of len(d)
+    and so has a run of every length k <= len(d) at every position.
+    """
+    runs = [len(list(group)) for _, group in groupby(d.symbols)]
+    if cyclic and len(runs) > 1 and d.symbols[0] == d.symbols[-1]:
+        runs.append(runs[0] + runs[-1])
+    return max(runs)
+
+
 def has_constant_run(d: CyclicSequence, k: int) -> bool:
     """True iff some cyclic window of length k is constant.
 
@@ -72,18 +86,13 @@ def has_constant_run(d: CyclicSequence, k: int) -> bool:
     3, 0 even though no linear window repeats.
     """
     _check_tour_args(d, k)
-    return any(
-        all(d[i + j] == d[i] for j in range(1, k)) for i in range(len(d))
-    )
+    return _longest_run(d, cyclic=True) >= k
 
 
 def has_linear_constant_run(d: CyclicSequence, k: int) -> bool:
     """Like has_constant_run but without wraparound, for seam diagnostics."""
     _check_tour_args(d, k)
-    syms = d.symbols
-    return any(
-        len(set(syms[i : i + k])) == 1 for i in range(len(syms) - k + 1)
-    )
+    return _longest_run(d, cyclic=False) >= k
 
 
 def is_doubled(d: CyclicSequence, k: int) -> bool:

@@ -25,6 +25,15 @@ def cyclic_windows(symbols, k):
     return [tuple(symbols[(i + j) % n] for j in range(k)) for i in range(n)]
 
 
+def has_constant_window(symbols, k, cyclic):
+    """Some length-k window, cyclic or linear, holds one symbol only."""
+    if cyclic:
+        windows = cyclic_windows(symbols, k)
+    else:
+        windows = [tuple(symbols[i : i + k]) for i in range(len(symbols) - k + 1)]
+    return any(len(set(w)) == 1 for w in windows)
+
+
 def naive_is_de_bruijn(symbols, a, k):
     """Every k-tuple over the alphabet occurs exactly once as a cyclic window."""
     counts = {t: 0 for t in itertools.product(range(a), repeat=k)}

@@ -4,6 +4,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+
 from debruijn import DomainError, ResourceCapError, watchman
 from debruijn.analysis import (
     Classification,
@@ -41,6 +43,28 @@ class TestPredicates:
         assert has_constant_run(parse_sequence("1001", 2), 2)
         assert not has_linear_constant_run(parse_sequence("010", 2), 2)
         assert has_constant_run(parse_sequence("010", 2), 2)
+
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_constant_runs_match_brute_force(self, a):
+        alphabet = Alphabet(a)
+        for n in range(1, 9):
+            for syms in itertools.product(range(a), repeat=n):
+                seq = CyclicSequence(syms, alphabet)
+                for k in range(1, n + 1):
+                    assert has_constant_run(seq, k) == oracles.has_constant_window(
+                        syms, k, cyclic=True
+                    ), (syms, k)
+                    assert has_linear_constant_run(
+                        seq, k
+                    ) == oracles.has_constant_window(syms, k, cyclic=False), (syms, k)
+
+    def test_constant_run_scan_is_linear(self):
+        n = 100_000
+        near_constant = CyclicSequence((0,) * (n - 1) + (1,), Alphabet(2))
+        assert not has_constant_run(near_constant, n)
+        assert has_constant_run(near_constant, n - 1)
+        assert has_constant_run(near_constant.rotate(n // 2), n - 1)  # across the seam
+        assert has_constant_run(CyclicSequence((1,) * n, Alphabet(2)), n)
 
     def test_constant_run_needs_enough_symbols(self):
         with pytest.raises(DomainError):
