@@ -296,18 +296,28 @@ def sweep(
     Records appear sorted by length then by canonical sequence text.
     Sequences whose subdigraph exceeds the oracle cap become skip
     entries; hitting the budget stops the sweep and marks the report
-    truncated. The summary tallies verdict x is_watchman cells (the
-    Undetermined/true cell holds the sequences no certificate explains)
-    plus the seam-only constant-run evidence.
+    truncated, and a range of more lengths than the budget raises
+    ResourceCapError before any sequence is verified. The summary
+    tallies verdict x is_watchman cells (the Undetermined/true cell
+    holds the sequences no certificate explains) plus the seam-only
+    constant-run evidence.
     """
     Alphabet(a)
+    if budget < 1:
+        raise DomainError("budget must be positive")
+    # every length >= k yields at least a records, so a range of more
+    # lengths than the budget can never be swept to its end; the slice
+    # asks without building the range (len() overflows past sys.maxsize)
+    if isinstance(lengths, range) and lengths[budget:]:
+        raise ResourceCapError(
+            f"length range {lengths[0]}..{lengths[-1]} has more lengths than "
+            f"the record budget of {budget}"
+        )
     lengths = sorted(set(lengths))
     if not lengths:
         raise DomainError("no lengths to sweep")
     if lengths[0] < k:
         raise DomainError(f"sweep lengths must be at least the order k = {k}")
-    if budget < 1:
-        raise DomainError("budget must be positive")
 
     records: list[VerificationRecord | SkippedSequence] = []
     cells: dict[str, int] = {}

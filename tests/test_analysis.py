@@ -247,6 +247,14 @@ class TestSweep:
         assert len(report.records) == 3
         assert report.summary["truncated"]
 
+    def test_range_wider_than_budget_is_a_cap_error(self):
+        with pytest.raises(ResourceCapError, match=r"2\.\.4 .* budget of 2$"):
+            sweep(2, 2, range(2, 5), budget=2)
+        with pytest.raises(ResourceCapError):  # never built: past sys.maxsize
+            sweep(2, 2, range(2, 10**30), budget=1)
+        report = sweep(2, 2, range(2, 4), budget=2)  # as wide as the budget
+        assert report.summary["truncated"]
+
     def test_oracle_cap_becomes_skip_marker(self):
         report = sweep(4, 2, range(4, 5), vertex_cap=10)
         skipped = [r for r in report.records if isinstance(r, SkippedSequence)]

@@ -306,6 +306,16 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "-a", "2", "-k", "2", "--lengths", "x..y")
         assert code == 1
 
+    def test_range_wider_than_budget_is_a_cap_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "sweep", "-a", "2", "-k", "2", "--lengths", "2..1000000000000",
+            "--budget", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("watchman: resource cap: length range 2..1000000000000")
+        assert "record budget of 1" in err
+
     def test_budget_must_be_positive(self, capsys):
         code, _, err = run(
             capsys, "sweep", "-a", "2", "-k", "2", "--lengths", "2..2", "--budget", "0"

@@ -110,6 +110,9 @@ HUGE_GRAPH = json.dumps(
 @example(["gen", "-a", "2", "-k", "20000"], "")
 @example(["graph", "-a", "2", "-k", "20000"], "")
 @example(["walk", "-a", "2", "-k", "20000"], "")
+@example(
+    ["sweep", "-a", "2", "-k", "2", "--lengths", "2..1000000000000", "--budget", "1"], ""
+)
 @example(["solve"], HUGE_GRAPH)
 @example(["solve"], '{"alphabet": ' + "9" * 5000 + "}")
 def test_main_exits_0_1_or_2(argv, stdin_text):
