@@ -6,7 +6,13 @@ from hypothesis import given, strategies as st
 
 import oracles
 
-from debruijn import DomainError, ResourceCapError, watchman
+from debruijn import (
+    DomainError,
+    InvariantViolation,
+    ResourceCapError,
+    analysis,
+    watchman,
+)
 from debruijn.analysis import (
     Classification,
     Reason,
@@ -21,7 +27,9 @@ from debruijn.analysis import (
     sweep,
     verify,
 )
+from debruijn.graphcore import generated_subdigraph
 from debruijn.seqcore import Alphabet, CyclicSequence, parse_sequence
+from debruijn.watchman import enumerate_min_walks, induced_walk
 
 
 @st.composite
@@ -149,6 +157,30 @@ class TestVerify:
         rec = verify(parse_sequence("01210123", 4), 3)
         assert rec.is_watchman  # so verify ran its optimum-length check
         assert len(built) == 1
+
+    def test_optimum_walk_must_be_closed_dominating(self, monkeypatch):
+        monkeypatch.setattr(analysis, "is_closed_dominating_walk", lambda g, w: False)
+        with pytest.raises(InvariantViolation, match="closed dominating walk"):
+            verify(parse_sequence("0011", 2), 3)
+        assert not verify(parse_sequence("0001", 2), 3).is_watchman  # not checked
+
+    @pytest.mark.parametrize(
+        "a,k,lengths", [(2, 3, range(3, 9)), (3, 2, range(2, 6)), (4, 3, range(3, 7))]
+    )
+    def test_watchman_walks_are_in_the_enumerated_minimum_set(self, a, k, lengths):
+        # verify trusts the oracle optimum; the enumerator must agree
+        checked = 0
+        for rec in sweep(a, k, lengths).records:
+            if isinstance(rec, SkippedSequence) or not rec.is_watchman:
+                continue
+            graph = generated_subdigraph(rec.sequence, k)
+            walk = induced_walk(rec.sequence, k, graph)
+            minimum_set = {
+                w.vertex_indices for w in enumerate_min_walks(graph, rec.oracle_optimum)
+            }
+            assert walk.canonical_rotation() in minimum_set, rec.sequence.text
+            checked += 1
+        assert checked
 
     def test_constant_run_is_never_minimum(self):
         rec = verify(parse_sequence("0001", 2), 3)
