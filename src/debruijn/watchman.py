@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import (
@@ -144,7 +143,6 @@ class _SearchSetup:
             self.nb.append(m)
         self.max_gain = max(m.bit_count() for m in self.nb)
 
-    @cached_property
     def starts(self) -> list[tuple[int, list[int]]]:
         """Every start whose walks could dominate, with its return distances.
 
@@ -265,7 +263,7 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
         if setup.nb[v] == setup.full:
             return SolveResult(0, Walk(g, (v,), closed=True), 0)
 
-    starts = setup.starts
+    starts = setup.starts()
     if not starts:
         return SolveResult(None, None, 0)
 
@@ -310,7 +308,7 @@ def enumerate_min_walks(
     max_gain = setup.max_gain
     found: set[tuple[int, ...]] = set()
 
-    for start, dist_back in setup.starts:
+    for start, dist_back in setup.starts():
         # depth-first with one frame per path vertex: its out-neighbours
         # not yet tried and the vertices dominated so far
         path = [start]
