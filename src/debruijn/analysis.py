@@ -6,8 +6,10 @@ the subdigraph it generates: a length-k constant run or a doubled
 sequence certifies "never minimum", while pairwise-distinct (k-1)-windows
 certify "always minimum". All three read the sequence cyclically. The
 sweep harness enumerates sequences (one per rotation class), verifies
-each against the exact oracle, and tallies where the certificates stay
-silent.
+them against the exact oracle, and tallies where the certificates stay
+silent. Renaming the symbols changes no verified field, so the sweep
+runs the oracle once per symbol-permutation orbit of necklaces and
+copies that record to the orbit's other necklaces.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import groupby
 
@@ -238,6 +240,24 @@ def rotation_representatives(a: int, n: int):
         yield CyclicSequence(word, alphabet)
 
 
+def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(s, len(labels)) for s in word)
+
+
+def orbit_form(symbols: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of ``symbols`` relabelled by order of first appearance.
+
+    Two sequences share it iff a rotation and a permutation of the
+    alphabet map one onto the other: relabelling by first appearance
+    forgets the symbol names, and the least over rotations forgets the
+    starting point.
+    """
+    n = len(symbols)
+    doubled = symbols + symbols
+    return min(_first_appearance(doubled[i : i + n]) for i in range(n))
+
+
 @dataclass
 class SweepReport:
     """Deterministically ordered records plus summary statistics."""
@@ -284,23 +304,14 @@ class SweepReport:
 DEFAULT_SWEEP_BUDGET = 100_000
 
 
-def sweep(
-    a: int,
-    k: int,
-    lengths,
-    budget: int = DEFAULT_SWEEP_BUDGET,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> SweepReport:
-    """Verify every sequence of the given lengths, one per rotation class.
+def check_sweep_args(
+    a: int, k: int, lengths, budget: int = DEFAULT_SWEEP_BUDGET
+) -> list[int]:
+    """Raise what sweep would raise for these arguments; else return the
+    lengths sorted without repeats.
 
-    Records appear sorted by length then by canonical sequence text.
-    Sequences whose subdigraph exceeds the oracle cap become skip
-    entries; hitting the budget stops the sweep and marks the report
-    truncated, and a range of more lengths than the budget raises
-    ResourceCapError before any sequence is verified. The summary
-    tallies verdict x is_watchman cells (the Undetermined/true cell
-    holds the sequences no certificate explains) plus the seam-only
-    constant-run evidence.
+    Nothing is verified, so a caller can reject a sweep before it starts
+    (the CLI does so before it opens its CSV target).
     """
     Alphabet(a)
     if budget < 1:
@@ -318,7 +329,35 @@ def sweep(
         raise DomainError("no lengths to sweep")
     if lengths[0] < k:
         raise DomainError(f"sweep lengths must be at least the order k = {k}")
+    return lengths
 
+
+def sweep(
+    a: int,
+    k: int,
+    lengths,
+    budget: int = DEFAULT_SWEEP_BUDGET,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
+) -> SweepReport:
+    """Verify every sequence of the given lengths, one per rotation class.
+
+    Records appear sorted by length then by canonical sequence text.
+    The exact oracle runs once per symbol-permutation orbit: the first
+    necklace of each orbit (keyed by orbit_form) goes through verify,
+    and every later necklace of that orbit gets a copy of its record or
+    skip entry with only the sequence changed. Relabelling the alphabet
+    is an automorphism of the de Bruijn graph that carries the windows,
+    the generated subdigraph and the induced walk along, so no field but
+    the sequence can differ across an orbit (see the README).
+    Sequences whose subdigraph exceeds the oracle cap become skip
+    entries; hitting the budget stops the sweep and marks the report
+    truncated, and a range of more lengths than the budget raises
+    ResourceCapError before any sequence is verified. The summary
+    tallies verdict x is_watchman cells (the Undetermined/true cell
+    holds the sequences no certificate explains) plus the seam-only
+    constant-run evidence.
+    """
+    lengths = check_sweep_args(a, k, lengths, budget)
     records: list[VerificationRecord | SkippedSequence] = []
     cells: dict[str, int] = {}
     for verdict in Verdict:
@@ -332,22 +371,30 @@ def sweep(
     for n in lengths:
         if truncated:
             break
+        orbits: dict[tuple[int, ...], VerificationRecord | SkippedSequence] = {}
         for seq in rotation_representatives(a, n):
             if len(records) >= budget:
                 truncated = True
                 break
-            try:
-                record = verify(seq, k, vertex_cap)
-            except ResourceCapError as exc:
-                records.append(SkippedSequence(seq, k, str(exc)))
+            key = orbit_form(seq.symbols)
+            entry = orbits.get(key)
+            if entry is None:
+                try:
+                    entry = verify(seq, k, vertex_cap)
+                except ResourceCapError as exc:
+                    entry = SkippedSequence(seq, k, str(exc))
+                orbits[key] = entry
+            else:
+                entry = replace(entry, sequence=seq)
+            records.append(entry)
+            if isinstance(entry, SkippedSequence):
                 skipped += 1
                 continue
-            records.append(record)
-            key = f"{record.classification.verdict.value}:{str(record.is_watchman).lower()}"
-            cells[key] += 1
-            if record.constant_run_seam_only:
+            cell = f"{entry.classification.verdict.value}:{str(entry.is_watchman).lower()}"
+            cells[cell] += 1
+            if entry.constant_run_seam_only:
                 seam_total += 1
-                if not record.is_watchman:
+                if not entry.is_watchman:
                     seam_not_watchman += 1
 
     summary = {

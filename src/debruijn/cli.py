@@ -15,7 +15,13 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .analysis import DEFAULT_SWEEP_BUDGET, classify, sweep, verify
+from .analysis import (
+    DEFAULT_SWEEP_BUDGET,
+    check_sweep_args,
+    classify,
+    sweep,
+    verify,
+)
 from .errors import DomainError, ResourceCapError
 from .graphcore import (
     Digraph,
@@ -179,7 +185,9 @@ def _open_csv(path: str):
 
 def cmd_sweep(args) -> int:
     lengths, cap = _parse_lengths(args.lengths), _vertex_cap()
-    # open the CSV target first, so that a bad path fails before the sweep
+    # reject bad arguments before opening (and so truncating) the CSV
+    # target, then open it, so that a bad path fails before the sweep
+    check_sweep_args(args.alphabet, args.order, lengths, args.budget)
     csv_target = nullcontext() if args.csv is None else _open_csv(args.csv)
     with csv_target as fh:
         report = sweep(args.alphabet, args.order, lengths, args.budget, cap)

@@ -337,12 +337,6 @@ class Walk:
             steps.append((vi[-1], vi[0]))
         return steps
 
-    def canonical_rotation(self) -> tuple[int, ...]:
-        """Lexicographically least rotation of the vertex index sequence."""
-        if not self.closed:
-            raise DomainError("canonical rotation is defined for closed walks")
-        return least_rotation(self.vertex_indices)
-
 
 def least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     return min(t[i:] + t[:i] for i in range(len(t)))

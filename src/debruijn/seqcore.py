@@ -118,16 +118,6 @@ class CyclicSequence:
         off = offset % len(self.symbols)
         return CyclicSequence(self.symbols[off:] + self.symbols[:off], self.alphabet)
 
-    def rotations(self) -> list["CyclicSequence"]:
-        return [self.rotate(r) for r in range(len(self.symbols))]
-
-    def is_least_rotation(self) -> bool:
-        """True iff no rotation of this sequence is lexicographically smaller."""
-        s = self.symbols
-        doubled = s + s
-        n = len(s)
-        return all(s <= doubled[i : i + n] for i in range(n))
-
 
 @dataclass(frozen=True)
 class KTour:

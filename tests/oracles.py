@@ -5,6 +5,7 @@ and enumerate by brute force.
 """
 
 import itertools
+import math
 
 
 def naive_fkm(a, k):
@@ -18,6 +19,55 @@ def naive_fkm(a, k):
             period = next(p for p in range(1, k + 1) if rotations[p % k] == word)
             seq.extend(word[:period])
     return tuple(seq)
+
+
+def rotations(word):
+    """Every rotation of a tuple, starting with the tuple itself."""
+    return [word[i:] + word[:i] for i in range(len(word))]
+
+
+def is_least_rotation(word):
+    """No rotation of ``word`` is lexicographically smaller."""
+    return word == min(rotations(word))
+
+
+def canonical_rotation(walk):
+    """The least rotation of a closed walk's vertex indices."""
+    assert walk.closed, "canonical rotation is defined for closed walks"
+    return min(rotations(walk.vertex_indices))
+
+
+def brute_orbit_key(word, a):
+    """The least image of ``word`` under every rotation and every one of
+    the a! permutations of the symbols 0..a-1."""
+    return min(
+        tuple(perm[s] for s in rotated)
+        for perm in itertools.permutations(range(a))
+        for rotated in rotations(word)
+    )
+
+
+def burnside_orbit_count(a, n):
+    """Orbits of the length-n words over ``a`` symbols under rotation and
+    symbol permutation, by Burnside's lemma: the mean over all pairs
+    (rotation by r, permutation p) of the words they fix. Rotation by r
+    splits the positions into gcd(n, r) cycles of length L = n / gcd; a
+    fixed word has w[i + r] = p(w[i]), so each cycle is fixed by its
+    first symbol, which must satisfy p^L(s) = s."""
+    total = 0
+    perms = list(itertools.permutations(range(a)))
+    for r in range(n):
+        g = math.gcd(n, r)
+        for p in perms:
+            fixed_symbols = 0
+            for s in range(a):
+                t = s
+                for _ in range(n // g):
+                    t = p[t]
+                fixed_symbols += t == s
+            total += fixed_symbols**g
+    assert total % (n * len(perms)) == 0
+    return total // (n * len(perms))
 
 
 def cyclic_windows(symbols, k):
@@ -69,8 +119,7 @@ def closed_dominating_walks(g, length):
     def rec(path):
         if len(path) == length:
             if path[0] in out[path[-1]] and dominates(out, n, set(path)):
-                t = tuple(path)
-                found.add(min(t[i:] + t[:i] for i in range(length)))
+                found.add(min(rotations(tuple(path))))
             return
         for u in out[path[-1]]:
             path.append(u)

@@ -34,7 +34,12 @@ from debruijn.watchman import (
     watchman_number,
 )
 
-from oracles import has_closed_dominating_walk, min_walk_length
+from oracles import (
+    canonical_rotation,
+    has_closed_dominating_walk,
+    is_least_rotation,
+    min_walk_length,
+)
 
 GRID = [(2, 2, 2), (2, 3, 4), (2, 4, 8), (3, 2, 3)]
 
@@ -79,7 +84,7 @@ def test_05_repeated_window_sequence_reproduction():
     result = solve_min_walk(g)
     assert result.optimum_length == 8
     walks = enumerate_min_walks(g, 8)
-    assert walk.canonical_rotation() in {w.canonical_rotation() for w in walks}
+    assert canonical_rotation(walk) in {canonical_rotation(w) for w in walks}
     # verified count under rotation-equivalence; raw count = all rotations
     assert len(walks) == 2
     raw = sum(
@@ -148,7 +153,7 @@ def test_08_all_generators_valid_for_every_size_within_cap():
         for gen in (gen_fkm, gen_greedy, gen_eulerian):
             seq = gen(a, k)
             assert is_de_bruijn_sequence(seq, k), (gen.__name__, a, k)
-        assert gen_fkm(a, k).is_least_rotation(), (a, k)
+        assert is_least_rotation(gen_fkm(a, k).symbols), (a, k)
     print(f"\n{len(pairs)} (a, k) pairs x 3 generators validated")
 
 

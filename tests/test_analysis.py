@@ -23,6 +23,7 @@ from debruijn.analysis import (
     has_distinct_windows,
     has_linear_constant_run,
     is_doubled,
+    orbit_form,
     rotation_representatives,
     sweep,
     verify,
@@ -178,7 +179,7 @@ class TestVerify:
             minimum_set = {
                 w.vertex_indices for w in enumerate_min_walks(graph, rec.oracle_optimum)
             }
-            assert walk.canonical_rotation() in minimum_set, rec.sequence.text
+            assert oracles.canonical_rotation(walk) in minimum_set, rec.sequence.text
             checked += 1
         assert checked
 
@@ -235,18 +236,17 @@ class TestRotationRepresentatives:
         reps = list(rotation_representatives(2, 4))
         seen = set()
         for rep in reps:
-            seen.update(r.symbols for r in rep.rotations())
+            seen.update(oracles.rotations(rep.symbols))
         assert seen == set(itertools.product(range(2), repeat=4))
 
     @pytest.mark.parametrize(
         "a,n", [(a, n) for a in range(2, 37) for n in range(1, 13) if a**n <= 5000]
     )
     def test_matches_brute_force_filter(self, a, n):
-        alphabet = Alphabet(a)
         expected = [
             syms
             for syms in itertools.product(range(a), repeat=n)
-            if CyclicSequence(syms, alphabet).is_least_rotation()
+            if oracles.is_least_rotation(syms)
         ]
         assert [s.symbols for s in rotation_representatives(a, n)] == expected
 
@@ -264,7 +264,7 @@ class TestSweep:
     def test_no_two_records_are_rotation_equivalent(self):
         report = sweep(2, 2, range(2, 5))
         canon = {
-            min(r.symbols for r in rec.sequence.rotations())
+            min(oracles.rotations(rec.sequence.symbols))
             for rec in report.records
         }
         assert len(canon) == len(report.records)
@@ -322,3 +322,77 @@ class TestSweep:
         rec = verify(parse_sequence("01210123", 4), 3)
         assert rec.classification.verdict is Verdict.UNDETERMINED
         assert rec.is_watchman
+
+
+# Orbits of necklaces under rotation and symbol permutation, per length:
+# binary n = 1..12 (OEIS A000013), ternary n = 1..10, 4-ary n = 3..6.
+ORBIT_COUNTS = {
+    2: dict(zip(range(1, 13), [1, 2, 2, 4, 4, 8, 10, 20, 30, 56, 94, 180])),
+    3: dict(zip(range(1, 11), [1, 2, 3, 6, 9, 26, 53, 146, 369, 1002])),
+    4: dict(zip(range(3, 7), [3, 7, 11, 39])),
+}
+
+
+class TestOrbitSharing:
+    @pytest.mark.parametrize(
+        "a,n", [(a, n) for a, counts in ORBIT_COUNTS.items() for n in counts]
+    )
+    def test_burnside_counts(self, a, n):
+        assert oracles.burnside_orbit_count(a, n) == ORBIT_COUNTS[a][n]
+
+    @pytest.mark.parametrize(
+        "a,n",
+        [(2, n) for n in range(1, 11)]
+        + [(3, n) for n in range(1, 7)]
+        + [(4, n) for n in range(1, 6)],
+    )
+    def test_orbit_form_partitions_like_brute_force(self, a, n):
+        # same key under one iff same key under the other, and one class
+        # per Burnside orbit
+        pairs = {
+            (orbit_form(seq.symbols), oracles.brute_orbit_key(seq.symbols, a))
+            for seq in rotation_representatives(a, n)
+        }
+        forms = {form for form, _ in pairs}
+        keys = {key for _, key in pairs}
+        assert len(forms) == len(keys) == len(pairs)
+        assert len(pairs) == oracles.burnside_orbit_count(a, n)
+
+    def test_orbit_form_examples(self):
+        assert orbit_form((2, 1, 1)) == orbit_form((0, 0, 1)) == (0, 0, 1)
+        assert orbit_form((1, 0, 2, 0)) == (0, 1, 0, 2)
+        assert orbit_form((0, 0, 1)) != orbit_form((0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "a,k,lengths,vertex_cap",
+        [
+            (2, 3, range(3, 9), 24),
+            (3, 2, range(2, 6), 24),
+            (4, 3, range(3, 6), 24),
+            (3, 2, range(2, 6), 6),  # skips the 9-vertex subdigraphs
+            (4, 3, range(3, 6), 12),  # skips the 16- and 20-vertex ones
+        ],
+    )
+    def test_shared_records_equal_direct_verify(self, a, k, lengths, vertex_cap):
+        report = sweep(a, k, lengths, vertex_cap=vertex_cap)
+        for entry in report.records:
+            try:
+                direct = verify(entry.sequence, k, vertex_cap)
+            except ResourceCapError as exc:
+                direct = SkippedSequence(entry.sequence, k, str(exc))
+            assert entry.to_json() == direct.to_json()
+        # the small caps compare skip entries too
+        assert (report.summary["skipped"] > 0) == (vertex_cap < 24)
+
+    def test_oracle_runs_once_per_orbit(self, monkeypatch):
+        calls = []
+
+        def counting_verify(d, k, vertex_cap):
+            calls.append(d.text)
+            return verify(d, k, vertex_cap)
+
+        monkeypatch.setattr(analysis, "verify", counting_verify)
+        report = sweep(4, 3, range(3, 7))
+        assert len(report.records) == 1002
+        assert len(calls) == sum(ORBIT_COUNTS[4].values()) == 60
+        assert calls[:3] == ["000", "001", "012"]  # each orbit's first necklace

@@ -300,6 +300,22 @@ class TestSweep:
         assert err.startswith("watchman: error: cannot write")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "args,exit_code",
+        [
+            (["-a", "2", "-k", "3", "--lengths", "2..3"], 1),  # below the order
+            (["-a", "1", "-k", "2", "--lengths", "2..3"], 1),  # bad alphabet
+            (["-a", "2", "-k", "2", "--lengths", "2..3", "--budget", "0"], 1),
+            (["-a", "2", "-k", "2", "--lengths", "2..9", "--budget", "3"], 2),
+        ],
+    )
+    def test_rejected_sweep_leaves_the_csv_alone(self, capsys, tmp_path, args, exit_code):
+        csv_path = tmp_path / "report.csv"
+        csv_path.write_bytes(b"keep\n")
+        code, out, _ = run(capsys, "sweep", *args, "--csv", str(csv_path))
+        assert (code, out) == (exit_code, "")
+        assert csv_path.read_bytes() == b"keep\n"
+
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "sweep", "-a", "2", "-k", "2", "--lengths", "3..2")
         assert code == 1
