@@ -99,6 +99,7 @@ def has_linear_constant_run(d: CyclicSequence, k: int) -> bool:
 
 def is_doubled(d: CyclicSequence, k: int) -> bool:
     """True iff d is two copies of one sequence of length at least k."""
+    _check_tour_args(d, k)
     n = len(d)
     half = n // 2
     return n % 2 == 0 and half >= k and d.symbols[:half] == d.symbols[half:]

@@ -3,8 +3,8 @@ construction, domination predicates, Eulerian circuits, and DOT/JSON export.
 
 A vertex is a k-string, stored as its base-``a`` rank: the successors of
 rank ``r`` are ``(r*a + c) % a**k``, and for a fixed ``k`` rank order is
-lexicographic order. The builders work on ranks alone; ``KString``
-labels and their text are made only when a caller asks for them
+lexicographic order. The builders work on ranks alone; a label is the
+k-string's text, made from the rank only when a caller asks for it
 (``labels``, ``label``, ``to_json``, ``to_dot``, ``Walk.label_texts``).
 Digraphs are immutable after construction and keep sorted
 out-adjacency and in-degrees. Builders list vertices in lexicographic
@@ -14,24 +14,22 @@ order, so every export and every derived walk is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DomainError
 from .seqcore import (
     DEFAULT_SIZE_CAP,
-    SYMBOL_CHARS,
     Alphabet,
     CyclicSequence,
-    KString,
     _check_generator_args,
-    _rank,
-    _unrank,
+    _rank_text,
+    _text_rank,
     window_ranks,
 )
 
 PROVENANCE_KINDS = ("de_bruijn", "generated", "custom")
 
-VertexRef = Union[int, str, KString]
+VertexRef = Union[int, str]
 
 
 @dataclass(frozen=True)
@@ -61,10 +59,10 @@ class Provenance:
 
 
 class Digraph:
-    """A vertex-labelled digraph with arcs stored as index pairs.
+    """A digraph on k-strings, with arcs stored as index pairs.
 
-    Each vertex is held as the base-``a`` rank of its k-string label;
-    the ``KString`` labels are built once, on first use. Unless the
+    Vertex ``i`` is the k-string whose base-``a`` rank is ``ranks[i]``;
+    its label text is built from the rank when asked for. Unless the
     provenance is custom, every arc (u, v) must be a left shift:
     label(v) drops the first symbol of label(u) and appends one symbol.
     Self-loops are permitted.
@@ -72,47 +70,22 @@ class Digraph:
 
     def __init__(
         self,
-        labels: Sequence[KString],
+        alphabet: Alphabet,
+        order: int,
+        ranks: Iterable[int],
         arcs: Iterable[tuple[int, int]],
         provenance: Provenance = Provenance("custom"),
     ) -> None:
-        labels = tuple(labels)
-        if not labels:
-            raise DomainError("a digraph needs at least one vertex")
-        alphabet = labels[0].alphabet
-        order = labels[0].order
-        for lbl in labels:
-            if lbl.alphabet != alphabet or lbl.order != order:
-                raise DomainError("vertex labels must share one alphabet and order")
-        ranks = [_rank(lbl.symbols, alphabet.size) for lbl in labels]
-        self._build(alphabet, order, ranks, arcs, provenance)
-        self._labels = labels
-
-    @classmethod
-    def _from_ranks(
-        cls,
-        alphabet: Alphabet,
-        order: int,
-        ranks: Sequence[int],
-        arcs: Iterable[tuple[int, int]],
-        provenance: Provenance,
-    ) -> "Digraph":
-        """A digraph whose i-th vertex has rank ``ranks[i]``; same checks."""
-        g = cls.__new__(cls)
-        g._build(alphabet, order, ranks, arcs, provenance)
-        return g
-
-    def _build(
-        self,
-        alphabet: Alphabet,
-        order: int,
-        ranks: Sequence[int],
-        arcs: Iterable[tuple[int, int]],
-        provenance: Provenance,
-    ) -> None:
+        if not _is_int(order) or order < 1:
+            raise DomainError("order must be a positive integer")
         ranks = tuple(ranks)
         if not ranks:
             raise DomainError("a digraph needs at least one vertex")
+        a = alphabet.size
+        size = a**order
+        for r in ranks:
+            if not (_is_int(r) and 0 <= r < size):
+                raise DomainError(f"vertex rank {r!r} is not an integer in [0, {size})")
         index = {r: i for i, r in enumerate(ranks)}
         if len(index) != len(ranks):
             raise DomainError("vertex labels must be pairwise distinct")
@@ -120,17 +93,17 @@ class Digraph:
         self._order = order
         self._ranks = ranks
         self._index = index
-        self._labels: tuple[KString, ...] | None = None
 
         n = len(ranks)
         arcset: set[tuple[int, int]] = set()
         for arc in arcs:
             u, v = arc
+            if not (_is_int(u) and _is_int(v)):
+                raise DomainError(f"arc {arc!r} must be a pair of vertex indices")
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"arc {arc!r} references an unknown vertex")
-            arcset.add((int(u), int(v)))
+            arcset.add((u, v))
         if provenance.kind != "custom":
-            a = alphabet.size
             drop = a ** (order - 1)
             for u, v in arcset:
                 if ranks[v] // a != ranks[u] % drop:
@@ -150,17 +123,12 @@ class Digraph:
         self._in_deg = tuple(in_deg)
 
     def _text(self, rank: int) -> str:
-        syms = _unrank(rank, self._alphabet.size, self._order)
-        return "".join(SYMBOL_CHARS[s] for s in syms)
+        return _rank_text(rank, self._alphabet.size, self._order)
 
     @property
-    def labels(self) -> tuple[KString, ...]:
-        if self._labels is None:
-            a, k = self._alphabet.size, self._order
-            self._labels = tuple(
-                KString(_unrank(r, a, k), self._alphabet) for r in self._ranks
-            )
-        return self._labels
+    def labels(self) -> tuple[str, ...]:
+        """The label text of each vertex, by vertex index."""
+        return tuple(map(self._text, self._ranks))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -196,27 +164,21 @@ class Digraph:
     def arc_count(self) -> int:
         return len(self._arcs)
 
-    def label(self, i: int) -> KString:
+    def label(self, i: int) -> str:
         if not 0 <= i < len(self._ranks):
             raise DomainError(f"vertex index {i} out of range")
-        return self.labels[i]
+        return self._text(self._ranks[i])
 
     def index(self, v: VertexRef) -> int:
-        """Resolve an index, KString, or label text to a vertex index."""
+        """Resolve an index or a label text to a vertex index."""
         if isinstance(v, int):
             if not 0 <= v < len(self._ranks):
                 raise DomainError(f"vertex index {v} out of range")
             return v
-        if isinstance(v, KString):
-            symbols = v.symbols
-        else:
-            symbols = tuple(self._alphabet.decode(ch) for ch in v)
-        a = self._alphabet.size
-        idx = None
-        if len(symbols) == self._order and max(symbols) < a:
-            idx = self._index.get(_rank(symbols, a))
+        rank = _text_rank(v, self._alphabet)
+        idx = self._index.get(rank) if len(v) == self._order else None
         if idx is None:
-            raise DomainError(f"unknown vertex {v!s}")
+            raise DomainError(f"unknown vertex {v}")
         return idx
 
     def index_of_rank(self, rank: int) -> int:
@@ -246,7 +208,7 @@ class Digraph:
         return {
             "alphabet": self._alphabet.size,
             "order": self._order,
-            "vertices": [lbl.text for lbl in self.labels],
+            "vertices": list(self.labels),
             "arcs": [list(arc) for arc in sorted(self._arcs)],
             "provenance": self._provenance.to_json(),
         }
@@ -272,22 +234,16 @@ class Digraph:
                 raise DomainError(
                     f"vertex {text!r} must be a string of length {order}"
                 )
-            ranks.append(_rank([alphabet.decode(ch) for ch in text], alphabet.size))
-        arcs = []
+            ranks.append(_text_rank(text, alphabet))
         for arc in obj["arcs"]:
-            if (
-                not isinstance(arc, (list, tuple))
-                or len(arc) != 2
-                or not all(map(_is_int, arc))
-            ):
+            if not isinstance(arc, list) or len(arc) != 2:
                 raise DomainError(f"arc {arc!r} must be a pair of vertex indices")
-            arcs.append((arc[0], arc[1]))
         provenance = (
             Provenance.from_json(obj["provenance"])
             if "provenance" in obj
             else Provenance("custom")
         )
-        return cls._from_ranks(alphabet, order, ranks, arcs, provenance)
+        return cls(alphabet, order, ranks, obj["arcs"], provenance)
 
 
 def _is_int(x: object) -> bool:
@@ -327,7 +283,7 @@ class Walk:
 
     @property
     def label_texts(self) -> tuple[str, ...]:
-        return tuple(self.digraph.label(i).text for i in self.vertex_indices)
+        return tuple(map(self.digraph.label, self.vertex_indices))
 
     def arc_steps(self) -> list[tuple[int, int]]:
         """Arcs traversed in order, with multiplicity."""
@@ -353,7 +309,7 @@ def build_de_bruijn_graph(
     alphabet = _check_generator_args(a, k, size_cap)
     size = a**k
     arcs = [(r, r * a % size + c) for r in range(size) for c in range(a)]
-    return Digraph._from_ranks(alphabet, k, range(size), arcs, Provenance("de_bruijn"))
+    return Digraph(alphabet, k, range(size), arcs, Provenance("de_bruijn"))
 
 
 def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
@@ -380,9 +336,7 @@ def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
             j = index.get(s)
             if j is not None:
                 arcs.append((i, j))
-    return Digraph._from_ranks(
-        d.alphabet, k, ranks, arcs, Provenance("generated", d.text)
-    )
+    return Digraph(d.alphabet, k, ranks, arcs, Provenance("generated", d.text))
 
 
 def closed_out_neighborhood(g: Digraph, v: VertexRef) -> frozenset[int]:
@@ -474,7 +428,7 @@ def to_dot(g: Digraph, highlight: Walk | None = None) -> str:
     if highlight is not None and highlight.digraph is not g:
         raise DomainError("highlight walk does not reference this digraph")
     bold = set(highlight.arc_steps()) if highlight is not None else set()
-    texts = [lbl.text for lbl in g.labels]
+    texts = g.labels
     lines = ["digraph debruijn {"]
     for text in texts:
         lines.append(f'  "{text}";')

@@ -5,9 +5,9 @@ Symbols are integer indices ``0..a-1`` rendered as the characters 0-9
 then A-Z, so every sequence has an exact one-character-per-symbol text
 form. Sequences are always read cyclically; there is no linear mode.
 All values are immutable after construction. This module is the only
-place that converts between symbols and base-``a`` ranks: a k-string's
-rank is its symbols read as a base-``a`` number, so for a fixed ``k``
-rank order is lexicographic order.
+place that converts between symbols or text and base-``a`` ranks: a
+k-string's rank is its symbols read as a base-``a`` number, so for a
+fixed ``k`` rank order is lexicographic order.
 """
 
 from __future__ import annotations
@@ -66,30 +66,6 @@ def _check_symbols(symbols: tuple[int, ...], alphabet: Alphabet) -> None:
 
 
 @dataclass(frozen=True)
-class KString:
-    """A fixed-length word over an alphabet; labels one digraph vertex."""
-
-    symbols: tuple[int, ...]
-    alphabet: Alphabet
-
-    def __post_init__(self) -> None:
-        if len(self.symbols) < 1:
-            raise DomainError("a k-string needs at least one symbol")
-        _check_symbols(self.symbols, self.alphabet)
-
-    @property
-    def order(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def text(self) -> str:
-        return "".join(SYMBOL_CHARS[s] for s in self.symbols)
-
-    def __str__(self) -> str:
-        return self.text
-
-
-@dataclass(frozen=True)
 class CyclicSequence:
     """A symbol string read cyclically; indexing is modulo the length."""
 
@@ -117,15 +93,6 @@ class CyclicSequence:
     def rotate(self, offset: int) -> "CyclicSequence":
         off = offset % len(self.symbols)
         return CyclicSequence(self.symbols[off:] + self.symbols[:off], self.alphabet)
-
-
-@dataclass(frozen=True)
-class KTour:
-    """All cyclic length-k windows of a sequence, one per start position."""
-
-    windows: tuple[KString, ...]
-    source: CyclicSequence
-    order: int
 
 
 def parse_sequence(text: str, a: int) -> CyclicSequence:
@@ -172,6 +139,16 @@ def _unrank(rank: int, a: int, k: int) -> tuple[int, ...]:
     return tuple(syms)
 
 
+def _rank_text(rank: int, a: int, k: int) -> str:
+    """The text of the k-string whose base-``a`` rank is ``rank``."""
+    return "".join(SYMBOL_CHARS[s] for s in _unrank(rank, a, k))
+
+
+def _text_rank(text: str, alphabet: Alphabet) -> int:
+    """The base-``a`` rank of a k-string's text; a foreign character is an error."""
+    return _rank([alphabet.decode(ch) for ch in text], alphabet.size)
+
+
 def _check_tour_args(d: CyclicSequence, k: int) -> None:
     if k < 1:
         raise DomainError("order must be at least 1")
@@ -179,11 +156,10 @@ def _check_tour_args(d: CyclicSequence, k: int) -> None:
         raise DomainError(f"sequence shorter than order: length {len(d)} < k = {k}")
 
 
-def k_tour(d: CyclicSequence, k: int) -> KTour:
-    """All cyclic windows of length ``k`` in order, starting at position 0."""
+def k_tour(d: CyclicSequence, k: int) -> tuple[str, ...]:
+    """The text of every cyclic window of length ``k``, starting at position 0."""
     a = d.alphabet.size
-    windows = (KString(_unrank(r, a, k), d.alphabet) for r in window_ranks(d, k))
-    return KTour(tuple(windows), d, k)
+    return tuple(_rank_text(r, a, k) for r in window_ranks(d, k))
 
 
 def window_ranks(d: CyclicSequence, k: int) -> list[int]:

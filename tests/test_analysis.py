@@ -84,6 +84,11 @@ class TestPredicates:
         assert not is_doubled(parse_sequence("0101", 2), 3)  # halves shorter than k
         assert not is_doubled(parse_sequence("0110", 2), 2)
         assert not is_doubled(parse_sequence("010", 2), 2)  # odd length
+        for k in (0, -3):
+            with pytest.raises(DomainError, match="order must be at least 1"):
+                is_doubled(parse_sequence("0101", 2), k)
+        with pytest.raises(DomainError, match="shorter than order"):
+            is_doubled(parse_sequence("0101", 2), 5)
 
     def test_distinct_windows(self):
         assert has_distinct_windows(parse_sequence("0123", 4), 2)

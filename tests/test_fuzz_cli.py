@@ -23,10 +23,17 @@ MISSING = str(HERE / "no-such-dir" / "x.txt")
 CAPS = {"WATCHMAN_MAX_SEQ": "64", "WATCHMAN_MAX_VERTICES": "8"}
 
 ints = st.integers(-1, 5).map(str) | st.sampled_from(["37", "20000", "x", ""])
-seqs = st.text(alphabet="0123A", max_size=9)
-lengths = st.builds("{}..{}".format, st.integers(-1, 6), st.integers(-1, 6)) | (
-    st.sampled_from(["3", "..", "x..y", "5..2"])
+# short sequences, and long ones up to WATCHMAN_MAX_SEQ symbols
+seqs = st.text(alphabet="0123A", max_size=9) | st.text(
+    alphabet="0123A", min_size=10, max_size=int(CAPS["WATCHMAN_MAX_SEQ"])
 )
+# A high end above 10**6 makes a range wider than any budget drawn here
+# (at most the default 100,000), which sweep refuses before it verifies
+# a record; a high end between 7 and that would run a sweep to its
+# budget, up to 100,000 records, too slow for one example.
+lengths = st.builds(
+    "{}..{}".format, st.integers(-1, 6), st.integers(-1, 6) | st.integers(10**6, 10**12)
+) | st.sampled_from(["3", "..", "x..y", "5..2"])
 paths = st.sampled_from(["", "\0", os.devnull, SEQ_FILE, MISSING])
 junk = st.text(max_size=8) | st.sampled_from(["-", "--", "-h", "--seq", "-k", "=1"])
 

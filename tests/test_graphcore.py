@@ -23,7 +23,6 @@ from debruijn.graphcore import (
 from debruijn.seqcore import (
     Alphabet,
     CyclicSequence,
-    KString,
     is_de_bruijn_sequence,
     k_tour,
     parse_sequence,
@@ -32,13 +31,12 @@ from debruijn.watchman import induced_walk
 
 
 def labels_of(g, indices):
-    return {g.label(i).text for i in indices}
+    return {g.label(i) for i in indices}
 
 
 def custom_graph(texts, arcs, a=2):
-    alphabet = Alphabet(a)
-    labels = [KString(tuple(alphabet.decode(c) for c in t), alphabet) for t in texts]
-    return Digraph(labels, arcs, Provenance("custom"))
+    ranks = [int(t, a) for t in texts]
+    return Digraph(Alphabet(a), len(texts[0]), ranks, arcs, Provenance("custom"))
 
 
 SMALL_PAIRS = [(a, k) for a in range(2, 37) for k in range(1, 9) if a**k <= 256]
@@ -68,7 +66,7 @@ class TestBuildDeBruijnGraph:
 
     def test_vertices_in_lexicographic_order(self):
         g = build_de_bruijn_graph(2, 2)
-        assert [l.text for l in g.labels] == ["00", "01", "10", "11"]
+        assert g.labels == ("00", "01", "10", "11")
 
     @pytest.mark.parametrize("a,k", SMALL_PAIRS)
     def test_regular_degrees_and_counts(self, a, k):
@@ -93,7 +91,7 @@ class TestGeneratedSubdigraph:
 
         full = build_de_bruijn_graph(a, k)
         gen = generated_subdigraph(gen_fkm(a, k), k)
-        assert [l.text for l in gen.labels] == [l.text for l in full.labels]
+        assert gen.labels == full.labels
         assert gen.arcs == full.arcs
         assert gen.provenance.kind == "generated"
 
@@ -101,13 +99,12 @@ class TestGeneratedSubdigraph:
         d = parse_sequence("01210123", 4)
         g = generated_subdigraph(d, 3)
         assert g.vertex_count == 24
-        windows = {w.text for w in k_tour(d, 3).windows}
-        assert windows <= {l.text for l in g.labels}
+        assert set(k_tour(d, 3)) <= set(g.labels)
         assert g.provenance.sequence == "01210123"
 
     def test_constant_sequence_keeps_zero_outdegree_successors(self):
         g = generated_subdigraph(parse_sequence("000", 2), 3)
-        assert [l.text for l in g.labels] == ["000", "001"]
+        assert g.labels == ("000", "001")
         assert g.arcs == {(0, 0), (0, 1)}
         assert g.out_degree(g.index("001")) == 0
 
@@ -123,13 +120,13 @@ class TestGeneratedSubdigraph:
         d = parse_sequence(text, a)
         sub = generated_subdigraph(d, k)
         full = build_de_bruijn_graph(a, k)
-        kept = {l.symbols for l in sub.labels}
+        kept = set(sub.labels)
         expected = {
             (u, v)
             for u, v in (
                 (sub.index(full.label(fu)), sub.index(full.label(fv)))
                 for fu, fv in full.arcs
-                if full.label(fu).symbols in kept and full.label(fv).symbols in kept
+                if full.label(fu) in kept and full.label(fv) in kept
             )
         }
         assert sub.arcs == expected
@@ -339,22 +336,60 @@ class TestJson:
             Provenance("generated")
 
 
-def _kstring(text, a):
-    return KString(tuple(oracles.SYMBOL_TEXT.index(c) for c in text), Alphabet(a))
+class TestConstructor:
+    def test_vertices_are_ranks(self):
+        g = Digraph(Alphabet(3), 2, [5, 0], [(1, 0)])
+        assert g.labels == ("12", "00")
+        assert g.label(0) == "12"
+        assert g.index("00") == 1
+        assert g.provenance.kind == "custom"
+
+    @pytest.mark.parametrize("rank", [-1, 4, 1.0, True, "1", None])
+    def test_rejects_bad_ranks(self, rank):
+        with pytest.raises(DomainError, match="vertex rank"):
+            Digraph(Alphabet(2), 2, [0, rank], [])
+
+    @pytest.mark.parametrize("order", [0, -1, True, 1.0])
+    def test_rejects_bad_orders(self, order):
+        with pytest.raises(DomainError, match="order must be a positive integer"):
+            Digraph(Alphabet(2), order, [0], [])
+
+    def test_rejects_no_vertices_and_duplicates(self):
+        with pytest.raises(DomainError, match="at least one vertex"):
+            Digraph(Alphabet(2), 2, [], [])
+        with pytest.raises(DomainError, match="distinct"):
+            Digraph(Alphabet(2), 2, [1, 1], [])
+
+    @pytest.mark.parametrize("arc", [(0.5, 1.9), (True, 0), (0, False), (0, "1")])
+    def test_rejects_arc_endpoints_that_are_not_integers(self, arc):
+        with pytest.raises(DomainError, match="must be a pair of vertex indices"):
+            Digraph(Alphabet(2), 2, [0, 1], [arc])
+
+    @pytest.mark.parametrize("arc", [(0, 2), (-1, 0)])
+    def test_rejects_arc_endpoints_out_of_range(self, arc):
+        with pytest.raises(DomainError, match="references an unknown vertex"):
+            Digraph(Alphabet(2), 2, [0, 1], [arc])
+
+    @pytest.mark.parametrize("arc", [[0.5, 1], [True, 0], [0], [0, 1, 1], "01", 0])
+    def test_from_json_rejects_malformed_arcs(self, arc):
+        obj = {"alphabet": 2, "order": 2, "vertices": ["00", "01"], "arcs": [arc]}
+        with pytest.raises(DomainError, match="must be a pair of vertex indices"):
+            Digraph.from_json(obj)
 
 
 def assert_matches_text_graph(g, labels, arcs, a, k, provenance):
-    assert [lbl.text for lbl in g.labels] == labels
-    assert {(g.label(u).text, g.label(v).text) for u, v in g.arcs} == arcs
+    assert list(g.labels) == labels
+    assert {(g.label(u), g.label(v)) for u, v in g.arcs} == arcs
     assert g.to_json() == oracles.text_graph_json(labels, arcs, a, k, provenance)
     assert to_dot(g) == oracles.text_graph_dot(labels, arcs)
+    ranks = [int(text, a) for text in labels]  # base-a reading by Python's int
+    assert list(g.ranks) == ranks
     for i, text in enumerate(labels):
         assert g.index(text) == i
-        assert g.index(_kstring(text, a)) == i
     back = Digraph.from_json(json.loads(json.dumps(g.to_json())))
     assert back.to_json() == g.to_json()
-    relabelled = Digraph([_kstring(t, a) for t in labels], g.arcs, g.provenance)
-    assert relabelled.to_json() == g.to_json()
+    rebuilt = Digraph(Alphabet(a), k, ranks, g.arcs, g.provenance)
+    assert rebuilt.to_json() == g.to_json()
 
 
 class TestRankConstructionMatchesStrings:
@@ -396,21 +431,23 @@ class TestRankConstructionMatchesStrings:
 
     def test_index_rejects_labels_of_another_order_or_alphabet(self):
         g = build_de_bruijn_graph(2, 3)
-        assert g.index(_kstring("011", 3)) == 3
+        assert g.index("011") == 3
         assert g.index_of_rank(3) == 3
-        for ref in [_kstring("01", 2), _kstring("0001", 2), _kstring("002", 3), "01"]:
+        for ref in ["01", "0001"]:
             with pytest.raises(DomainError, match="unknown vertex"):
                 g.index(ref)
+        with pytest.raises(DomainError, match="'2' is not a symbol of an alphabet of size 2"):
+            g.index("002")
         with pytest.raises(DomainError, match="unknown vertex 110"):
             generated_subdigraph(parse_sequence("0001", 2), 3).index_of_rank(6)
 
     @pytest.mark.parametrize("kind", ["generated", "de_bruijn"])
     def test_non_shift_arc_names_both_labels(self, kind):
-        labels = [_kstring(t, 3) for t in ("012", "120", "201")]
+        ranks = [int(t, 3) for t in ("012", "120", "201")]
         provenance = Provenance(kind, "012" if kind == "generated" else None)
-        assert Digraph(labels, [(0, 1), (1, 2)], provenance).arc_count == 2
+        assert Digraph(Alphabet(3), 3, ranks, [(0, 1), (1, 2)], provenance).arc_count == 2
         with pytest.raises(DomainError, match="arc 012 -> 201 is not a left shift"):
-            Digraph(labels, [(0, 1), (0, 2)], provenance)
+            Digraph(Alphabet(3), 3, ranks, [(0, 1), (0, 2)], provenance)
         obj = {
             "alphabet": 3,
             "order": 3,

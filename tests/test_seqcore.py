@@ -7,7 +7,6 @@ from debruijn import DomainError, ResourceCapError
 from debruijn.seqcore import (
     Alphabet,
     CyclicSequence,
-    KString,
     gen_fkm,
     gen_greedy,
     is_de_bruijn_sequence,
@@ -88,18 +87,15 @@ class TestParse:
 
 class TestKTour:
     def test_binary_example(self):
-        tour = k_tour(parse_sequence("1001", 2), 3)
-        assert [w.text for w in tour.windows] == ["100", "001", "011", "110"]
+        assert k_tour(parse_sequence("1001", 2), 3) == ("100", "001", "011", "110")
 
     def test_constant_sequence(self):
-        tour = k_tour(parse_sequence("00", 2), 2)
-        assert [w.text for w in tour.windows] == ["00", "00"]
+        assert k_tour(parse_sequence("00", 2), 2) == ("00", "00")
 
     def test_quaternary_unroll(self):
-        tour = k_tour(parse_sequence("01210123", 4), 3)
-        assert [w.text for w in tour.windows] == [
+        assert k_tour(parse_sequence("01210123", 4), 3) == (
             "012", "121", "210", "101", "012", "123", "230", "301",
-        ]
+        )
 
     def test_too_short(self):
         with pytest.raises(DomainError, match="shorter than order"):
@@ -112,11 +108,11 @@ class TestKTour:
                 k_tour(seq, k)
             return
         tour = k_tour(seq, k)
-        assert len(tour.windows) == len(seq)
-        for i, w in enumerate(tour.windows):
-            assert w.symbols == tuple(seq[i + j] for j in range(k))
-            nxt = tour.windows[(i + 1) % len(seq)]
-            assert nxt.symbols[:-1] == w.symbols[1:]
+        assert len(tour) == len(seq)
+        for i, w in enumerate(tour):
+            assert w == "".join(seq.text[(i + j) % len(seq)] for j in range(k))
+            nxt = tour[(i + 1) % len(seq)]
+            assert nxt[:-1] == w[1:]
 
 
 class TestWindowRanks:
@@ -212,16 +208,16 @@ class TestGenerators:
 
 class TestValueTypes:
     def test_kstring_rejects_bad_symbols(self):
-        with pytest.raises(DomainError):
-            KString((0, 2), Alphabet(2))
-        with pytest.raises(DomainError):
-            KString((), Alphabet(2))
+        with pytest.raises(DomainError, match="symbol 2 out of range"):
+            CyclicSequence((0, 2), Alphabet(2))
+        with pytest.raises(DomainError, match="at least one symbol"):
+            CyclicSequence((), Alphabet(2))
 
     def test_sequence_indexing_is_cyclic(self):
         seq = parse_sequence("012", 3)
         assert seq[3] == 0
         assert seq[-1] == 2
-        assert k_tour(seq, 2).windows[2].text == "20"
+        assert k_tour(seq, 2)[2] == "20"
 
     def test_rotation_helpers(self):
         seq = parse_sequence("0011", 2)
@@ -229,3 +225,12 @@ class TestValueTypes:
         assert is_least_rotation(seq.symbols)
         assert not is_least_rotation(seq.rotate(1).symbols)
         assert [seq.rotate(r).symbols for r in range(4)] == rotations(seq.symbols)
+
+
+def test_every_public_name_resolves():
+    import debruijn
+
+    assert len(set(debruijn.__all__)) == len(debruijn.__all__)
+    for name in debruijn.__all__:
+        assert getattr(debruijn, name) is not None, name
+    assert not {"KString", "KTour"} & set(dir(debruijn))

@@ -13,7 +13,7 @@ from debruijn.graphcore import (
     generated_subdigraph,
     is_closed_dominating_walk,
 )
-from debruijn.seqcore import Alphabet, CyclicSequence, KString, gen_fkm, gen_greedy, parse_sequence
+from debruijn.seqcore import Alphabet, CyclicSequence, gen_fkm, gen_greedy, parse_sequence
 from debruijn.watchman import (
     construct_watchman_walk,
     enumerate_min_walks,
@@ -37,9 +37,8 @@ def fixture_graph():
 
 
 def custom_graph(texts, arcs, a=2):
-    alphabet = Alphabet(a)
-    labels = [KString(tuple(alphabet.decode(c) for c in t), alphabet) for t in texts]
-    return Digraph(labels, arcs, Provenance("custom"))
+    ranks = [int(t, a) for t in texts]
+    return Digraph(Alphabet(a), len(texts[0]), ranks, arcs, Provenance("custom"))
 
 
 def random_custom_graph(rng, max_vertices=9):
