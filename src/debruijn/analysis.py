@@ -24,6 +24,7 @@ from itertools import groupby
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import generated_subdigraph, is_closed_dominating_walk
 from .seqcore import (
+    DEFAULT_SIZE_CAP,
     Alphabet,
     CyclicSequence,
     _check_tour_args,
@@ -117,10 +118,13 @@ def classify(d: CyclicSequence, k: int) -> Classification:
     """Apply the certificates in fixed precedence.
 
     Negative certificates first (they settle the question); a doubled
-    constant sequence therefore reports ConstantRun.
+    constant sequence therefore reports ConstantRun. A length-1 sequence
+    (so k = 1) has a constant run, but its induced walk is the stationary
+    walk of length 0, which is minimum, so the run certificate does not
+    apply to it.
     """
     _check_tour_args(d, k)
-    if has_constant_run(d, k):
+    if len(d) > 1 and has_constant_run(d, k):
         return Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.CONSTANT_RUN)
     if is_doubled(d, k):
         return Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.DOUBLED_SEQUENCE)
@@ -252,11 +256,24 @@ def orbit_form(symbols: tuple[int, ...]) -> tuple[int, ...]:
     Two sequences share it iff a rotation and a permutation of the
     alphabet map one onto the other: relabelling by first appearance
     forgets the symbol names, and the least over rotations forgets the
-    starting point.
+    starting point. The form begins with a run of 0s as long as the
+    run its rotation starts with, and a longer leading run sorts first,
+    so only rotations that start a longest cyclic run are tried; a
+    constant word is its own form.
     """
     n = len(symbols)
+    starts = [i for i in range(n) if symbols[i] != symbols[i - 1]]
+    if not starts:
+        return (0,) * n
+    # each run ends where the next one starts, cyclically
+    runs = [(nxt - i) % n for i, nxt in zip(starts, starts[1:] + starts[:1])]
+    longest = max(runs)
     doubled = symbols + symbols
-    return min(_first_appearance(doubled[i : i + n]) for i in range(n))
+    return min(
+        _first_appearance(doubled[i : i + n])
+        for i, run in zip(starts, runs)
+        if run == longest
+    )
 
 
 @dataclass
@@ -306,13 +323,19 @@ DEFAULT_SWEEP_BUDGET = 100_000
 
 
 def check_sweep_args(
-    a: int, k: int, lengths, budget: int = DEFAULT_SWEEP_BUDGET
+    a: int,
+    k: int,
+    lengths,
+    budget: int = DEFAULT_SWEEP_BUDGET,
+    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> list[int]:
     """Raise what sweep would raise for these arguments; else return the
     lengths sorted without repeats.
 
     Nothing is verified, so a caller can reject a sweep before it starts
-    (the CLI does so before it opens its CSV target).
+    (the CLI does so before it opens its CSV target). A length above
+    ``size_cap``, the cap on generated sequence lengths, raises
+    ResourceCapError before any word of that length is built.
     """
     Alphabet(a)
     if budget < 1:
@@ -330,6 +353,10 @@ def check_sweep_args(
         raise DomainError("no lengths to sweep")
     if lengths[0] < k:
         raise DomainError(f"sweep lengths must be at least the order k = {k}")
+    if lengths[-1] > size_cap:
+        raise ResourceCapError(
+            f"sweep length {lengths[-1]} exceeds size cap {size_cap}"
+        )
     return lengths
 
 
@@ -339,6 +366,7 @@ def sweep(
     lengths,
     budget: int = DEFAULT_SWEEP_BUDGET,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
+    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> SweepReport:
     """Verify every sequence of the given lengths, one per rotation class.
 
@@ -353,12 +381,13 @@ def sweep(
     Sequences whose subdigraph exceeds the oracle cap become skip
     entries; hitting the budget stops the sweep and marks the report
     truncated, and a range of more lengths than the budget raises
-    ResourceCapError before any sequence is verified. The summary
+    ResourceCapError before any sequence is verified, as does a length
+    above ``size_cap``. The summary
     tallies verdict x is_watchman cells (the Undetermined/true cell
     holds the sequences no certificate explains) plus the seam-only
     constant-run evidence.
     """
-    lengths = check_sweep_args(a, k, lengths, budget)
+    lengths = check_sweep_args(a, k, lengths, budget, size_cap)
     records: list[VerificationRecord | SkippedSequence] = []
     cells: dict[str, int] = {}
     for verdict in Verdict:

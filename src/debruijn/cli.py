@@ -184,13 +184,13 @@ def _open_csv(path: str):
 
 
 def cmd_sweep(args) -> int:
-    lengths, cap = _parse_lengths(args.lengths), _vertex_cap()
+    lengths, cap, size_cap = _parse_lengths(args.lengths), _vertex_cap(), _size_cap()
     # reject bad arguments before opening (and so truncating) the CSV
     # target, then open it, so that a bad path fails before the sweep
-    check_sweep_args(args.alphabet, args.order, lengths, args.budget)
+    check_sweep_args(args.alphabet, args.order, lengths, args.budget, size_cap)
     csv_target = nullcontext() if args.csv is None else _open_csv(args.csv)
     with csv_target as fh:
-        report = sweep(args.alphabet, args.order, lengths, args.budget, cap)
+        report = sweep(args.alphabet, args.order, lengths, args.budget, cap, size_cap)
         sys.stdout.write(report.to_jsonl())
         if fh is not None:
             fh.write(report.to_csv())

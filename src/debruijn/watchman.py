@@ -3,13 +3,13 @@
 The closed-form watchman number of the full de Bruijn graph is a**(k-1);
 construct_watchman_walk builds a walk attaining it by lifting a de Bruijn
 sequence of order k-1. solve_min_walk is the exact oracle: a per-start
-breadth-first search over (vertex, dominated-bitset) states, so it needs
-no formula and works on any digraph within the vertex cap.
+breadth-first search over (vertex, dominated-bitset) states, pruned by
+admissible bounds that include each start's cover masks, so it needs no
+formula and works on any digraph within the vertex cap.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
@@ -32,6 +32,11 @@ from .seqcore import (
 #: The oracle refuses digraphs with more vertices than this unless the
 #: caller raises the cap; the state space is bounded by n * 2**n.
 DEFAULT_VERTEX_CAP = 24
+
+# Mask bits one start's cover table may hold. A layer holds n masks of
+# n bits and a long sparse digraph needs about n layers, so without a
+# bound its table grows as n**3 bits (127 MiB for a 1,100-vertex cycle).
+_COVER_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,9 @@ def induced_walk(
 ) -> Walk:
     """The closed walk visiting the k-tour windows of ``d`` in tour order.
 
-    Repeated windows are revisited, not skipped, so the length is always
-    exactly len(d). ``graph`` may supply a pre-built generated
+    Repeated windows are revisited, not skipped, so the length is
+    len(d), except that a length-1 sequence gives the stationary walk on
+    its one window, of length 0. ``graph`` may supply a pre-built generated
     subdigraph over the same alphabet and order; by default one is
     constructed.
     """
@@ -142,9 +148,12 @@ class _SearchSetup:
                 m |= 1 << u
             self.nb.append(m)
         self.max_gain = max(m.bit_count() for m in self.nb)
+        self.cover_horizon = _COVER_BITS // (n * n)
+        self.no_cover = [self.full] * n  # a layer that prunes nothing
 
-    def starts(self) -> list[tuple[int, list[int]]]:
-        """Every start whose walks could dominate, with its return distances.
+    def starts(self) -> list[_Start]:
+        """Every start whose walks could dominate, each with its return
+        distances and cover masks.
 
         dist_back[u] is the arc-distance from u back to start through
         vertices >= start, or -1 if there is no such path; the searches
@@ -161,13 +170,12 @@ class _SearchSetup:
         for start in range(n):
             dist_back = [-1] * n
             dist_back[start] = 0
-            dq = deque([start])
-            while dq:
-                u = dq.popleft()
+            returning = [start]  # breadth-first, so by return distance
+            for u in returning:
                 for p in in_adj[u]:
                     if p >= start and dist_back[p] < 0:
                         dist_back[p] = dist_back[u] + 1
-                        dq.append(p)
+                        returning.append(p)
             # the component is what start reaches among the vertices that
             # can return to it
             potential = nb[start]
@@ -180,38 +188,117 @@ class _SearchSetup:
                         potential |= nb[u]
                         stack.append(u)
             if potential == self.full:
-                starts.append((start, dist_back))
+                starts.append(_Start(self, start, dist_back, returning))
         return starts
 
 
+class _Start:
+    """One start of the searches: its return distances and cover masks.
+
+    cover(t)[u] is the set of vertices dominated by some y with
+    d(u, y) + dist_back[y] <= t, where d is the arc distance through the
+    vertices that can return to start. Every walk from u that gets back
+    to start within t arcs visits only such y, so it dominates only
+    vertices in cover(t)[u]: a state (u, m) with t arcs left is dead
+    unless m | cover(t)[u] is the full set, and no closed dominating walk
+    through start is shorter than the least t with cover(t)[start] full.
+    The layers are built on demand, one bitset recurrence each:
+    cover(t)[u] = (nb[u] if dist_back[u] <= t) | OR of cover(t-1)[v] over
+    the out-neighbours v of u. cover(t)[u] is empty exactly while
+    t < dist_back[u], so a layer equal to the one before it comes after
+    every return distance and the recurrence has reached its fixed point.
+    Past the setup's cover_horizon the table stops growing, and a later
+    layer that is not the fixed point is replaced by one that prunes
+    nothing, which is still admissible.
+    """
+
+    def __init__(
+        self,
+        setup: _SearchSetup,
+        vertex: int,
+        dist_back: list[int],
+        returning: list[int],
+    ) -> None:
+        self.vertex = vertex
+        self.dist_back = dist_back
+        self._setup = setup
+        self._returning = returning  # the vertices with a cover, by dist_back
+        layer = [0] * setup.n
+        layer[vertex] = setup.nb[vertex]
+        self._layers = [layer]
+        self._settled = False
+
+    def cover(self, t: int) -> list[int]:
+        layers = self._layers
+        if t >= len(layers) and not self._settled:
+            setup, dist_back = self._setup, self.dist_back
+            out, nb, full = setup.out, setup.nb, setup.full
+            prev = layers[-1]
+            while len(layers) <= t:
+                if len(layers) > setup.cover_horizon:
+                    return setup.no_cover
+                layer = prev.copy()
+                for u in self._returning:
+                    if dist_back[u] > len(layers):
+                        break  # the covers of u onwards are still empty
+                    if prev[u] == full:
+                        continue
+                    m = nb[u]
+                    for v in out[u]:
+                        m |= prev[v]
+                    layer[u] = m
+                if layer == prev:
+                    self._settled = True
+                    break
+                layers.append(layer)
+                prev = layer
+        return layers[min(t, len(layers) - 1)]
+
+    def within(self, limit: int) -> bool:
+        """Whether cover(limit)[start] is full, from layer limit - 1 only.
+
+        Otherwise no closed dominating walk through start has at most
+        ``limit`` arcs.
+        """
+        prev, m = self.cover(limit - 1), self._setup.nb[self.vertex]
+        for v in self._setup.out[self.vertex]:
+            m |= prev[v]
+        return m == self._setup.full
+
+
 def _bounded_bfs(
-    setup: _SearchSetup, start: int, dist_back: list[int], limit: int
+    setup: _SearchSetup, start: _Start, limit: int
 ) -> tuple[list[int] | None, int]:
     """Shortest closed dominating walk through ``start`` of length <= limit.
 
     Breadth-first over (vertex, dominated-bitset) states; returns the
     walk's vertex list (start first) or None, plus the number of states
-    expanded. States are pruned when the depth plus an admissible
-    lower bound (return distance, or ceil(undominated / max
-    closed-neighborhood size)) exceeds the limit, so a goal within the
-    limit is never missed. The first parent to reach a state keeps it
-    and out-neighbors are tried in ascending order, so of all such walks
-    the lexicographically least is found.
+    expanded. A state with t arcs left is pruned when one of three
+    admissible bounds shows no walk completes within the limit: its
+    return distance exceeds t, ceil(undominated / max closed-neighborhood
+    size) exceeds t, or its mask together with the start's cover(t) at
+    its vertex is not the full set. So a goal within the limit is never
+    missed. The first parent to reach a state keeps it and out-neighbors
+    are tried in ascending order, so of all such walks the
+    lexicographically least is found.
     """
     out, nb, full, max_gain = setup.out, setup.nb, setup.full, setup.max_gain
+    vertex, dist_back = start.vertex, start.dist_back
     explored = 0
-    init = (start, nb[start])
+    init = (vertex, nb[vertex])
     parent: dict[tuple[int, int], tuple[int, int] | None] = {init: None}
     frontier = [init]
     depth = 0
-    while frontier and depth + 1 <= limit:
+    while frontier and depth < limit:
+        slack = limit - depth - 1  # arcs left after the next step
+        cover = start.cover(slack)
         nxt: list[tuple[int, int]] = []
         for state in frontier:
             v, m = state
             explored += 1
             for u in out[v]:
                 m2 = m | nb[u]
-                if u == start and m2 == full:
+                if u == vertex and m2 == full:
                     seq = []
                     s: tuple[int, int] | None = state
                     while s is not None:
@@ -223,10 +310,9 @@ def _bounded_bfs(
                 if key in parent:
                     continue
                 db = dist_back[u]
-                if db < 0:
+                if db < 0 or db > slack or m2 | cover[u] != full:
                     continue
-                undone = (full & ~m2).bit_count()
-                if depth + 1 + max(db, -(-undone // max_gain)) > limit:
+                if -(-(full & ~m2).bit_count() // max_gain) > slack:
                     continue
                 parent[key] = state
                 nxt.append(key)
@@ -251,12 +337,17 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     component among the vertices >= start cannot dominate are skipped;
     if no start survives, the instance is infeasible. Within a deepening
     round the starts are tried in ascending order and the first walk
-    found is returned. A stationary length-0 walk is returned iff some
-    single vertex dominates the whole graph, the least such vertex.
+    found is returned; a start whose cover masks show that no walk
+    through it fits the round's limit is skipped, so the first round
+    that searches at all is the least such bound over the starts. A
+    stationary length-0 walk is returned iff some single vertex
+    dominates the whole graph, the least such vertex.
 
     The witness is therefore the least canonical minimum walk: it starts
     at its least vertex, is the lexicographically least rotation of
-    itself, and equals ``enumerate_min_walks(g, optimum)[0]``.
+    itself, and equals ``enumerate_min_walks(g, optimum)[0]``. The cover
+    masks only cut states that lie on no walk completing within the
+    limit, so they change explored_states and never the witness.
     """
     setup = _SearchSetup(g, vertex_cap)
     for v in range(setup.n):
@@ -271,8 +362,10 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     explored = 0
     limit = max(2, -(-n // setup.max_gain))
     while True:
-        for start, dist_back in starts:
-            found, expanded = _bounded_bfs(setup, start, dist_back, limit)
+        for start in starts:
+            if not start.within(limit):
+                continue
+            found, expanded = _bounded_bfs(setup, start, limit)
             explored += expanded
             if found is not None:
                 witness = Walk(g, tuple(found), closed=True)
@@ -308,19 +401,26 @@ def enumerate_min_walks(
     max_gain = setup.max_gain
     found: set[tuple[int, ...]] = set()
 
-    for start, dist_back in setup.starts():
+    for start in setup.starts():
+        if not start.within(length):
+            continue
+        vertex, dist_back = start.vertex, start.dist_back
+        covers = [start.cover(t) for t in range(length)]
         # depth-first with one frame per path vertex: its out-neighbours
         # not yet tried and the vertices dominated so far
-        path = [start]
-        frames = [(iter(out[start]), nb[start])]
+        path = [vertex]
+        frames = [(iter(out[vertex]), nb[vertex])]
         while frames:
             succ, dom = frames[-1]
             remaining = length - len(path)  # arcs left after stepping on
+            cover = covers[remaining]
             for u in succ:
                 db = dist_back[u]
                 if db < 0 or db > remaining:
                     continue
                 dom2 = dom | nb[u]
+                if dom2 | cover[u] != full:
+                    continue
                 undone = (full & ~dom2).bit_count()
                 if -(-undone // max_gain) > remaining:
                     continue
@@ -328,7 +428,7 @@ def enumerate_min_walks(
                 if len(path) < length:
                     frames.append((iter(out[u]), dom2))
                     break
-                if dom2 == full and start in out_set[u]:
+                if dom2 == full and vertex in out_set[u]:
                     found.add(least_rotation(tuple(path)))
                 path.pop()
             else:

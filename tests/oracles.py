@@ -131,6 +131,42 @@ def closed_dominating_walks(g, length):
     return found
 
 
+def cover_detours(g, start):
+    """Return distances and detour lengths of the search from ``start``.
+
+    back[u] is the BFS arc distance from u back to start through the
+    vertices >= start, for each u that has one. detour[u][x], for each
+    such u, is the least d(u, y) + back[y] over the y with x in N^+[y]
+    (y = x, or an arc y -> x), where d is the BFS distance from u
+    through the vertices >= start; x is missing when no such y exists.
+    """
+    out = out_lists(g)
+    into = [[] for _ in range(g.vertex_count)]
+    for u, v in g.arcs:
+        into[v].append(u)
+
+    def bfs(source, adjacency):
+        dist = {source: 0}
+        queue = [source]
+        for v in queue:
+            for w in adjacency[v]:
+                if w >= start and w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
+
+    back = bfs(start, into)
+    detour = {}
+    for u in back:
+        best = {}
+        for y, d in bfs(u, out).items():
+            if y in back:
+                for x in [y, *out[y]]:
+                    best[x] = min(best.get(x, d + back[y]), d + back[y])
+        detour[u] = best
+    return back, detour
+
+
 def min_walk_length(g, max_length):
     """Least L <= max_length with a closed dominating walk, else None."""
     for length in range(max_length + 1):

@@ -127,6 +127,17 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(parse_sequence("01", 2), 3)
 
+    @pytest.mark.parametrize("a", [2, 3])
+    def test_length_one_sequence_is_a_watchman(self, a):
+        # its one window is constant, but the induced walk is stationary
+        seq = parse_sequence(str(a - 1), a)
+        assert classify(seq, 1) == Classification(
+            Verdict.PROVABLY_WATCHMAN, Reason.DISTINCT_WINDOWS
+        )
+        rec = verify(seq, 1)
+        assert rec.is_watchman and rec.induced_length == rec.oracle_optimum == 0
+        assert classify(parse_sequence("00", a), 1).reason is Reason.CONSTANT_RUN
+
     def test_render(self):
         c = classify(parse_sequence("0001", 2), 3)
         assert str(c) == "ProvablyNotWatchman (ConstantRun)"
@@ -292,6 +303,13 @@ class TestSweep:
         report = sweep(2, 2, range(2, 4), budget=2)  # as wide as the budget
         assert report.summary["truncated"]
 
+    def test_length_above_the_size_cap_is_a_cap_error(self):
+        with pytest.raises(ResourceCapError, match="sweep length 4097 exceeds size cap 4096"):
+            sweep(2, 1, range(4096, 4098), budget=2)
+        with pytest.raises(ResourceCapError, match="size cap 3$"):
+            sweep(2, 1, range(1, 5), size_cap=3)
+        assert sweep(2, 1, range(1, 4), size_cap=3).summary["total"] == 9
+
     def test_oracle_cap_becomes_skip_marker(self):
         report = sweep(4, 2, range(4, 5), vertex_cap=10)
         skipped = [r for r in report.records if isinstance(r, SkippedSequence)]
@@ -367,6 +385,9 @@ class TestOrbitSharing:
         assert orbit_form((2, 1, 1)) == orbit_form((0, 0, 1)) == (0, 0, 1)
         assert orbit_form((1, 0, 2, 0)) == (0, 1, 0, 2)
         assert orbit_form((0, 0, 1)) != orbit_form((0, 1, 2))
+        assert orbit_form((2, 2, 2)) == (0, 0, 0)
+        assert orbit_form((0, 1, 1, 1, 0, 2)) == (0, 0, 0, 1, 2, 1)  # longest run inside
+        assert orbit_form((1, 0, 0, 2, 2)) == (0, 0, 1, 1, 2)  # two longest runs
 
     @pytest.mark.parametrize(
         "a,k,lengths,vertex_cap",

@@ -271,6 +271,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--seq", "0011", "-a", "2", "-k", "3")
         assert code == 2 and "cap" in err
 
+    def test_length_one_sequence_at_order_one(self, capsys):
+        # the induced walk is the stationary walk, which is minimum
+        code, out, err = run(capsys, "verify", "--seq", "0", "-a", "2", "-k", "1")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert (obj["verdict"], obj["reason"]) == ("ProvablyWatchman", "DistinctWindows")
+        assert obj["induced_length"] == obj["oracle_optimum"] == 0
+        assert obj["is_watchman"] is True
+
 
 class TestSweep:
     def test_jsonl_and_csv(self, capsys, tmp_path):
@@ -307,6 +316,7 @@ class TestSweep:
             (["-a", "1", "-k", "2", "--lengths", "2..3"], 1),  # bad alphabet
             (["-a", "2", "-k", "2", "--lengths", "2..3", "--budget", "0"], 1),
             (["-a", "2", "-k", "2", "--lengths", "2..9", "--budget", "3"], 2),
+            (["-a", "2", "-k", "1", "--lengths", "4097..4097"], 2),  # size cap
         ],
     )
     def test_rejected_sweep_leaves_the_csv_alone(self, capsys, tmp_path, args, exit_code):
@@ -331,6 +341,35 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("watchman: resource cap: length range 2..1000000000000")
         assert "record budget of 1" in err
+
+    def test_order_one_sweep_from_length_one(self, capsys):
+        code, out, err = run(capsys, "sweep", "-a", "2", "-k", "1", "--lengths", "1..3")
+        assert (code, err) == (0, "")
+        *records, summary = [json.loads(line) for line in out.splitlines()]
+        assert [r["sequence"] for r in records[:2]] == ["0", "1"]
+        assert all(r["is_watchman"] for r in records[:2])
+        assert summary["summary"]["cells"]["ProvablyWatchman:true"] == 2
+        assert summary["summary"]["cells"]["ProvablyNotWatchman:false"] == 7
+
+    @pytest.mark.parametrize(
+        "lengths,cap", [("4097..4097", None), ("1000000000..1000000000", None), ("9..9", "8")]
+    )
+    def test_length_above_the_size_cap_is_a_cap_error(
+        self, capsys, monkeypatch, lengths, cap
+    ):
+        # rejected before a word of that length is built
+        if cap is not None:
+            monkeypatch.setenv("WATCHMAN_MAX_SEQ", cap)
+        code, out, err = run(capsys, "sweep", "-a", "2", "-k", "1", "--lengths", lengths)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"watchman: resource cap: sweep length {lengths.split('..')[0]}")
+        assert f"size cap {cap or 4096}" in err
+
+    def test_length_at_the_size_cap_is_swept(self, capsys, monkeypatch):
+        monkeypatch.setenv("WATCHMAN_MAX_SEQ", "8")
+        code, out, _ = run(capsys, "sweep", "-a", "2", "-k", "1", "--lengths", "8..8")
+        assert code == 0
+        assert json.loads(out.splitlines()[-1])["summary"]["total"] == 36
 
     def test_budget_must_be_positive(self, capsys):
         code, _, err = run(

@@ -27,12 +27,15 @@ ints = st.integers(-1, 5).map(str) | st.sampled_from(["37", "20000", "x", ""])
 seqs = st.text(alphabet="0123A", max_size=9) | st.text(
     alphabet="0123A", min_size=10, max_size=int(CAPS["WATCHMAN_MAX_SEQ"])
 )
-# A high end above 10**6 makes a range wider than any budget drawn here
-# (at most the default 100,000), which sweep refuses before it verifies
-# a record; a high end between 7 and that would run a sweep to its
-# budget, up to 100,000 records, too slow for one example.
+# A high end above WATCHMAN_MAX_SEQ is a length sweep refuses before it
+# verifies a record, as is, above 10**6, a range wider than any budget
+# drawn here (at most the default 100,000); a high end between 7 and
+# the cap would run a sweep to its budget, up to 100,000 records, too
+# slow for one example.
 lengths = st.builds(
-    "{}..{}".format, st.integers(-1, 6), st.integers(-1, 6) | st.integers(10**6, 10**12)
+    "{}..{}".format,
+    st.integers(-1, 6),
+    st.integers(-1, 6) | st.integers(int(CAPS["WATCHMAN_MAX_SEQ"]) + 1, 10**12),
 ) | st.sampled_from(["3", "..", "x..y", "5..2"])
 paths = st.sampled_from(["", "\0", os.devnull, SEQ_FILE, MISSING])
 junk = st.text(max_size=8) | st.sampled_from(["-", "--", "-h", "--seq", "-k", "=1"])
@@ -120,6 +123,9 @@ HUGE_GRAPH = json.dumps(
 @example(
     ["sweep", "-a", "2", "-k", "2", "--lengths", "2..1000000000000", "--budget", "1"], ""
 )
+@example(["verify", "--seq", "0", "-a", "2", "-k", "1"], "")
+@example(["sweep", "-a", "2", "-k", "1", "--lengths", "1..3"], "")
+@example(["sweep", "-a", "2", "-k", "1", "--lengths", "65..65"], "")
 @example(["solve"], HUGE_GRAPH)
 @example(["solve"], '{"alphabet": ' + "9" * 5000 + "}")
 def test_main_exits_0_1_or_2(argv, stdin_text):

@@ -1,9 +1,12 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from debruijn import DomainError, ResourceCapError
+from debruijn import DomainError, ResourceCapError, watchman
+from debruijn.analysis import orbit_form, rotation_representatives
 from debruijn.graphcore import (
     Digraph,
     Provenance,
@@ -15,6 +18,7 @@ from debruijn.graphcore import (
 )
 from debruijn.seqcore import Alphabet, CyclicSequence, gen_fkm, gen_greedy, parse_sequence
 from debruijn.watchman import (
+    _SearchSetup,
     construct_watchman_walk,
     enumerate_min_walks,
     induced_walk,
@@ -25,6 +29,7 @@ from debruijn.watchman import (
 from oracles import (
     canonical_rotation,
     closed_dominating_walks,
+    cover_detours,
     has_closed_dominating_walk,
     min_walk_length,
 )
@@ -183,6 +188,19 @@ class TestSolve:
             solve_min_walk(g)
         assert solve_min_walk(g, vertex_cap=25).optimum_length == 5
 
+    def test_witnesses_of_binary_order_six_sequences_are_pinned(self):
+        # 24 sequences with 34-44-vertex subdigraphs, above the default
+        # cap; the file holds each one's witness as found by the search
+        # before the cover-mask bound, which must leave witnesses alone
+        path = Path(__file__).with_name("solve_b6_witnesses.json")
+        pinned = json.loads(path.read_text(encoding="utf-8"))
+        assert len(pinned) == 24
+        for text, witness in pinned.items():
+            g = generated_subdigraph(parse_sequence(text, 2), 6)
+            result = solve_min_walk(g, vertex_cap=64)
+            assert list(result.witness.label_texts) == witness, text
+            assert result.optimum_length == len(witness)
+
     def test_json_shape(self):
         obj = solve_min_walk(build_de_bruijn_graph(2, 2)).to_json()
         assert set(obj) == {"optimum", "witness", "explored_states"}
@@ -255,6 +273,113 @@ class TestEnumerate:
         walks = enumerate_min_walks(g, n, vertex_cap=n)
         assert [w.vertex_indices for w in walks] == [tuple(range(n))]
         assert enumerate_min_walks(g, n - 1, vertex_cap=n) == []
+
+
+def sweep_orbit_graphs(a, k, lengths):
+    """The subdigraph of the first necklace of each orbit a sweep solves."""
+    graphs = {}
+    for n in lengths:
+        for seq in rotation_representatives(a, n):
+            graphs.setdefault((n, orbit_form(seq.symbols)), generated_subdigraph(seq, k))
+    return list(graphs.values())
+
+
+def assert_covers_match_detours(g):
+    setup = _SearchSetup(g, g.vertex_count)
+    for start in setup.starts():
+        back, detour = cover_detours(g, start.vertex)
+        assert start.dist_back == [back.get(u, -1) for u in range(g.vertex_count)]
+        last = max(max(row.values()) for row in detour.values())
+        for t in range(last + 2):  # one layer past the fixed point
+            cover = start.cover(t)
+            for u in range(g.vertex_count):
+                row = detour.get(u, {})
+                assert cover[u] == sum(1 << x for x, d in row.items() if d <= t)
+            if t:
+                assert start.within(t) == (cover[start.vertex] == setup.full)
+
+
+class TestCoverMasks:
+    def test_covers_match_brute_force_detours_on_random_digraphs(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            assert_covers_match_detours(random_custom_graph(rng))
+
+    def test_covers_match_brute_force_detours_on_sweep_orbit_graphs(self):
+        graphs = sweep_orbit_graphs(4, 3, range(3, 7))
+        assert len(graphs) == 60
+        for g in graphs:
+            assert_covers_match_detours(g)
+
+    def test_start_bound_never_exceeds_the_shortest_walk_through_start(self):
+        # a walk is met from its least vertex, which its canonical
+        # rotation starts with; a start the setup drops has no walk
+        rng = random.Random(3141)
+        checked = 0
+        for _ in range(150):
+            g = random_custom_graph(rng, max_vertices=6)
+            setup = _SearchSetup(g, g.vertex_count)
+            starts = {start.vertex: start for start in setup.starts()}
+            shortest = {}
+            for length in range(g.vertex_count + 3):
+                for walk in closed_dominating_walks(g, length):
+                    shortest.setdefault(walk[0], length)
+            assert set(shortest) <= set(starts)
+            for vertex, length in shortest.items():
+                cover = starts[vertex].cover
+                bound = next(t for t in range(length + 1) if cover(t)[vertex] == setup.full)
+                assert bound <= length
+                checked += 1
+        assert checked > 50
+
+    def test_a_long_cycle_keeps_a_bounded_table(self):
+        n = 1100
+        g = Digraph(Alphabet(2), 11, range(n), [(i, (i + 1) % n) for i in range(n)])
+        setup = _SearchSetup(g, n)
+        (start,) = setup.starts()
+        horizon = setup.cover_horizon
+        assert horizon == (1 << 24) // n**2 == 13
+        assert start.cover(horizon)[start.vertex] != setup.full
+        assert start.cover(horizon + 1) is setup.no_cover
+        assert start.within(n - 1)  # past the horizon nothing is excluded
+        assert solve_min_walk(g, vertex_cap=n).optimum_length == n
+
+    def test_a_truncated_table_keeps_the_search_exact(self, monkeypatch):
+        rng = random.Random(2024)
+        graphs = [random_custom_graph(rng) for _ in range(120)]
+        expected = []
+        for g in graphs:
+            result = solve_min_walk(g)
+            expected.append((result.optimum_length, result.witness))
+        for g, (optimum, witness) in zip(graphs, expected):
+            n = g.vertex_count
+            horizon = rng.randrange(4)
+            monkeypatch.setattr(watchman, "_COVER_BITS", horizon * n * n)
+            assert _SearchSetup(g, n).cover_horizon == horizon
+            result = solve_min_walk(g)
+            assert result.optimum_length == optimum
+            if witness is not None:
+                assert result.witness.vertex_indices == witness.vertex_indices
+                walks = enumerate_min_walks(g, optimum)
+                assert walks[0].vertex_indices == witness.vertex_indices
+
+    def test_enumeration_is_exact_at_and_above_the_optimum(self):
+        rng = random.Random(1618)
+        checked = 0
+        for _ in range(150):
+            g = random_custom_graph(rng, max_vertices=6)
+            result = solve_min_walk(g)
+            if not result.feasible:
+                continue
+            for length in (result.optimum_length, result.optimum_length + 1):
+                if length == 1:  # a dominating self-loop is the stationary walk
+                    continue
+                walks = enumerate_min_walks(g, length)
+                assert {w.vertex_indices for w in walks} == closed_dominating_walks(
+                    g, length
+                )
+                checked += 1
+        assert checked > 50
 
 
 @st.composite
