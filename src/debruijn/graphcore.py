@@ -44,6 +44,10 @@ class Provenance:
             raise DomainError(f"unknown provenance kind {self.kind!r}")
         if self.kind == "generated" and self.sequence is None:
             raise DomainError("generated provenance must record its sequence")
+        if self.sequence is not None and not isinstance(self.sequence, str):
+            raise DomainError(
+                f"provenance sequence must be a string, got {self.sequence!r}"
+            )
 
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind}

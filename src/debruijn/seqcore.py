@@ -37,10 +37,6 @@ class Alphabet:
                 f"got {self.size}"
             )
 
-    @property
-    def symbols(self) -> range:
-        return range(self.size)
-
     def char(self, symbol: int) -> str:
         if not 0 <= symbol < self.size:
             raise DomainError(

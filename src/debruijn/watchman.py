@@ -4,8 +4,8 @@ The closed-form watchman number of the full de Bruijn graph is a**(k-1);
 construct_watchman_walk builds a walk attaining it by lifting a de Bruijn
 sequence of order k-1. solve_min_walk is the exact oracle: a per-start
 breadth-first search over (vertex, dominated-bitset) states, pruned by
-admissible bounds that include each start's cover masks, so it needs no
-formula and works on any digraph within the vertex cap.
+each start's cover masks, so it needs no formula and works on any
+digraph within the vertex cap.
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ class _SearchSetup:
             for u in targets:
                 m |= 1 << u
             self.nb.append(m)
-        self.max_gain = max(m.bit_count() for m in self.nb)
         self.cover_horizon = _COVER_BITS // (n * n)
         self.no_cover = [self.full] * n  # a layer that prunes nothing
 
@@ -254,17 +253,6 @@ class _Start:
                 prev = layer
         return layers[min(t, len(layers) - 1)]
 
-    def within(self, limit: int) -> bool:
-        """Whether cover(limit)[start] is full, from layer limit - 1 only.
-
-        Otherwise no closed dominating walk through start has at most
-        ``limit`` arcs.
-        """
-        prev, m = self.cover(limit - 1), self._setup.nb[self.vertex]
-        for v in self._setup.out[self.vertex]:
-            m |= prev[v]
-        return m == self._setup.full
-
 
 def _bounded_bfs(
     setup: _SearchSetup, start: _Start, limit: int
@@ -273,16 +261,15 @@ def _bounded_bfs(
 
     Breadth-first over (vertex, dominated-bitset) states; returns the
     walk's vertex list (start first) or None, plus the number of states
-    expanded. A state with t arcs left is pruned when one of three
-    admissible bounds shows no walk completes within the limit: its
-    return distance exceeds t, ceil(undominated / max closed-neighborhood
-    size) exceeds t, or its mask together with the start's cover(t) at
-    its vertex is not the full set. So a goal within the limit is never
-    missed. The first parent to reach a state keeps it and out-neighbors
-    are tried in ascending order, so of all such walks the
-    lexicographically least is found.
+    expanded. A state (u, m) with t arcs left is pruned by two checks
+    read from the start's cover table, both admissible: its return
+    distance exceeds t (exactly where cover(t)[u] is empty, and the only
+    bound past the table's horizon), or m | cover(t)[u] is not the full
+    set. So a goal within the limit is never missed. The first parent to
+    reach a state keeps it and out-neighbors are tried in ascending
+    order, so of all such walks the lexicographically least is found.
     """
-    out, nb, full, max_gain = setup.out, setup.nb, setup.full, setup.max_gain
+    out, nb, full = setup.out, setup.nb, setup.full
     vertex, dist_back = start.vertex, start.dist_back
     explored = 0
     init = (vertex, nb[vertex])
@@ -312,8 +299,6 @@ def _bounded_bfs(
                 db = dist_back[u]
                 if db < 0 or db > slack or m2 | cover[u] != full:
                     continue
-                if -(-(full & ~m2).bit_count() // max_gain) > slack:
-                    continue
                 parent[key] = state
                 nxt.append(key)
         frontier = nxt
@@ -328,20 +313,22 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     breadth-first search with transitions along out-arcs; the goal is
     being back at the start with everything dominated. All arc costs are
     1, so breadth-first order is uniform-cost order. The target length is
-    iteratively deepened from the bound ceil(n / max closed-neighborhood
-    size), which keeps every search tightly pruned without ever
-    sacrificing exactness.
+    iteratively deepened from the global counting bound ceil(n / max
+    closed-neighborhood size): a walk of L >= 1 arcs visits at most L
+    vertices, each dominating at most that many. Within a round, each
+    state is pruned by the two checks of _bounded_bfs, both read from its
+    start's cover table.
 
     Each walk is searched from its least vertex only: the search from a
     start never steps to a smaller vertex, and starts whose strong
     component among the vertices >= start cannot dominate are skipped;
     if no start survives, the instance is infeasible. Within a deepening
     round the starts are tried in ascending order and the first walk
-    found is returned; a start whose cover masks show that no walk
-    through it fits the round's limit is skipped, so the first round
-    that searches at all is the least such bound over the starts. A
-    stationary length-0 walk is returned iff some single vertex
-    dominates the whole graph, the least such vertex.
+    found is returned; a start whose own cover at the round's limit is
+    not full has no walk through it that fits, and is skipped, so the
+    first round that searches at all is the least such bound over the
+    starts. A stationary length-0 walk is returned iff some single
+    vertex dominates the whole graph, the least such vertex.
 
     The witness is therefore the least canonical minimum walk: it starts
     at its least vertex, is the lexicographically least rotation of
@@ -360,10 +347,10 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
 
     n = setup.n
     explored = 0
-    limit = max(2, -(-n // setup.max_gain))
+    limit = max(2, -(-n // max(m.bit_count() for m in setup.nb)))
     while True:
         for start in starts:
-            if not start.within(limit):
+            if start.cover(limit)[start.vertex] != setup.full:
                 continue
             found, expanded = _bounded_bfs(setup, start, limit)
             explored += expanded
@@ -397,12 +384,10 @@ def enumerate_min_walks(
         # optimal: the stationary walk dominates the same set)
         return []
 
-    out_set = [frozenset(ts) for ts in out]
-    max_gain = setup.max_gain
     found: set[tuple[int, ...]] = set()
 
     for start in setup.starts():
-        if not start.within(length):
+        if start.cover(length)[start.vertex] != full:
             continue
         vertex, dist_back = start.vertex, start.dist_back
         covers = [start.cover(t) for t in range(length)]
@@ -421,14 +406,11 @@ def enumerate_min_walks(
                 dom2 = dom | nb[u]
                 if dom2 | cover[u] != full:
                     continue
-                undone = (full & ~dom2).bit_count()
-                if -(-undone // max_gain) > remaining:
-                    continue
                 path.append(u)
                 if len(path) < length:
                     frames.append((iter(out[u]), dom2))
                     break
-                if dom2 == full and vertex in out_set[u]:
+                if dom2 == full and vertex in out[u]:
                     found.add(least_rotation(tuple(path)))
                 path.pop()
             else:

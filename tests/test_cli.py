@@ -148,6 +148,8 @@ class TestSolve:
             ("vertices", "01"),
             ("alphabet", 2.0),
             ("order", True),
+            ("provenance", {"kind": "custom", "sequence": 5}),
+            ("provenance", {"kind": "generated", "sequence": [1, {"x": None}]}),
         ],
     )
     def test_malformed_graph_json_is_a_domain_error(

@@ -370,6 +370,21 @@ class TestConstructor:
         with pytest.raises(DomainError, match="references an unknown vertex"):
             Digraph(Alphabet(2), 2, [0, 1], [arc])
 
+    @pytest.mark.parametrize("kind", ["custom", "generated", "de_bruijn"])
+    @pytest.mark.parametrize("sequence", [5, [1, {"x": None}], {"s": "01"}, 1.5, True])
+    def test_rejects_a_provenance_sequence_that_is_not_a_string(self, kind, sequence):
+        with pytest.raises(DomainError, match="provenance sequence must be a string"):
+            Provenance(kind, sequence)
+        obj = {
+            "alphabet": 2,
+            "order": 1,
+            "vertices": ["0", "1"],
+            "arcs": [],
+            "provenance": {"kind": kind, "sequence": sequence},
+        }
+        with pytest.raises(DomainError, match="provenance sequence must be a string"):
+            Digraph.from_json(obj)
+
     @pytest.mark.parametrize("arc", [[0.5, 1], [True, 0], [0], [0, 1, 1], "01", 0])
     def test_from_json_rejects_malformed_arcs(self, arc):
         obj = {"alphabet": 2, "order": 2, "vertices": ["00", "01"], "arcs": [arc]}

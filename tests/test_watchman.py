@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from pathlib import Path
 
@@ -16,7 +17,14 @@ from debruijn.graphcore import (
     generated_subdigraph,
     is_closed_dominating_walk,
 )
-from debruijn.seqcore import Alphabet, CyclicSequence, gen_fkm, gen_greedy, parse_sequence
+from debruijn.seqcore import (
+    Alphabet,
+    CyclicSequence,
+    gen_fkm,
+    gen_greedy,
+    is_de_bruijn_sequence,
+    parse_sequence,
+)
 from debruijn.watchman import (
     _SearchSetup,
     construct_watchman_walk,
@@ -35,6 +43,9 @@ from oracles import (
 )
 
 FIXTURE_SEQ = "01210123"  # repeated 2-windows, induced walk still minimum
+
+# every full graph G(a, k) with k >= 2 and at most 36 vertices
+FULL_GRAPHS = [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (2, 4), (2, 5)]
 
 
 def fixture_graph():
@@ -146,10 +157,10 @@ class TestInducedWalk:
 
 
 class TestSolve:
-    @pytest.mark.parametrize("a,k", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("a,k", FULL_GRAPHS)
     def test_full_graphs_match_closed_form(self, a, k):
         g = build_de_bruijn_graph(a, k)
-        result = solve_min_walk(g)
+        result = solve_min_walk(g, vertex_cap=64)
         assert result.optimum_length == watchman_number(a, k)
         assert is_closed_dominating_walk(g, result.witness)
         assert result.witness.length == result.optimum_length
@@ -221,6 +232,18 @@ class TestEnumerate:
         walks = enumerate_min_walks(g, 4)
         expected = tuple(g.index(t) for t in ("001", "011", "110", "100"))
         assert [w.vertex_indices for w in walks] == [expected]
+
+    @pytest.mark.parametrize("a,k", FULL_GRAPHS)
+    def test_full_graph_minimum_walks_are_de_bruijn_sequences(self, a, k):
+        # a minimum walk of G(a, k) lifts a de Bruijn sequence of order
+        # k-1, read off its vertices' last symbols; by the BEST theorem
+        # there are (a!)**(a**(k-2)) of them, a**(k-1) per rotation class
+        g = build_de_bruijn_graph(a, k)
+        walks = enumerate_min_walks(g, a ** (k - 1), vertex_cap=64)
+        assert len(walks) == math.factorial(a) ** (a ** (k - 2)) // a ** (k - 1)
+        for walk in walks:
+            symbols = tuple(g.ranks[v] % a for v in walk.vertex_indices)
+            assert is_de_bruijn_sequence(CyclicSequence(symbols, Alphabet(a)), k - 1)
 
     def test_below_optimum_is_empty(self):
         g = build_de_bruijn_graph(2, 3)
@@ -295,8 +318,6 @@ def assert_covers_match_detours(g):
             for u in range(g.vertex_count):
                 row = detour.get(u, {})
                 assert cover[u] == sum(1 << x for x, d in row.items() if d <= t)
-            if t:
-                assert start.within(t) == (cover[start.vertex] == setup.full)
 
 
 class TestCoverMasks:
@@ -341,7 +362,8 @@ class TestCoverMasks:
         assert horizon == (1 << 24) // n**2 == 13
         assert start.cover(horizon)[start.vertex] != setup.full
         assert start.cover(horizon + 1) is setup.no_cover
-        assert start.within(n - 1)  # past the horizon nothing is excluded
+        # past the horizon nothing is excluded
+        assert start.cover(n - 1)[start.vertex] == setup.full
         assert solve_min_walk(g, vertex_cap=n).optimum_length == n
 
     def test_a_truncated_table_keeps_the_search_exact(self, monkeypatch):
