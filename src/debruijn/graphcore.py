@@ -6,9 +6,10 @@ rank ``r`` are ``(r*a + c) % a**k``, and for a fixed ``k`` rank order is
 lexicographic order. The builders work on ranks alone; a label is the
 k-string's text, made from the rank only when a caller asks for it
 (``labels``, ``label``, ``to_json``, ``to_dot``, ``Walk.label_texts``).
-Digraphs are immutable after construction and keep sorted
-out-adjacency and in-degrees. Builders list vertices in lexicographic
-order, so every export and every derived walk is deterministic.
+Digraphs are immutable after construction and keep only their sorted
+out-adjacency; the arc set and in-degrees are read off it. Builders list
+vertices in lexicographic order, so every export and every derived walk
+is deterministic.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .seqcore import (
     _check_generator_args,
     _rank_text,
     _text_rank,
+    parse_sequence,
     window_ranks,
 )
 
@@ -63,13 +65,13 @@ class Provenance:
 
 
 class Digraph:
-    """A digraph on k-strings, with arcs stored as index pairs.
+    """A digraph on k-strings, stored as its sorted out-adjacency.
 
     Vertex ``i`` is the k-string whose base-``a`` rank is ``ranks[i]``;
-    its label text is built from the rank when asked for. Unless the
-    provenance is custom, every arc (u, v) must be a left shift:
-    label(v) drops the first symbol of label(u) and appends one symbol.
-    Self-loops are permitted.
+    its label text is built from the rank when asked for. A repeated arc
+    is kept once. Unless the provenance is custom, every arc (u, v) must
+    be a left shift: label(v) drops the first symbol of label(u) and
+    appends one symbol. Self-loops are permitted.
     """
 
     def __init__(
@@ -99,32 +101,25 @@ class Digraph:
         self._index = index
 
         n = len(ranks)
-        arcset: set[tuple[int, int]] = set()
+        out: list[list[int]] = [[] for _ in range(n)]
         for arc in arcs:
             u, v = arc
             if not (_is_int(u) and _is_int(v)):
                 raise DomainError(f"arc {arc!r} must be a pair of vertex indices")
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"arc {arc!r} references an unknown vertex")
-            arcset.add((u, v))
+            out[u].append(v)
+        self._out = tuple(tuple(sorted(set(ts))) for ts in out)
         if provenance.kind != "custom":
             drop = a ** (order - 1)
-            for u, v in arcset:
-                if ranks[v] // a != ranks[u] % drop:
-                    raise DomainError(
-                        f"arc {self._text(ranks[u])} -> {self._text(ranks[v])} "
-                        "is not a left shift"
-                    )
-
-        self._arcs = frozenset(arcset)
+            for u, ts in enumerate(self._out):
+                for v in ts:
+                    if ranks[v] // a != ranks[u] % drop:
+                        raise DomainError(
+                            f"arc {self._text(ranks[u])} -> {self._text(ranks[v])} "
+                            "is not a left shift"
+                        )
         self._provenance = provenance
-        out: list[list[int]] = [[] for _ in range(n)]
-        in_deg = [0] * n
-        for u, v in arcset:
-            out[u].append(v)
-            in_deg[v] += 1
-        self._out = tuple(tuple(sorted(ts)) for ts in out)
-        self._in_deg = tuple(in_deg)
 
     def _text(self, rank: int) -> str:
         return _rank_text(rank, self._alphabet.size, self._order)
@@ -146,7 +141,8 @@ class Digraph:
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
-        return self._arcs
+        """Every arc as a ``(u, v)`` index pair, read off the adjacency."""
+        return frozenset((u, v) for u, ts in enumerate(self._out) for v in ts)
 
     @property
     def provenance(self) -> Provenance:
@@ -163,10 +159,6 @@ class Digraph:
     @property
     def vertex_count(self) -> int:
         return len(self._ranks)
-
-    @property
-    def arc_count(self) -> int:
-        return len(self._arcs)
 
     def label(self, i: int) -> str:
         if not 0 <= i < len(self._ranks):
@@ -199,21 +191,12 @@ class Digraph:
             return False
         return True
 
-    def out_neighbors(self, v: VertexRef) -> tuple[int, ...]:
-        return self._out[self.index(v)]
-
-    def out_degree(self, v: VertexRef) -> int:
-        return len(self._out[self.index(v)])
-
-    def in_degree(self, v: VertexRef) -> int:
-        return self._in_deg[self.index(v)]
-
     def to_json(self) -> dict:
         return {
             "alphabet": self._alphabet.size,
             "order": self._order,
             "vertices": list(self.labels),
-            "arcs": [list(arc) for arc in sorted(self._arcs)],
+            "arcs": [[u, v] for u, ts in enumerate(self._out) for v in ts],
             "provenance": self._provenance.to_json(),
         }
 
@@ -247,7 +230,30 @@ class Digraph:
             if "provenance" in obj
             else Provenance("custom")
         )
-        return cls(alphabet, order, ranks, obj["arcs"], provenance)
+        g = cls(alphabet, order, ranks, obj["arcs"], provenance)
+        _check_provenance(g)
+        return g
+
+
+def _check_provenance(g: Digraph) -> None:
+    """Reject a non-custom provenance that does not describe ``g``."""
+    kind = g.provenance.kind
+    a = g.alphabet.size
+    if kind == "generated":
+        try:
+            d = parse_sequence(g.provenance.sequence, a)
+            claimed = generated_subdigraph(d, g.order)
+        except DomainError as exc:
+            raise DomainError(f"provenance sequence: {exc}") from exc
+        if claimed.ranks != g.ranks or claimed.adjacency != g.adjacency:
+            raise DomainError(
+                "graph is not the subdigraph its provenance sequence generates"
+            )
+    elif kind == "de_bruijn":
+        n = g.vertex_count
+        full = n == a**g.order and g.ranks == tuple(range(n))
+        if not full or any(len(ts) != a for ts in g.adjacency):
+            raise DomainError(f"graph is not the de Bruijn graph G({a},{g.order})")
 
 
 def _is_int(x: object) -> bool:
@@ -346,7 +352,7 @@ def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
 def closed_out_neighborhood(g: Digraph, v: VertexRef) -> frozenset[int]:
     """The vertex itself plus its out-neighbors, as vertex indices."""
     i = g.index(v)
-    return frozenset((i,)) | frozenset(g.out_neighbors(i))
+    return frozenset((i, *g.adjacency[i]))
 
 
 def is_dominating_set(g: Digraph, vertices: Iterable[VertexRef]) -> bool:
@@ -367,9 +373,9 @@ def is_closed_dominating_walk(g: Digraph, walk: Walk) -> bool:
         raise DomainError("walk does not reference this digraph")
     if not walk.closed:
         return False
-    arcs = g.arcs
-    for step in walk.arc_steps():
-        if step not in arcs:
+    out = g.adjacency
+    for u, v in walk.arc_steps():
+        if v not in out[u]:
             return False
     return is_dominating_set(g, set(walk.vertex_indices))
 
@@ -381,15 +387,20 @@ def eulerian_circuit(g: Digraph) -> Walk:
     consumes the least unused out-arc first.
     """
     n = g.vertex_count
-    if g.arc_count == 0:
+    out = g.adjacency
+    in_deg = [0] * n
+    for ts in out:
+        for v in ts:
+            in_deg[v] += 1
+    arc_count = sum(in_deg)
+    if arc_count == 0:
         raise DomainError("digraph has no arcs")
     for v in range(n):
-        if g.out_degree(v) != g.in_degree(v):
+        if len(out[v]) != in_deg[v]:
             raise DomainError(
-                f"vertex {g.label(v)} has out-degree {g.out_degree(v)} "
-                f"!= in-degree {g.in_degree(v)}"
+                f"vertex {g.label(v)} has out-degree {len(out[v])} "
+                f"!= in-degree {in_deg[v]}"
             )
-    out = g.adjacency
     ptr = [0] * n
     start = next(v for v in range(n) if out[v])
     stack = [start]
@@ -402,7 +413,7 @@ def eulerian_circuit(g: Digraph) -> Walk:
             stack.append(u)
         else:
             trail.append(stack.pop())
-    if len(trail) != g.arc_count + 1:
+    if len(trail) != arc_count + 1:
         raise DomainError("digraph is not connected: some arcs are unreachable")
     trail.reverse()
     return Walk(g, tuple(trail[:-1]), closed=True)
@@ -436,7 +447,8 @@ def to_dot(g: Digraph, highlight: Walk | None = None) -> str:
     lines = ["digraph debruijn {"]
     for text in texts:
         lines.append(f'  "{text}";')
-    for u, v in sorted(g.arcs):
+    arcs = ((u, v) for u, ts in enumerate(g.adjacency) for v in ts)
+    for u, v in arcs:
         if highlight is None:
             attr = ""
         elif (u, v) in bold:

@@ -37,13 +37,6 @@ class Alphabet:
                 f"got {self.size}"
             )
 
-    def char(self, symbol: int) -> str:
-        if not 0 <= symbol < self.size:
-            raise DomainError(
-                f"symbol {symbol} out of range for alphabet of size {self.size}"
-            )
-        return SYMBOL_CHARS[symbol]
-
     def decode(self, ch: str) -> int:
         symbol = SYMBOL_CHARS.find(ch) if len(ch) == 1 else -1
         if not 0 <= symbol < self.size:
@@ -63,7 +56,7 @@ def _check_symbols(symbols: tuple[int, ...], alphabet: Alphabet) -> None:
 
 @dataclass(frozen=True)
 class CyclicSequence:
-    """A symbol string read cyclically; indexing is modulo the length."""
+    """A symbol string read cyclically: its windows wrap past the end."""
 
     symbols: tuple[int, ...]
     alphabet: Alphabet
@@ -76,19 +69,12 @@ class CyclicSequence:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __getitem__(self, i: int) -> int:
-        return self.symbols[i % len(self.symbols)]
-
     @property
     def text(self) -> str:
         return "".join(SYMBOL_CHARS[s] for s in self.symbols)
 
     def __str__(self) -> str:
         return self.text
-
-    def rotate(self, offset: int) -> "CyclicSequence":
-        off = offset % len(self.symbols)
-        return CyclicSequence(self.symbols[off:] + self.symbols[:off], self.alphabet)
 
 
 def parse_sequence(text: str, a: int) -> CyclicSequence:

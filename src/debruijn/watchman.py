@@ -17,7 +17,6 @@ from .graphcore import (
     Digraph,
     Walk,
     build_de_bruijn_graph,
-    generated_subdigraph,
     least_rotation,
 )
 from .seqcore import (
@@ -105,20 +104,16 @@ def construct_watchman_walk(
     return induced_walk(seed, k, build_de_bruijn_graph(a, k, size_cap))
 
 
-def induced_walk(
-    d: CyclicSequence, k: int, graph: Digraph | None = None
-) -> Walk:
+def induced_walk(d: CyclicSequence, k: int, graph: Digraph) -> Walk:
     """The closed walk visiting the k-tour windows of ``d`` in tour order.
 
     Repeated windows are revisited, not skipped, so the length is
     len(d), except that a length-1 sequence gives the stationary walk on
-    its one window, of length 0. ``graph`` may supply a pre-built generated
-    subdigraph over the same alphabet and order; by default one is
-    constructed.
+    its one window, of length 0. ``graph`` is a digraph over the same
+    alphabet and order that holds every window, such as
+    ``generated_subdigraph(d, k)``.
     """
-    if graph is None:
-        graph = generated_subdigraph(d, k)
-    elif graph.alphabet != d.alphabet or graph.order != k:
+    if graph.alphabet != d.alphabet or graph.order != k:
         raise DomainError("graph alphabet and order do not match the sequence")
     return Walk(graph, tuple(map(graph.index_of_rank, window_ranks(d, k))), closed=True)
 

@@ -4,6 +4,7 @@ and search machinery: they read only vertex_count and the raw arc set,
 and enumerate by brute force.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -24,6 +25,12 @@ def naive_fkm(a, k):
 def rotations(word):
     """Every rotation of a tuple, starting with the tuple itself."""
     return [word[i:] + word[:i] for i in range(len(word))]
+
+
+def rotate(seq, offset):
+    """The cyclic sequence ``seq`` read from position ``offset``."""
+    off = offset % len(seq.symbols)
+    return dataclasses.replace(seq, symbols=seq.symbols[off:] + seq.symbols[:off])
 
 
 def is_least_rotation(word):

@@ -72,7 +72,8 @@ class TestPredicates:
         near_constant = CyclicSequence((0,) * (n - 1) + (1,), Alphabet(2))
         assert not has_constant_run(near_constant, n)
         assert has_constant_run(near_constant, n - 1)
-        assert has_constant_run(near_constant.rotate(n // 2), n - 1)  # across the seam
+        across_the_seam = oracles.rotate(near_constant, n // 2)
+        assert has_constant_run(across_the_seam, n - 1)
         assert has_constant_run(CyclicSequence((1,) * n, Alphabet(2)), n)
 
     def test_constant_run_needs_enough_symbols(self):
@@ -98,7 +99,7 @@ class TestPredicates:
     @given(sequences_with_order(), st.integers(0, 6))
     def test_predicates_are_rotation_invariant(self, seq_k, r):
         seq, k = seq_k
-        rot = seq.rotate(r)
+        rot = oracles.rotate(seq, r)
         assert has_constant_run(seq, k) == has_constant_run(rot, k)
         assert is_doubled(seq, k) == is_doubled(rot, k)
         assert has_distinct_windows(seq, k) == has_distinct_windows(rot, k)
@@ -151,7 +152,7 @@ class TestClassify:
     @given(sequences_with_order(), st.integers(0, 6))
     def test_classify_is_rotation_invariant(self, seq_k, r):
         seq, k = seq_k
-        assert classify(seq, k) == classify(seq.rotate(r), k)
+        assert classify(seq, k) == classify(oracles.rotate(seq, r), k)
 
 
 class TestVerify:
@@ -221,7 +222,7 @@ class TestVerify:
             seq = parse_sequence(text, a)
             base = verify(seq, k)
             for r in range(1, len(seq)):
-                rec = verify(seq.rotate(r), k)
+                rec = verify(oracles.rotate(seq, r), k)
                 assert rec.classification == base.classification
                 assert rec.is_watchman == base.is_watchman
 

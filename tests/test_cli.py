@@ -150,17 +150,59 @@ class TestSolve:
             ("order", True),
             ("provenance", {"kind": "custom", "sequence": 5}),
             ("provenance", {"kind": "generated", "sequence": [1, {"x": None}]}),
+            # "01" generates all four arcs on these two vertices
+            ("provenance", {"kind": "generated", "sequence": "01"}),
+            pytest.param(
+                None,
+                {
+                    "alphabet": 2,
+                    "order": 2,
+                    "vertices": ["00", "11"],
+                    "arcs": [],
+                    "provenance": {"kind": "generated", "sequence": "zz!"},
+                },
+                id="generated-by-foreign-text",
+            ),
+            pytest.param(
+                None,
+                {
+                    "alphabet": 2,
+                    "order": 2,
+                    "vertices": ["00", "11"],
+                    "arcs": [],
+                    "provenance": {"kind": "de_bruijn"},
+                },
+                id="de_bruijn-but-not-full",
+            ),
         ],
     )
     def test_malformed_graph_json_is_a_domain_error(
         self, capsys, monkeypatch, field, value
     ):
         graph = {"alphabet": 2, "order": 1, "vertices": ["0", "1"], "arcs": [[0, 1]]}
-        graph[field] = value
+        graph = value if field is None else {**graph, field: value}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
         code, out, err = run(capsys, "solve")
         assert (code, out) == (1, "")
         assert err.startswith("watchman: error:") and "Traceback" not in err
+
+    def test_full_graph_json_loads_back(self, capsys, monkeypatch):
+        code, graph_json, _ = run(capsys, "graph", "-a", "2", "-k", "3")
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(graph_json))
+        code, out, err = run(capsys, "solve")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["optimum"] == 4
+
+    def test_repeated_arc_solves_like_a_single_one(self, capsys, monkeypatch):
+        outputs = []
+        for arcs in ([[0, 1], [1, 1]], [[0, 1], [0, 1], [1, 1]]):
+            graph = {"alphabet": 2, "order": 1, "vertices": ["0", "1"], "arcs": arcs}
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+            code, out, _ = run(capsys, "solve")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_missing_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))

@@ -120,19 +120,24 @@ class TestConstructWatchmanWalk:
             assert is_closed_dominating_walk(walk.digraph, walk)
 
 
+def own_induced_walk(text, a, k):
+    d = parse_sequence(text, a)
+    return induced_walk(d, k, generated_subdigraph(d, k))
+
+
 class TestInducedWalk:
     def test_binary_order_three(self):
-        walk = induced_walk(parse_sequence("1001", 2), 3)
+        walk = own_induced_walk("1001", 2, 3)
         assert walk.label_texts == ("100", "001", "011", "110")
         assert walk.length == 4
 
     def test_repeated_vertex_is_revisited(self):
-        walk = induced_walk(parse_sequence(FIXTURE_SEQ, 4), 3)
+        walk = own_induced_walk(FIXTURE_SEQ, 4, 3)
         assert walk.length == 8
         assert walk.label_texts.count("012") == 2
 
     def test_constant_sequence_loops(self):
-        walk = induced_walk(parse_sequence("000", 2), 3)
+        walk = own_induced_walk("000", 2, 3)
         assert walk.length == 3
         g = walk.digraph
         assert walk.arc_steps() == [(g.index("000"), g.index("000"))] * 3
@@ -140,7 +145,7 @@ class TestInducedWalk:
 
     def test_too_short(self):
         with pytest.raises(DomainError):
-            induced_walk(parse_sequence("01", 2), 3)
+            induced_walk(parse_sequence("01", 2), 3, build_de_bruijn_graph(2, 3))
 
     def test_graph_must_match_alphabet_and_order(self):
         d = parse_sequence("0011", 2)
