@@ -26,11 +26,17 @@ from .errors import DomainError, ResourceCapError
 from .graphcore import (
     Digraph,
     build_de_bruijn_graph,
-    gen_eulerian,
     generated_subdigraph,
     to_dot,
 )
-from .seqcore import DEFAULT_SIZE_CAP, gen_fkm, gen_greedy, parse_sequence, read_sequences
+from .seqcore import (
+    DEFAULT_SIZE_CAP,
+    gen_eulerian,
+    gen_fkm,
+    gen_greedy,
+    parse_sequence,
+    read_sequences,
+)
 from .watchman import (
     DEFAULT_VERTEX_CAP,
     construct_watchman_walk,

@@ -1,5 +1,5 @@
 """Directed graph representation, de Bruijn graph and generated-subdigraph
-construction, domination predicates, Eulerian circuits, and DOT/JSON export.
+construction, domination predicates, and DOT/JSON export.
 
 A vertex is a k-string, stored as its base-``a`` rank: the successors of
 rank ``r`` are ``(r*a + c) % a**k``, and for a fixed ``k`` rank order is
@@ -103,7 +103,10 @@ class Digraph:
         n = len(ranks)
         out: list[list[int]] = [[] for _ in range(n)]
         for arc in arcs:
-            u, v = arc
+            try:
+                u, v = arc
+            except (TypeError, ValueError):  # not a pair: rejected just below
+                u = v = None
             if not (_is_int(u) and _is_int(v)):
                 raise DomainError(f"arc {arc!r} must be a pair of vertex indices")
             if not (0 <= u < n and 0 <= v < n):
@@ -222,9 +225,6 @@ class Digraph:
                     f"vertex {text!r} must be a string of length {order}"
                 )
             ranks.append(_text_rank(text, alphabet))
-        for arc in obj["arcs"]:
-            if not isinstance(arc, list) or len(arc) != 2:
-                raise DomainError(f"arc {arc!r} must be a pair of vertex indices")
         provenance = (
             Provenance.from_json(obj["provenance"])
             if "provenance" in obj
@@ -330,9 +330,9 @@ def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
     vertices (the arc-induced subdigraph of the full de Bruijn graph).
     Successor-only vertices may end up with out-degree 0.
     """
+    windows = set(window_ranks(d, k))  # rejects k > len(d) before a**k
     a = d.alphabet.size
     size = a**k
-    windows = set(window_ranks(d, k))
     vertex_set = set(windows)
     for r in windows:
         first = r * a % size
@@ -378,64 +378,6 @@ def is_closed_dominating_walk(g: Digraph, walk: Walk) -> bool:
         if v not in out[u]:
             return False
     return is_dominating_set(g, set(walk.vertex_indices))
-
-
-def eulerian_circuit(g: Digraph) -> Walk:
-    """A closed walk using every arc exactly once (Hierholzer).
-
-    Deterministic: starts at the least vertex with out-arcs and always
-    consumes the least unused out-arc first.
-    """
-    n = g.vertex_count
-    out = g.adjacency
-    in_deg = [0] * n
-    for ts in out:
-        for v in ts:
-            in_deg[v] += 1
-    arc_count = sum(in_deg)
-    if arc_count == 0:
-        raise DomainError("digraph has no arcs")
-    for v in range(n):
-        if len(out[v]) != in_deg[v]:
-            raise DomainError(
-                f"vertex {g.label(v)} has out-degree {len(out[v])} "
-                f"!= in-degree {in_deg[v]}"
-            )
-    ptr = [0] * n
-    start = next(v for v in range(n) if out[v])
-    stack = [start]
-    trail: list[int] = []
-    while stack:
-        v = stack[-1]
-        if ptr[v] < len(out[v]):
-            u = out[v][ptr[v]]
-            ptr[v] += 1
-            stack.append(u)
-        else:
-            trail.append(stack.pop())
-    if len(trail) != arc_count + 1:
-        raise DomainError("digraph is not connected: some arcs are unreachable")
-    trail.reverse()
-    return Walk(g, tuple(trail[:-1]), closed=True)
-
-
-def gen_eulerian(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
-    """De Bruijn sequence of order k read off an Eulerian circuit.
-
-    Walks an Eulerian circuit of the order-(k-1) graph and records the
-    symbol each arc appends. For k = 1 the order-0 graph degenerates to a
-    single vertex with one loop per symbol, so the reading is simply each
-    symbol once in canonical order.
-    """
-    alphabet = _check_generator_args(a, k, size_cap)
-    if k == 1:
-        return CyclicSequence(tuple(range(a)), alphabet)
-    g = build_de_bruijn_graph(a, k - 1, size_cap)
-    circuit = eulerian_circuit(g)
-    vi = circuit.vertex_indices
-    m = len(vi)
-    syms = tuple(g.ranks[vi[(i + 1) % m]] % a for i in range(m))
-    return CyclicSequence(syms, alphabet)
 
 
 def to_dot(g: Digraph, highlight: Walk | None = None) -> str:

@@ -1,5 +1,6 @@
 """Alphabets, cyclic symbol sequences, k-tours, base-``a`` ranks, and
-de Bruijn sequence validation and generation.
+de Bruijn sequence validation and generation (``gen_fkm``, ``gen_greedy``
+and ``gen_eulerian``).
 
 Symbols are integer indices ``0..a-1`` rendered as the characters 0-9
 then A-Z, so every sequence has an exact one-character-per-symbol text
@@ -171,7 +172,9 @@ def is_de_bruijn_sequence(s: CyclicSequence, k: int) -> bool:
     """
     if k < 1:
         raise DomainError("order must be at least 1")
-    if len(s) != s.alphabet.size ** k:
+    # a**k > k, so a sequence shorter than k is no de Bruijn sequence;
+    # testing that first never builds a huge power
+    if k > len(s) or len(s) != s.alphabet.size**k:
         return False
     return len(set(window_ranks(s, k))) == len(s)
 
@@ -251,3 +254,37 @@ def gen_greedy(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequen
             raise InvariantViolation(f"greedy generator stalled at length {len(seq)}")
     assert len(seq) == target + k - 1
     return CyclicSequence(tuple(seq[:target]), alphabet)
+
+
+def gen_eulerian(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
+    """De Bruijn sequence of order k read off an Eulerian circuit.
+
+    Runs Hierholzer's algorithm on the ranks of the order-(k-1) graph:
+    the arc with symbol ``c`` leaves rank ``v`` for ``(v*a + c) % a**(k-1)``,
+    and each vertex spends its arcs least symbol first. The sequence is
+    the symbol of each arc in circuit order. For k = 1 the graph is one
+    vertex with a loop per symbol, so the reading is each symbol once.
+    """
+    alphabet = _check_generator_args(a, k, size_cap)
+    size = a ** (k - 1)
+    spent = [0] * size
+    # a stack entry is an arc, as the rank v*a + c of its k-string: its
+    # head is that rank mod a**(k-1) and its symbol that rank mod a; the
+    # bottom entry 0 stands for the start, vertex 0, entered by no arc
+    stack = [0]
+    trail: list[int] = []
+    while stack:
+        v = stack[-1] % size
+        c = spent[v]
+        if c < a:
+            spent[v] = c + 1
+            stack.append(v * a + c)
+        else:
+            trail.append(stack.pop() % a)
+    if len(trail) != a**k + 1:
+        raise InvariantViolation(
+            f"Eulerian trail has {len(trail)} entries, not a^k + 1 = {a**k + 1}"
+        )
+    trail.pop()  # the start entry
+    trail.reverse()
+    return CyclicSequence(tuple(trail), alphabet)

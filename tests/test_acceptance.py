@@ -12,13 +12,13 @@ from debruijn.analysis import Verdict, classify, verify
 from debruijn.graphcore import (
     Digraph,
     build_de_bruijn_graph,
-    gen_eulerian,
     generated_subdigraph,
     is_closed_dominating_walk,
 )
 from debruijn.seqcore import (
     Alphabet,
     CyclicSequence,
+    gen_eulerian,
     gen_fkm,
     gen_greedy,
     is_de_bruijn_sequence,

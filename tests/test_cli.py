@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import debruijn
 from debruijn.cli import main
 
 
@@ -430,6 +435,30 @@ class TestHugeIntegers:
         code, out, err = run(capsys, command, "-a", "2", "-k", "20000")
         assert (code, out) == (2, "")
         assert err.startswith("watchman: resource cap: a^k = 2^")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["graph", "--from-seq", "012"], "sequence shorter than order"),
+            (["solve", "--from-seq", "012"], "sequence shorter than order"),
+            (["walk", "--seq", "012"], "seed is not a de Bruijn sequence"),
+        ],
+        ids=["graph", "solve", "walk"],
+    )
+    def test_huge_order_on_a_short_sequence_fails_fast(self, argv, message):
+        # a**k for k = 10**8 takes minutes; k is checked against the
+        # sequence first
+        src = str(Path(debruijn.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "debruijn.cli", *argv, "-a", "3", "-k", "100000000"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"watchman: error: {message}")
 
     def test_huge_custom_graph_is_a_cap_error(self, capsys, monkeypatch):
         n = 15000

@@ -25,6 +25,8 @@ CASES = {
     # README command-line tour
     "tour_gen_fkm": (["gen", "-a", "2", "-k", "3"], None),
     "tour_gen_greedy": (["gen", "-a", "2", "-k", "2", "--algo", "greedy"], None),
+    "tour_gen_euler": (["gen", "-a", "3", "-k", "3", "--algo", "euler"], None),
+    "gen_euler_order_one": (["gen", "-a", "4", "-k", "1", "--algo", "euler"], None),
     "tour_walk": (["walk", "-a", "2", "-k", "3", "--seq", "1001"], None),
     "tour_classify": (["classify", "--seq", "0001", "-a", "2", "-k", "3"], None),
     "tour_solve_count": (

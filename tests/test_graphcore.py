@@ -14,8 +14,6 @@ from debruijn.graphcore import (
     Walk,
     build_de_bruijn_graph,
     closed_out_neighborhood,
-    eulerian_circuit,
-    gen_eulerian,
     generated_subdigraph,
     is_closed_dominating_walk,
     is_dominating_set,
@@ -24,6 +22,7 @@ from debruijn.graphcore import (
 from debruijn.seqcore import (
     Alphabet,
     CyclicSequence,
+    gen_eulerian,
     is_de_bruijn_sequence,
     k_tour,
     parse_sequence,
@@ -33,11 +32,6 @@ from debruijn.watchman import induced_walk
 
 def labels_of(g, indices):
     return {g.label(i) for i in indices}
-
-
-def custom_graph(texts, arcs, a=2):
-    ranks = [int(t, a) for t in texts]
-    return Digraph(Alphabet(a), len(texts[0]), ranks, arcs, Provenance("custom"))
 
 
 SMALL_PAIRS = [(a, k) for a in range(2, 37) for k in range(1, 9) if a**k <= 256]
@@ -223,36 +217,6 @@ class TestWalks:
 
 
 class TestEulerian:
-    def test_order_one_binary(self):
-        walk = eulerian_circuit(build_de_bruijn_graph(2, 1))
-        assert walk.length == 4
-        assert walk.closed
-
-    def test_order_two_uses_each_arc_once(self):
-        g = build_de_bruijn_graph(2, 2)
-        walk = eulerian_circuit(g)
-        assert walk.length == 8
-        steps = walk.arc_steps()
-        assert len(set(steps)) == 8
-        assert set(steps) == set(g.arcs)
-
-    def test_unbalanced_degrees_error(self):
-        g = custom_graph(["00", "01"], [(0, 1)])
-        with pytest.raises(DomainError, match="in-degree"):
-            eulerian_circuit(g)
-
-    def test_disconnected_error(self):
-        g = custom_graph(["00", "11"], [(0, 0), (1, 1)])
-        with pytest.raises(DomainError, match="not connected"):
-            eulerian_circuit(g)
-
-    def test_deterministic(self):
-        g = build_de_bruijn_graph(3, 2)
-        assert (
-            eulerian_circuit(g).vertex_indices
-            == eulerian_circuit(g).vertex_indices
-        )
-
     @pytest.mark.parametrize("a,k", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 2), (2, 4)])
     def test_gen_eulerian_validates(self, a, k):
         seq = gen_eulerian(a, k)
@@ -387,7 +351,9 @@ class TestConstructor:
         with pytest.raises(DomainError, match="distinct"):
             Digraph(Alphabet(2), 2, [1, 1], [])
 
-    @pytest.mark.parametrize("arc", [(0.5, 1.9), (True, 0), (0, False), (0, "1")])
+    @pytest.mark.parametrize(
+        "arc", [(0.5, 1.9), (True, 0), (0, False), (0, "1"), (0,), 5, (0, 1, 2)]
+    )
     def test_rejects_arc_endpoints_that_are_not_integers(self, arc):
         with pytest.raises(DomainError, match="must be a pair of vertex indices"):
             Digraph(Alphabet(2), 2, [0, 1], [arc])
