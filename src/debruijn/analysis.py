@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 
@@ -165,6 +165,20 @@ class VerificationRecord:
             "constant_run_seam_only": self.constant_run_seam_only,
         }
 
+    def with_sequence(self, sequence: CyclicSequence) -> VerificationRecord:
+        """This record with only the sequence changed, for another member
+        of its orbit: one constructor call, cheaper than
+        ``dataclasses.replace``."""
+        return VerificationRecord(
+            sequence,
+            self.order,
+            self.classification,
+            self.induced_length,
+            self.oracle_optimum,
+            self.is_watchman,
+            self.constant_run_seam_only,
+        )
+
 
 @dataclass(frozen=True)
 class SkippedSequence:
@@ -182,6 +196,10 @@ class SkippedSequence:
             "skipped": True,
             "reason": self.reason,
         }
+
+    def with_sequence(self, sequence: CyclicSequence) -> SkippedSequence:
+        """This entry with only the sequence changed (see VerificationRecord)."""
+        return SkippedSequence(sequence, self.order, self.reason)
 
 
 def verify(
@@ -247,7 +265,10 @@ def rotation_representatives(a: int, n: int):
 
 def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
     labels: dict[int, int] = {}
-    return tuple(labels.setdefault(s, len(labels)) for s in word)
+    for s in word:
+        if s not in labels:
+            labels[s] = len(labels)
+    return tuple(map(labels.__getitem__, word))
 
 
 def orbit_form(symbols: tuple[int, ...]) -> tuple[int, ...]:
@@ -276,6 +297,22 @@ def orbit_form(symbols: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+def _orbit_key(
+    symbols: tuple[int, ...], forms: dict[tuple[int, ...], tuple[int, ...]]
+) -> tuple[int, ...]:
+    """orbit_form(symbols), memoized in ``forms`` by first-appearance form.
+
+    A relabelling of a word lies in its orbit, so every word with the same
+    first-appearance form has the same orbit_form; only the first of them
+    pays for the rotations.
+    """
+    head = _first_appearance(symbols)
+    key = forms.get(head)
+    if key is None:
+        key = forms[head] = orbit_form(head)
+    return key
+
+
 @dataclass
 class SweepReport:
     """Deterministically ordered records plus summary statistics."""
@@ -284,7 +321,25 @@ class SweepReport:
     summary: dict
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(entry.to_json()) for entry in self.records]
+        """One line per record, ``json.dumps(entry.to_json())``, then the
+        summary line.
+
+        The records of one orbit differ only in their sequence, which
+        to_json puts first. So the rest of each distinct record is
+        serialized once, and each line is that rest behind the record's
+        own sequence.
+        """
+        rests: dict[tuple, str] = {}
+        lines = []
+        for entry in self.records:
+            fields = entry.to_json()
+            text = fields.pop("sequence")
+            # the class fixes the keys, so equal values serialize alike
+            key = (type(entry), *fields.values())
+            rest = rests.get(key)
+            if rest is None:
+                rest = rests[key] = json.dumps(fields)[1:]  # without its "{"
+            lines.append('{"sequence": ' + json.dumps(text) + ", " + rest)
         lines.append(json.dumps({"summary": self.summary}))
         return "\n".join(lines) + "\n"
 
@@ -378,6 +433,10 @@ def sweep(
     is an automorphism of the de Bruijn graph that carries the windows,
     the generated subdigraph and the induced walk along, so no field but
     the sequence can differ across an orbit (see the README).
+    A relabelling of a necklace is in its orbit, so necklaces with the
+    same first-appearance form share one orbit_form call, and the
+    summary tallies each orbit once, weighted by its size: a copied
+    record costs two dictionary lookups and a constructor call.
     Sequences whose subdigraph exceeds the oracle cap become skip
     entries; hitting the budget stops the sweep and marks the report
     truncated, and a range of more lengths than the budget raises
@@ -401,31 +460,37 @@ def sweep(
     for n in lengths:
         if truncated:
             break
-        orbits: dict[tuple[int, ...], VerificationRecord | SkippedSequence] = {}
+        forms: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # each orbit's records so far; the first one came from verify
+        orbits: dict[tuple[int, ...], list[VerificationRecord | SkippedSequence]] = {}
         for seq in rotation_representatives(a, n):
             if len(records) >= budget:
                 truncated = True
                 break
-            key = orbit_form(seq.symbols)
-            entry = orbits.get(key)
-            if entry is None:
+            key = _orbit_key(seq.symbols, forms)
+            members = orbits.get(key)
+            if members is None:
                 try:
                     entry = verify(seq, k, vertex_cap)
                 except ResourceCapError as exc:
                     entry = SkippedSequence(seq, k, str(exc))
-                orbits[key] = entry
+                orbits[key] = [entry]
             else:
-                entry = replace(entry, sequence=seq)
+                entry = members[0].with_sequence(seq)
+                members.append(entry)
             records.append(entry)
-            if isinstance(entry, SkippedSequence):
-                skipped += 1
+        # the members of an orbit share every tallied field
+        for members in orbits.values():
+            first, size = members[0], len(members)
+            if isinstance(first, SkippedSequence):
+                skipped += size
                 continue
-            cell = f"{entry.classification.verdict.value}:{str(entry.is_watchman).lower()}"
-            cells[cell] += 1
-            if entry.constant_run_seam_only:
-                seam_total += 1
-                if not entry.is_watchman:
-                    seam_not_watchman += 1
+            cell = f"{first.classification.verdict.value}:{str(first.is_watchman).lower()}"
+            cells[cell] += size
+            if first.constant_run_seam_only:
+                seam_total += size
+                if not first.is_watchman:
+                    seam_not_watchman += size
 
     summary = {
         "alphabet": a,

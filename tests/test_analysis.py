@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -357,6 +359,19 @@ ORBIT_COUNTS = {
 }
 
 
+# (a, k, lengths, vertex_cap) of sweeps whose shared records are checked
+SHARED_SWEEPS = [
+    (2, 3, range(3, 9), 24),
+    (3, 2, range(2, 6), 24),
+    (4, 3, range(3, 6), 24),
+    (3, 2, range(2, 6), 6),  # skips the 9-vertex subdigraphs
+    (4, 3, range(3, 6), 12),  # skips the 16- and 20-vertex ones
+]
+# the same with a budget, plus one sweep that the budget stops inside length 6
+BUDGETED_SWEEPS = [(*args, analysis.DEFAULT_SWEEP_BUDGET) for args in SHARED_SWEEPS]
+BUDGETED_SWEEPS.append((4, 3, range(3, 7), 12, 500))
+
+
 class TestOrbitSharing:
     @pytest.mark.parametrize(
         "a,n", [(a, n) for a, counts in ORBIT_COUNTS.items() for n in counts]
@@ -372,15 +387,28 @@ class TestOrbitSharing:
     )
     def test_orbit_form_partitions_like_brute_force(self, a, n):
         # same key under one iff same key under the other, and one class
-        # per Burnside orbit
-        pairs = {
-            (orbit_form(seq.symbols), oracles.brute_orbit_key(seq.symbols, a))
-            for seq in rotation_representatives(a, n)
-        }
+        # per Burnside orbit; sweep's memoized key is orbit_form itself
+        memo = {}
+        pairs = set()
+        for seq in rotation_representatives(a, n):
+            form = orbit_form(seq.symbols)
+            assert analysis._orbit_key(seq.symbols, memo) == form
+            pairs.add((form, oracles.brute_orbit_key(seq.symbols, a)))
         forms = {form for form, _ in pairs}
         keys = {key for _, key in pairs}
         assert len(forms) == len(keys) == len(pairs)
         assert len(pairs) == oracles.burnside_orbit_count(a, n)
+
+    def test_memo_shares_orbit_form_calls(self, monkeypatch):
+        calls = []
+
+        def counting_orbit_form(symbols):
+            calls.append(symbols)
+            return orbit_form(symbols)
+
+        monkeypatch.setattr(analysis, "orbit_form", counting_orbit_form)
+        assert len(sweep(4, 3, range(3, 7)).records) == 1002
+        assert len(calls) == len(set(calls)) == 167  # first-appearance forms
 
     def test_orbit_form_examples(self):
         assert orbit_form((2, 1, 1)) == orbit_form((0, 0, 1)) == (0, 0, 1)
@@ -390,16 +418,7 @@ class TestOrbitSharing:
         assert orbit_form((0, 1, 1, 1, 0, 2)) == (0, 0, 0, 1, 2, 1)  # longest run inside
         assert orbit_form((1, 0, 0, 2, 2)) == (0, 0, 1, 1, 2)  # two longest runs
 
-    @pytest.mark.parametrize(
-        "a,k,lengths,vertex_cap",
-        [
-            (2, 3, range(3, 9), 24),
-            (3, 2, range(2, 6), 24),
-            (4, 3, range(3, 6), 24),
-            (3, 2, range(2, 6), 6),  # skips the 9-vertex subdigraphs
-            (4, 3, range(3, 6), 12),  # skips the 16- and 20-vertex ones
-        ],
-    )
+    @pytest.mark.parametrize("a,k,lengths,vertex_cap", SHARED_SWEEPS)
     def test_shared_records_equal_direct_verify(self, a, k, lengths, vertex_cap):
         report = sweep(a, k, lengths, vertex_cap=vertex_cap)
         for entry in report.records:
@@ -410,6 +429,42 @@ class TestOrbitSharing:
             assert entry.to_json() == direct.to_json()
         # the small caps compare skip entries too
         assert (report.summary["skipped"] > 0) == (vertex_cap < 24)
+
+    @pytest.mark.parametrize("a,k,lengths,vertex_cap,budget", BUDGETED_SWEEPS)
+    def test_to_jsonl_is_the_reference_serialization(
+        self, a, k, lengths, vertex_cap, budget
+    ):
+        report = sweep(a, k, lengths, budget=budget, vertex_cap=vertex_cap)
+        assert report.summary["truncated"] == (budget == 500)
+        lines = [json.dumps(entry.to_json()) for entry in report.records]
+        lines.append(json.dumps({"summary": report.summary}))
+        assert report.to_jsonl() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("a,k,lengths,vertex_cap,budget", BUDGETED_SWEEPS)
+    def test_copies_and_tallies_match_the_first_of_each_orbit(
+        self, a, k, lengths, vertex_cap, budget
+    ):
+        report = sweep(a, k, lengths, budget=budget, vertex_cap=vertex_cap)
+        firsts = {}
+        for entry in report.records:
+            symbols = entry.sequence.symbols
+            first = firsts.setdefault((len(symbols), orbit_form(symbols)), entry)
+            if first is not entry:
+                assert entry == dataclasses.replace(first, sequence=entry.sequence)
+        # the per-orbit tally equals a count over the records
+        verified = [e for e in report.records if not isinstance(e, SkippedSequence)]
+        cells = Counter(
+            f"{e.classification.verdict.value}:{str(e.is_watchman).lower()}"
+            for e in verified
+        )
+        seam = [e for e in verified if e.constant_run_seam_only]
+        summary = report.summary
+        assert summary["skipped"] == len(report.records) - len(verified)
+        assert {cell: n for cell, n in summary["cells"].items() if n} == cells
+        assert summary["seam_only_constant_runs"] == {
+            "total": len(seam),
+            "not_watchman": sum(not e.is_watchman for e in seam),
+        }
 
     def test_oracle_runs_once_per_orbit(self, monkeypatch):
         calls = []

@@ -1,18 +1,21 @@
 """Golden CLI corpus: the exact stdout of fixed ``watchman`` invocations.
 
-Each case runs ``cli.main`` in-process and compares its stdout byte for
-byte with ``tests/golden/<name>.out`` (and, for ``--csv``, the written
-file with ``<name>.csv``). Argument ``{csv}`` is replaced by a temporary
-path and ``{golden}`` by the corpus directory. After a deliberate output
-change, rewrite the corpus with
+Each case runs ``cli.main`` in-process, with its environment variables
+set, and compares its stdout byte for byte with ``tests/golden/<name>.out``
+(and, for ``--csv``, the written file with ``<name>.csv``). Argument
+``{csv}`` is replaced by a temporary path and ``{golden}`` by the corpus
+directory. After a deliberate output change, rewrite the corpus with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
+import os
 import sys
+from collections import namedtuple
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -20,66 +23,68 @@ from debruijn.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# name -> (argv, file fed to stdin or None)
+# argv, the corpus file fed to stdin (or None), environment variables to set
+Case = namedtuple("Case", "argv stdin env", defaults=(None, {}))
+
 CASES = {
     # README command-line tour
-    "tour_gen_fkm": (["gen", "-a", "2", "-k", "3"], None),
-    "tour_gen_greedy": (["gen", "-a", "2", "-k", "2", "--algo", "greedy"], None),
-    "tour_gen_euler": (["gen", "-a", "3", "-k", "3", "--algo", "euler"], None),
-    "gen_euler_order_one": (["gen", "-a", "4", "-k", "1", "--algo", "euler"], None),
-    "tour_walk": (["walk", "-a", "2", "-k", "3", "--seq", "1001"], None),
-    "tour_classify": (["classify", "--seq", "0001", "-a", "2", "-k", "3"], None),
-    "tour_solve_count": (
-        ["solve", "--from-seq", "01210123", "-a", "4", "-k", "3", "--count"],
-        None,
+    "tour_gen_fkm": Case(["gen", "-a", "2", "-k", "3"]),
+    "tour_gen_greedy": Case(["gen", "-a", "2", "-k", "2", "--algo", "greedy"]),
+    "tour_gen_euler": Case(["gen", "-a", "3", "-k", "3", "--algo", "euler"]),
+    "gen_euler_order_one": Case(["gen", "-a", "4", "-k", "1", "--algo", "euler"]),
+    "tour_walk": Case(["walk", "-a", "2", "-k", "3", "--seq", "1001"]),
+    "tour_classify": Case(["classify", "--seq", "0001", "-a", "2", "-k", "3"]),
+    "tour_solve_count": Case(
+        ["solve", "--from-seq", "01210123", "-a", "4", "-k", "3", "--count"]
     ),
-    "graph_full_json": (["graph", "-a", "2", "-k", "3"], None),
-    "graph_full_dot": (["graph", "-a", "2", "-k", "3", "--dot"], None),
-    "graph_seq_json": (["graph", "--from-seq", "01210123", "-a", "4", "-k", "3"], None),
-    "graph_seq_dot": (
-        ["graph", "--from-seq", "01210123", "-a", "4", "-k", "3", "--dot"],
-        None,
+    "graph_full_json": Case(["graph", "-a", "2", "-k", "3"]),
+    "graph_full_dot": Case(["graph", "-a", "2", "-k", "3", "--dot"]),
+    "graph_seq_json": Case(["graph", "--from-seq", "01210123", "-a", "4", "-k", "3"]),
+    "graph_seq_dot": Case(
+        ["graph", "--from-seq", "01210123", "-a", "4", "-k", "3", "--dot"]
     ),
-    "graph_seq_dot_highlight": (
+    "graph_seq_dot_highlight": Case(
         [
             "graph", "--from-seq", "01210123", "-a", "4", "-k", "3",
             "--dot", "--highlight-induced",
-        ],
-        None,
+        ]
     ),
-    "solve_seq_count_binary": (
-        ["solve", "--from-seq", "001011", "-a", "2", "-k", "3", "--count"],
-        None,
+    "solve_seq_count_binary": Case(
+        ["solve", "--from-seq", "001011", "-a", "2", "-k", "3", "--count"]
     ),
-    "solve_custom_stdin": (["solve"], "custom_graph.json"),
-    "verify_seq_file": (
-        ["verify", "--seq-file", "{golden}/seqs.txt", "-a", "2", "-k", "3"],
-        None,
+    "solve_custom_stdin": Case(["solve"], "custom_graph.json"),
+    "verify_seq_file": Case(
+        ["verify", "--seq-file", "{golden}/seqs.txt", "-a", "2", "-k", "3"]
     ),
-    "sweep_b2_k3": (
-        ["sweep", "-a", "2", "-k", "3", "--lengths", "3..8", "--csv", "{csv}"],
-        None,
+    "sweep_b2_k3": Case(
+        ["sweep", "-a", "2", "-k", "3", "--lengths", "3..8", "--csv", "{csv}"]
+    ),
+    # a 4-ary sweep whose 16- and 20-vertex subdigraphs exceed the cap, so
+    # it has skip entries, and whose orbits hold up to 24 necklaces each
+    "sweep_a4_k3_capped": Case(
+        ["sweep", "-a", "4", "-k", "3", "--lengths", "3..5", "--csv", "{csv}"],
+        env={"WATCHMAN_MAX_VERTICES": "12"},
     ),
 }
 
 
 def run_case(name, csv_path):
     """Exit code, stdout bytes and CSV bytes (or None) of one corpus case."""
-    argv, stdin_name = CASES[name]
+    case = CASES[name]
     argv = [
         arg.replace("{golden}", str(GOLDEN)).replace("{csv}", str(csv_path))
-        for arg in argv
+        for arg in case.argv
     ]
     saved_stdin = sys.stdin
-    if stdin_name is not None:
-        sys.stdin = io.StringIO((GOLDEN / stdin_name).read_text(encoding="utf-8"))
+    if case.stdin is not None:
+        sys.stdin = io.StringIO((GOLDEN / case.stdin).read_text(encoding="utf-8"))
     out = io.StringIO()
     try:
-        with redirect_stdout(out):
+        with mock.patch.dict(os.environ, case.env), redirect_stdout(out):
             code = main(argv)
     finally:
         sys.stdin = saved_stdin
-    csv_bytes = csv_path.read_bytes() if "{csv}" in CASES[name][0] else None
+    csv_bytes = csv_path.read_bytes() if "{csv}" in case.argv else None
     return code, out.getvalue().encode("utf-8"), csv_bytes
 
 
