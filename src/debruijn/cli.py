@@ -152,7 +152,9 @@ def cmd_solve(args) -> int:
             raise DomainError("no graph JSON on standard input and no --from-seq")
         try:
             obj = json.loads(text)
-        except ValueError as exc:  # includes integers past the str-digits limit
+        except (ValueError, RecursionError) as exc:
+            # ValueError includes integers past the str-digits limit;
+            # RecursionError is nesting deeper than the decoder can follow
             raise DomainError(f"invalid graph JSON: {exc}") from None
         graph = Digraph.from_json(obj)
     cap = _vertex_cap()

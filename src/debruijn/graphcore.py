@@ -169,13 +169,22 @@ class Digraph:
         return self._text(self._ranks[i])
 
     def index(self, v: VertexRef) -> int:
-        """Resolve an index or a label text to a vertex index."""
-        if isinstance(v, int):
+        """Resolve an index or a label text to a vertex index.
+
+        Anything else, a bool included, is a DomainError, and so is a
+        label of the wrong length, which is rejected before it is ranked.
+        """
+        if _is_int(v):
             if not 0 <= v < len(self._ranks):
                 raise DomainError(f"vertex index {v} out of range")
             return v
-        rank = _text_rank(v, self._alphabet)
-        idx = self._index.get(rank) if len(v) == self._order else None
+        if not isinstance(v, str):
+            raise DomainError(
+                f"a vertex is an index or a label text, not a {type(v).__name__}"
+            )
+        idx = None
+        if len(v) == self._order:
+            idx = self._index.get(_text_rank(v, self._alphabet))
         if idx is None:
             raise DomainError(f"unknown vertex {v}")
         return idx

@@ -147,7 +147,7 @@ class _SearchSetup:
 
     def starts(self) -> list[_Start]:
         """Every start whose walks could dominate, each with its return
-        distances and cover masks.
+        distances and its cover table, built here in full.
 
         dist_back[u] is the arc-distance from u back to start through
         vertices >= start, or -1 if there is no such path; the searches
@@ -155,7 +155,7 @@ class _SearchSetup:
         from start stays in start's strong component among the vertices
         >= start, so a start whose component cannot dominate is left out.
         """
-        n, out, nb = self.n, self.out, self.nb
+        n, out, nb, full = self.n, self.out, self.nb, self.full
         in_adj: list[list[int]] = [[] for _ in range(n)]
         for u, targets in enumerate(out):
             for v in targets:
@@ -181,11 +181,34 @@ class _SearchSetup:
                         component.add(u)
                         potential |= nb[u]
                         stack.append(u)
-            if potential == self.full:
-                starts.append(_Start(self, start, dist_back, returning))
+            if potential != full:
+                continue
+            # the cover table, to its fixed point or its horizon
+            prev = [0] * n
+            prev[start] = nb[start]
+            layers = [prev]
+            while len(layers) <= self.cover_horizon:
+                layer = prev.copy()
+                for u in returning:
+                    if dist_back[u] > len(layers):
+                        break  # the covers of u onwards are still empty
+                    if prev[u] == full:
+                        continue
+                    m = nb[u]
+                    for v in out[u]:
+                        m |= prev[v]
+                    layer[u] = m
+                if layer == prev:
+                    break
+                layers.append(layer)
+                prev = layer
+            else:
+                layers.append(self.no_cover)
+            starts.append(_Start(start, dist_back, layers))
         return starts
 
 
+@dataclass(frozen=True)
 class _Start:
     """One start of the searches: its return distances and cover masks.
 
@@ -196,57 +219,22 @@ class _Start:
     vertices in cover(t)[u]: a state (u, m) with t arcs left is dead
     unless m | cover(t)[u] is the full set, and no closed dominating walk
     through start is shorter than the least t with cover(t)[start] full.
-    The layers are built on demand, one bitset recurrence each:
-    cover(t)[u] = (nb[u] if dist_back[u] <= t) | OR of cover(t-1)[v] over
-    the out-neighbours v of u. cover(t)[u] is empty exactly while
-    t < dist_back[u], so a layer equal to the one before it comes after
-    every return distance and the recurrence has reached its fixed point.
-    Past the setup's cover_horizon the table stops growing, and a later
-    layer that is not the fixed point is replaced by one that prunes
-    nothing, which is still admissible.
+    The setup builds the table once per surviving start, one bitset
+    recurrence per layer: cover(t)[u] = (nb[u] if dist_back[u] <= t) |
+    OR of cover(t-1)[v] over the out-neighbours v of u. cover(t)[u] is
+    empty exactly while t < dist_back[u], so a layer equal to the one
+    before it comes after every return distance and the recurrence has
+    reached its fixed point, where the table ends. A table that reaches
+    the setup's cover_horizon first ends instead with a layer that
+    prunes nothing, which is still admissible.
     """
 
-    def __init__(
-        self,
-        setup: _SearchSetup,
-        vertex: int,
-        dist_back: list[int],
-        returning: list[int],
-    ) -> None:
-        self.vertex = vertex
-        self.dist_back = dist_back
-        self._setup = setup
-        self._returning = returning  # the vertices with a cover, by dist_back
-        layer = [0] * setup.n
-        layer[vertex] = setup.nb[vertex]
-        self._layers = [layer]
-        self._settled = False
+    vertex: int
+    dist_back: list[int]
+    layers: list[list[int]]
 
     def cover(self, t: int) -> list[int]:
-        layers = self._layers
-        if t >= len(layers) and not self._settled:
-            setup, dist_back = self._setup, self.dist_back
-            out, nb, full = setup.out, setup.nb, setup.full
-            prev = layers[-1]
-            while len(layers) <= t:
-                if len(layers) > setup.cover_horizon:
-                    return setup.no_cover
-                layer = prev.copy()
-                for u in self._returning:
-                    if dist_back[u] > len(layers):
-                        break  # the covers of u onwards are still empty
-                    if prev[u] == full:
-                        continue
-                    m = nb[u]
-                    for v in out[u]:
-                        m |= prev[v]
-                    layer[u] = m
-                if layer == prev:
-                    self._settled = True
-                    break
-                layers.append(layer)
-                prev = layer
-        return layers[min(t, len(layers) - 1)]
+        return self.layers[min(t, len(self.layers) - 1)]
 
 
 def _bounded_bfs(

@@ -480,6 +480,13 @@ class TestHugeIntegers:
         assert (code, out) == (1, "")
         assert err.startswith("watchman: error: invalid graph JSON")
 
+    def test_deeply_nested_json_is_invalid_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 3000))
+        code, out, err = run(capsys, "solve")
+        assert (code, out) == (1, "")
+        assert err.startswith("watchman: error: invalid graph JSON")
+        assert err.count("\n") == 1
+
 
 class TestUsage:
     def test_unknown_command(self, capsys):

@@ -128,6 +128,7 @@ HUGE_GRAPH = json.dumps(
 @example(["sweep", "-a", "2", "-k", "1", "--lengths", "65..65"], "")
 @example(["solve"], HUGE_GRAPH)
 @example(["solve"], '{"alphabet": ' + "9" * 5000 + "}")
+@example(["solve"], "[" * 3000)
 def test_main_exits_0_1_or_2(argv, stdin_text):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, CAPS), mock.patch(

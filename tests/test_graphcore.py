@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 
-from debruijn import DomainError, ResourceCapError
+from debruijn import DomainError, ResourceCapError, graphcore
 from debruijn.graphcore import (
     Digraph,
     Provenance,
@@ -448,6 +448,31 @@ class TestRankConstructionMatchesStrings:
             g.index("002")
         with pytest.raises(DomainError, match="unknown vertex 110"):
             generated_subdigraph(parse_sequence("0001", 2), 3).index_of_rank(6)
+
+    @pytest.mark.parametrize(
+        "ref", [True, False, None, 1.0, b"011", list("011")], ids=repr
+    )
+    def test_index_rejects_what_is_neither_an_index_nor_a_label(self, ref):
+        g = build_de_bruijn_graph(2, 3)
+        with pytest.raises(DomainError, match="a vertex is an index or a label text"):
+            g.index(ref)
+        assert not g.has_vertex(ref)
+        with pytest.raises(DomainError):
+            closed_out_neighborhood(g, ref)
+        with pytest.raises(DomainError):
+            is_dominating_set(g, [0, ref])
+
+    def test_index_checks_a_label_length_before_ranking_it(self, monkeypatch):
+        g = build_de_bruijn_graph(2, 3)
+
+        def no_ranking(text, alphabet):
+            raise AssertionError("ranked a label of the wrong length")
+
+        monkeypatch.setattr(graphcore, "_text_rank", no_ranking)
+        for ref in ["0" * 200_000, "01", "x"]:
+            with pytest.raises(DomainError, match="unknown vertex"):
+                g.index(ref)
+            assert not g.has_vertex(ref)
 
     @pytest.mark.parametrize("kind", ["generated", "de_bruijn"])
     def test_non_shift_arc_names_both_labels(self, kind):

@@ -217,6 +217,20 @@ class TestSolve:
             assert list(result.witness.label_texts) == witness, text
             assert result.optimum_length == len(witness)
 
+    def test_explored_states_over_the_binary_order_six_pool_are_pinned(self):
+        # the total README quotes for the cover-mask search
+        path = Path(__file__).with_name("solve_b6_witnesses.json")
+        pinned = json.loads(path.read_text(encoding="utf-8"))
+        total = 0
+        for text in pinned:
+            g = generated_subdigraph(parse_sequence(text, 2), 6)
+            total += solve_min_walk(g, vertex_cap=64).explored_states
+        assert total == 14_563
+
+    def test_explored_states_over_the_sweep_orbit_graphs_are_pinned(self):
+        graphs = sweep_orbit_graphs(4, 3, range(3, 7))
+        assert sum(solve_min_walk(g).explored_states for g in graphs) == 324
+
     def test_json_shape(self):
         obj = solve_min_walk(build_de_bruijn_graph(2, 2)).to_json()
         assert set(obj) == {"optimum", "witness", "explored_states"}
