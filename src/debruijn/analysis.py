@@ -19,7 +19,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import chain, groupby
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import generated_subdigraph, is_closed_dominating_walk
@@ -271,48 +271,6 @@ def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(labels.__getitem__, word))
 
 
-def orbit_form(symbols: tuple[int, ...]) -> tuple[int, ...]:
-    """The least rotation of ``symbols`` relabelled by order of first appearance.
-
-    Two sequences share it iff a rotation and a permutation of the
-    alphabet map one onto the other: relabelling by first appearance
-    forgets the symbol names, and the least over rotations forgets the
-    starting point. The form begins with a run of 0s as long as the
-    run its rotation starts with, and a longer leading run sorts first,
-    so only rotations that start a longest cyclic run are tried; a
-    constant word is its own form.
-    """
-    n = len(symbols)
-    starts = [i for i in range(n) if symbols[i] != symbols[i - 1]]
-    if not starts:
-        return (0,) * n
-    # each run ends where the next one starts, cyclically
-    runs = [(nxt - i) % n for i, nxt in zip(starts, starts[1:] + starts[:1])]
-    longest = max(runs)
-    doubled = symbols + symbols
-    return min(
-        _first_appearance(doubled[i : i + n])
-        for i, run in zip(starts, runs)
-        if run == longest
-    )
-
-
-def _orbit_key(
-    symbols: tuple[int, ...], forms: dict[tuple[int, ...], tuple[int, ...]]
-) -> tuple[int, ...]:
-    """orbit_form(symbols), memoized in ``forms`` by first-appearance form.
-
-    A relabelling of a word lies in its orbit, so every word with the same
-    first-appearance form has the same orbit_form; only the first of them
-    pays for the rotations.
-    """
-    head = _first_appearance(symbols)
-    key = forms.get(head)
-    if key is None:
-        key = forms[head] = orbit_form(head)
-    return key
-
-
 @dataclass
 class SweepReport:
     """Deterministically ordered records plus summary statistics."""
@@ -412,6 +370,8 @@ def check_sweep_args(
         raise ResourceCapError(
             f"sweep length {lengths[-1]} exceeds size cap {size_cap}"
         )
+    if k < 1:
+        raise DomainError("order must be at least 1")
     return lengths
 
 
@@ -427,16 +387,17 @@ def sweep(
 
     Records appear sorted by length then by canonical sequence text.
     The exact oracle runs once per symbol-permutation orbit: the first
-    necklace of each orbit (keyed by orbit_form) goes through verify,
-    and every later necklace of that orbit gets a copy of its record or
-    skip entry with only the sequence changed. Relabelling the alphabet
-    is an automorphism of the de Bruijn graph that carries the windows,
-    the generated subdigraph and the induced walk along, so no field but
-    the sequence can differ across an orbit (see the README).
-    A relabelling of a necklace is in its orbit, so necklaces with the
-    same first-appearance form share one orbit_form call, and the
-    summary tallies each orbit once, weighted by its size: a copied
-    record costs two dictionary lookups and a constructor call.
+    necklace of each orbit goes through verify, and every later necklace
+    of that orbit gets a copy of its record or skip entry with only the
+    sequence changed. Relabelling the alphabet is an automorphism of the
+    de Bruijn graph that carries the windows, the generated subdigraph
+    and the induced walk along, so no field but the sequence can differ
+    across an orbit (see the README).
+    The first necklace of an orbit files it under the first-appearance
+    form of each of its rotations that starts a run; a later necklace
+    finds its orbit from its own first-appearance form, in one
+    dictionary lookup (the README proves this exact). The summary
+    tallies each orbit once, weighted by its size.
     Sequences whose subdigraph exceeds the oracle cap become skip
     entries; hitting the budget stops the sweep and marks the report
     truncated, and a range of more lengths than the budget raises
@@ -448,6 +409,33 @@ def sweep(
     """
     lengths = check_sweep_args(a, k, lengths, budget, size_cap)
     records: list[VerificationRecord | SkippedSequence] = []
+    # each orbit as [its first entry, its size], the first from verify
+    orbits: list[list] = []
+    # each orbit under the first-appearance forms of its first necklace's
+    # rotations that start a run
+    by_form: dict[tuple[int, ...], list] = {}
+    truncated = False
+    for seq in chain.from_iterable(rotation_representatives(a, n) for n in lengths):
+        if len(records) >= budget:
+            truncated = True
+            break
+        symbols = seq.symbols
+        orbit = by_form.get(_first_appearance(symbols))
+        if orbit is None:
+            try:
+                entry = verify(seq, k, vertex_cap)
+            except ResourceCapError as exc:
+                entry = SkippedSequence(seq, k, str(exc))
+            orbit = [entry, 0]
+            orbits.append(orbit)
+            for i in range(len(symbols)):  # a constant necklace needs only i = 0
+                if i == 0 or symbols[i] != symbols[i - 1]:
+                    by_form[_first_appearance(symbols[i:] + symbols[:i])] = orbit
+        else:
+            entry = orbit[0].with_sequence(seq)
+        orbit[1] += 1
+        records.append(entry)
+
     cells: dict[str, int] = {}
     for verdict in Verdict:
         for flag in (False, True):
@@ -455,42 +443,17 @@ def sweep(
     skipped = 0
     seam_total = 0
     seam_not_watchman = 0
-    truncated = False
-
-    for n in lengths:
-        if truncated:
-            break
-        forms: dict[tuple[int, ...], tuple[int, ...]] = {}
-        # each orbit's records so far; the first one came from verify
-        orbits: dict[tuple[int, ...], list[VerificationRecord | SkippedSequence]] = {}
-        for seq in rotation_representatives(a, n):
-            if len(records) >= budget:
-                truncated = True
-                break
-            key = _orbit_key(seq.symbols, forms)
-            members = orbits.get(key)
-            if members is None:
-                try:
-                    entry = verify(seq, k, vertex_cap)
-                except ResourceCapError as exc:
-                    entry = SkippedSequence(seq, k, str(exc))
-                orbits[key] = [entry]
-            else:
-                entry = members[0].with_sequence(seq)
-                members.append(entry)
-            records.append(entry)
-        # the members of an orbit share every tallied field
-        for members in orbits.values():
-            first, size = members[0], len(members)
-            if isinstance(first, SkippedSequence):
-                skipped += size
-                continue
-            cell = f"{first.classification.verdict.value}:{str(first.is_watchman).lower()}"
-            cells[cell] += size
-            if first.constant_run_seam_only:
-                seam_total += size
-                if not first.is_watchman:
-                    seam_not_watchman += size
+    # the members of an orbit share every tallied field
+    for first, size in orbits:
+        if isinstance(first, SkippedSequence):
+            skipped += size
+            continue
+        cell = f"{first.classification.verdict.value}:{str(first.is_watchman).lower()}"
+        cells[cell] += size
+        if first.constant_run_seam_only:
+            seam_total += size
+            if not first.is_watchman:
+                seam_not_watchman += size
 
     summary = {
         "alphabet": a,

@@ -182,9 +182,11 @@ class Digraph:
             raise DomainError(
                 f"a vertex is an index or a label text, not a {type(v).__name__}"
             )
-        idx = None
-        if len(v) == self._order:
-            idx = self._index.get(_text_rank(v, self._alphabet))
+        if len(v) != self._order:
+            raise DomainError(
+                f"unknown vertex: a label of length {len(v)}, not {self._order}"
+            )
+        idx = self._index.get(_text_rank(v, self._alphabet))
         if idx is None:
             raise DomainError(f"unknown vertex {v}")
         return idx

@@ -25,7 +25,6 @@ from debruijn.analysis import (
     has_distinct_windows,
     has_linear_constant_run,
     is_doubled,
-    orbit_form,
     rotation_representatives,
     sweep,
     verify,
@@ -385,38 +384,23 @@ class TestOrbitSharing:
         + [(3, n) for n in range(1, 7)]
         + [(4, n) for n in range(1, 6)],
     )
-    def test_orbit_form_partitions_like_brute_force(self, a, n):
-        # same key under one iff same key under the other, and one class
-        # per Burnside orbit; sweep's memoized key is orbit_form itself
-        memo = {}
-        pairs = set()
-        for seq in rotation_representatives(a, n):
-            form = orbit_form(seq.symbols)
-            assert analysis._orbit_key(seq.symbols, memo) == form
-            pairs.add((form, oracles.brute_orbit_key(seq.symbols, a)))
-        forms = {form for form, _ in pairs}
-        keys = {key for _, key in pairs}
-        assert len(forms) == len(keys) == len(pairs)
-        assert len(pairs) == oracles.burnside_orbit_count(a, n)
-
-    def test_memo_shares_orbit_form_calls(self, monkeypatch):
+    def test_orbit_form_partitions_like_brute_force(self, monkeypatch, a, n):
+        # sweep's orbits, keyed by first-appearance forms, are the classes
+        # of the brute-force key: verify gets the first necklace of each
         calls = []
 
-        def counting_orbit_form(symbols):
-            calls.append(symbols)
-            return orbit_form(symbols)
+        def recording_verify(d, k, vertex_cap):
+            calls.append(d.symbols)
+            raise ResourceCapError("not run")
 
-        monkeypatch.setattr(analysis, "orbit_form", counting_orbit_form)
-        assert len(sweep(4, 3, range(3, 7)).records) == 1002
-        assert len(calls) == len(set(calls)) == 167  # first-appearance forms
-
-    def test_orbit_form_examples(self):
-        assert orbit_form((2, 1, 1)) == orbit_form((0, 0, 1)) == (0, 0, 1)
-        assert orbit_form((1, 0, 2, 0)) == (0, 1, 0, 2)
-        assert orbit_form((0, 0, 1)) != orbit_form((0, 1, 2))
-        assert orbit_form((2, 2, 2)) == (0, 0, 0)
-        assert orbit_form((0, 1, 1, 1, 0, 2)) == (0, 0, 0, 1, 2, 1)  # longest run inside
-        assert orbit_form((1, 0, 0, 2, 2)) == (0, 0, 1, 1, 2)  # two longest runs
+        monkeypatch.setattr(analysis, "verify", recording_verify)
+        report = sweep(a, 1, [n])
+        firsts = {}
+        for seq in rotation_representatives(a, n):
+            firsts.setdefault(oracles.brute_orbit_key(seq.symbols, a), seq.symbols)
+        assert calls == list(firsts.values())
+        assert len(calls) == oracles.burnside_orbit_count(a, n)
+        assert report.summary["skipped"] == len(report.records)
 
     @pytest.mark.parametrize("a,k,lengths,vertex_cap", SHARED_SWEEPS)
     def test_shared_records_equal_direct_verify(self, a, k, lengths, vertex_cap):
@@ -448,7 +432,7 @@ class TestOrbitSharing:
         firsts = {}
         for entry in report.records:
             symbols = entry.sequence.symbols
-            first = firsts.setdefault((len(symbols), orbit_form(symbols)), entry)
+            first = firsts.setdefault(oracles.brute_orbit_key(symbols, a), entry)
             if first is not entry:
                 assert entry == dataclasses.replace(first, sequence=entry.sequence)
         # the per-orbit tally equals a count over the records

@@ -366,6 +366,8 @@ class TestSweep:
             (["-a", "2", "-k", "2", "--lengths", "2..3", "--budget", "0"], 1),
             (["-a", "2", "-k", "2", "--lengths", "2..9", "--budget", "3"], 2),
             (["-a", "2", "-k", "1", "--lengths", "4097..4097"], 2),  # size cap
+            (["-a", "2", "-k", "0", "--lengths", "3..4"], 1),  # order below 1
+            (["-a", "2", "-k", "-3", "--lengths", "3..4"], 1),
         ],
     )
     def test_rejected_sweep_leaves_the_csv_alone(self, capsys, tmp_path, args, exit_code):

@@ -9,6 +9,7 @@ directory. After a deliberate output change, rewrite the corpus with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
 import os
 import sys
@@ -65,6 +66,11 @@ CASES = {
         ["sweep", "-a", "4", "-k", "3", "--lengths", "3..5", "--csv", "{csv}"],
         env={"WATCHMAN_MAX_VERTICES": "12"},
     ),
+    # a ternary sweep that the record budget stops inside length 6
+    "sweep_a3_k2_budget": Case(
+        ["sweep", "-a", "3", "-k", "2", "--lengths", "2..7", "--budget", "150",
+         "--csv", "{csv}"]
+    ),
 }
 
 
@@ -86,6 +92,27 @@ def run_case(name, csv_path):
         sys.stdin = saved_stdin
     csv_bytes = csv_path.read_bytes() if "{csv}" in case.argv else None
     return code, out.getvalue().encode("utf-8"), csv_bytes
+
+
+# sha256 of the stdout of sweeps too long to keep in the corpus; they
+# cover many ternary orbits and long binary necklaces with many runs
+SWEEP_DIGESTS = {
+    "-a 3 -k 3 --lengths 3..8":
+        "cbaf146ecac9067acb220526c191fa6659e2db75f93a40f3d3ab960819652dbb",
+    "-a 2 -k 4 --lengths 4..12":
+        "a7b962d5b927ad85b1cf9cfaa594ff33bd740ee4b8db195f1f26679c0452321a",
+    "-a 2 -k 3 --lengths 3..14":
+        "ba0371c2142aa596f66e33240c843965f0ef22683769c17f6c175cf0d105e536",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SWEEP_DIGESTS))
+def test_sweep_stdout_digest(args):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["sweep", *args.split()])
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert (code, digest) == (0, SWEEP_DIGESTS[args])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

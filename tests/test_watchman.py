@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from debruijn import DomainError, ResourceCapError, watchman
-from debruijn.analysis import orbit_form, rotation_representatives
+from debruijn.analysis import rotation_representatives
 from debruijn.graphcore import (
     Digraph,
     Provenance,
@@ -35,6 +35,7 @@ from debruijn.watchman import (
 )
 
 from oracles import (
+    brute_orbit_key,
     canonical_rotation,
     closed_dominating_walks,
     cover_detours,
@@ -322,7 +323,7 @@ def sweep_orbit_graphs(a, k, lengths):
     graphs = {}
     for n in lengths:
         for seq in rotation_representatives(a, n):
-            graphs.setdefault((n, orbit_form(seq.symbols)), generated_subdigraph(seq, k))
+            graphs.setdefault(brute_orbit_key(seq.symbols, a), generated_subdigraph(seq, k))
     return list(graphs.values())
 
 
