@@ -404,8 +404,10 @@ def sweep(
     ResourceCapError before any sequence is verified, as does a length
     above ``size_cap``. The summary
     tallies verdict x is_watchman cells (the Undetermined/true cell
-    holds the sequences no certificate explains) plus the seam-only
-    constant-run evidence.
+    holds the sequences no certificate explains) plus a count of
+    seam-only constant runs. That count is always zero, since a
+    necklace that is not constant begins and ends with different
+    symbols; the seam-only evidence comes from verify on rotations.
     """
     lengths = check_sweep_args(a, k, lengths, budget, size_cap)
     records: list[VerificationRecord | SkippedSequence] = []

@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import DomainError
+from .errors import DomainError, ResourceCapError
 from .seqcore import (
     DEFAULT_SIZE_CAP,
     Alphabet,
     CyclicSequence,
     _check_generator_args,
+    _check_tour_args,
     _rank_text,
     _text_rank,
     parse_sequence,
@@ -227,6 +228,9 @@ class Digraph:
         order = obj["order"]
         if not _is_int(order) or order < 1:
             raise DomainError("order must be a positive integer")
+        # ranking a label costs the square of its length, so cap the order first
+        if order > DEFAULT_SIZE_CAP:
+            raise ResourceCapError(f"order {order} exceeds cap {DEFAULT_SIZE_CAP}")
         if not isinstance(obj["vertices"], list) or not isinstance(obj["arcs"], list):
             raise DomainError("'vertices' and 'arcs' must be lists")
         ranks = []
@@ -319,45 +323,51 @@ def least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     return min(t[i:] + t[:i] for i in range(len(t)))
 
 
-def build_de_bruijn_graph(
-    a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP
+def _window_digraph(
+    alphabet: Alphabet, k: int, windows: Iterable[int], provenance: Provenance
 ) -> Digraph:
+    """The left-shift digraph on W x {0..a-1}, W a set of (k-1)-string ranks.
+
+    Vertex ``s*a + c`` exists for each ``s`` in W, in ascending order,
+    and each symbol ``c``, so vertices come in rank order. The a left
+    shifts of a vertex are the block of its (k-1)-suffix, so a vertex
+    whose suffix is in W has arcs to all a of them and any other vertex
+    has none.
+    """
+    a = alphabet.size
+    drop = a ** (k - 1)
+    # block[s] is the index of vertex s*a, and vertex s*a + c is at block[s] + c
+    block = {s: i * a for i, s in enumerate(sorted(windows))}
+    ranks = [s * a + c for s in block for c in range(a)]
+    heads = [block.get(r % drop) for r in ranks]
+    arcs = [(i, j + c) for i, j in enumerate(heads) if j is not None for c in range(a)]
+    return Digraph(alphabet, k, ranks, arcs, provenance)
+
+
+def build_de_bruijn_graph(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Digraph:
     """The digraph on all a**k k-strings with an arc per left shift.
 
-    Vertices appear in lexicographic order, so vertex i has rank i;
-    every vertex has out-degree and in-degree exactly a.
+    It is the left-shift digraph on W x {0..a-1} with W every
+    (k-1)-string. Vertices appear in lexicographic order, so vertex i has
+    rank i; every vertex has out-degree and in-degree exactly a.
     """
     alphabet = _check_generator_args(a, k, size_cap)
-    size = a**k
-    arcs = [(r, r * a % size + c) for r in range(size) for c in range(a)]
-    return Digraph(alphabet, k, range(size), arcs, Provenance("de_bruijn"))
+    return _window_digraph(alphabet, k, range(a ** (k - 1)), Provenance("de_bruijn"))
 
 
 def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
     """The subdigraph generated by a sequence of length >= k.
 
-    Vertices are the distinct k-tour windows of ``d`` plus every left
-    shift of those windows; arcs are all left shifts between retained
-    vertices (the arc-induced subdigraph of the full de Bruijn graph).
-    Successor-only vertices may end up with out-degree 0.
+    Its vertices are the distinct k-tour windows of ``d`` plus every left
+    shift of those windows, and its arcs are all left shifts between
+    them (the arc-induced subdigraph of the full de Bruijn graph). The
+    README proves these vertices are W x {0..a-1} for the set W of
+    cyclic (k-1)-windows of ``d``.
     """
-    windows = set(window_ranks(d, k))  # rejects k > len(d) before a**k
-    a = d.alphabet.size
-    size = a**k
-    vertex_set = set(windows)
-    for r in windows:
-        first = r * a % size
-        vertex_set.update(range(first, first + a))
-    ranks = sorted(vertex_set)
-    index = {r: i for i, r in enumerate(ranks)}
-    arcs = []
-    for i, r in enumerate(ranks):
-        first = r * a % size
-        for s in range(first, first + a):
-            j = index.get(s)
-            if j is not None:
-                arcs.append((i, j))
-    return Digraph(d.alphabet, k, ranks, arcs, Provenance("generated", d.text))
+    _check_tour_args(d, k)  # rejects k > len(d) before a**k
+    # for k = 1, W holds the one empty window, of rank 0
+    windows = set(window_ranks(d, k - 1)) if k > 1 else {0}
+    return _window_digraph(d.alphabet, k, windows, Provenance("generated", d.text))
 
 
 def closed_out_neighborhood(g: Digraph, v: VertexRef) -> frozenset[int]:

@@ -206,6 +206,50 @@ def has_closed_dominating_walk(g):
     return False
 
 
+def postman_optimum(d, k):
+    """The watchman number of the subdigraph generated by ``d`` (k >= 2),
+    as the directed Chinese postman tour of B_D.
+
+    B_D's vertices are (k-2)-strings, with one uncapacitated unit-cost
+    arc prefix(w) -> suffix(w) for each distinct cyclic (k-1)-window w.
+    The answer is 0 when there is one window, and otherwise the number
+    of windows plus the least number of extra arc copies that balance
+    every in-degree against its out-degree. That least number is a
+    min-cost flow from the vertices with more arcs in than out to those
+    with more out than in, found one unit at a time along a shortest
+    path of the residual graph (successive shortest paths, Bellman-Ford
+    from every vertex that still has excess).
+    """
+    windows = set(cyclic_windows(d.symbols, k - 1))
+    if len(windows) == 1:
+        return 0
+    arcs = [(w[:-1], w[1:]) for w in windows]
+    excess = {}  # in-degree minus out-degree
+    for u, v in arcs:
+        excess[u] = excess.get(u, 0) - 1
+        excess[v] = excess.get(v, 0) + 1
+    flow = [0] * len(arcs)  # extra copies of each arc
+    extra = 0
+    while any(x > 0 for x in excess.values()):
+        dist = {v: 0 if x > 0 else math.inf for v, x in excess.items()}
+        pred = {}
+        for _ in range(len(excess)):
+            for i, (u, v) in enumerate(arcs):
+                if dist[u] + 1 < dist[v]:  # one more copy of arc i
+                    dist[v], pred[v] = dist[u] + 1, (i, u, 1)
+                if flow[i] and dist[v] - 1 < dist[u]:  # one copy fewer
+                    dist[u], pred[u] = dist[v] - 1, (i, v, -1)
+        sink = min((v for v, x in excess.items() if x < 0), key=dist.__getitem__)
+        extra += dist[sink]
+        v = sink
+        while v in pred:  # back to the source the path starts at
+            i, v, step = pred[v]
+            flow[i] += step
+        excess[v] -= 1
+        excess[sink] += 1
+    return len(windows) + extra
+
+
 SYMBOL_TEXT = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 

@@ -449,6 +449,8 @@ class TestOrbitSharing:
             "total": len(seam),
             "not_watchman": sum(not e.is_watchman for e in seam),
         }
+        # no necklace is seam-only: one that is not constant starts a run
+        assert summary["seam_only_constant_runs"] == {"total": 0, "not_watchman": 0}
 
     def test_oracle_runs_once_per_orbit(self, monkeypatch):
         calls = []

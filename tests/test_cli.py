@@ -240,6 +240,41 @@ class TestSolve:
         )
         assert code == 2 and "cap" in err
 
+    def test_vertex_cap_env_must_be_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv("WATCHMAN_MAX_VERTICES", "0")
+        code, out, err = run(capsys, "solve", "--from-seq", "01", "-a", "2", "-k", "2")
+        assert (code, out) == (1, "")
+        assert err == "watchman: error: WATCHMAN_MAX_VERTICES must be positive\n"
+
+    def test_count_without_a_closed_dominating_walk_is_zero(self, capsys, monkeypatch):
+        # each vertex sees only itself, and no walk joins them
+        graph = {"alphabet": 2, "order": 2, "vertices": ["00", "01"], "arcs": [[0, 0]]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve", "--count")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert (obj["optimum"], obj["witness"]) == (None, None)
+        assert (obj["count"], obj["walks"]) == (0, [])
+
+    @pytest.mark.parametrize(
+        "provenance,message",
+        [
+            ({"kind": "mystery"}, "unknown provenance kind 'mystery'"),
+            ("de_bruijn", "provenance must be an object with a 'kind' field"),
+            ({"sequence": "01"}, "provenance must be an object with a 'kind' field"),
+        ],
+        ids=["unknown-kind", "not-an-object", "no-kind"],
+    )
+    def test_bad_provenance_is_one_error_line(
+        self, capsys, monkeypatch, provenance, message
+    ):
+        graph = {"alphabet": 2, "order": 1, "vertices": ["0", "1"], "arcs": []}
+        graph["provenance"] = provenance
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve")
+        assert (code, out) == (1, "")
+        assert err == f"watchman: error: {message}\n"
+
 
 class TestClassify:
     def test_constant_run_example(self, capsys):
@@ -282,6 +317,15 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--seq", "102", "-a", "2", "-k", "2")
         assert code == 1
         assert "position 2" in err
+
+    def test_seq_file_of_comments_only_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "seqs.txt"
+        path.write_text("# nothing here\n\n   \n# still nothing\n")
+        code, out, err = run(
+            capsys, "classify", "--seq-file", str(path), "-a", "2", "-k", "3"
+        )
+        assert (code, out) == (1, "")
+        assert err == f"watchman: error: no sequences in {path}\n"
 
 
 class TestVerify:
@@ -376,6 +420,13 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", *args, "--csv", str(csv_path))
         assert (code, out) == (exit_code, "")
         assert csv_path.read_bytes() == b"keep\n"
+
+    def test_one_length_is_a_range_of_one(self, capsys):
+        code, out, err = run(capsys, "sweep", "-a", "2", "-k", "3", "--lengths", "5")
+        assert (code, err) == (0, "")
+        _, ranged, _ = run(capsys, "sweep", "-a", "2", "-k", "3", "--lengths", "5..5")
+        assert out == ranged
+        assert json.loads(out.splitlines()[-1])["summary"]["lengths"] == [5]
 
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "sweep", "-a", "2", "-k", "2", "--lengths", "3..2")
@@ -474,6 +525,24 @@ class TestHugeIntegers:
         code, out, err = run(capsys, "solve")
         assert (code, out) == (2, "")
         assert f"~{n} * 2^{n}" in err
+
+    @pytest.mark.parametrize("order", [4097, 200_000])
+    def test_graph_order_above_the_size_cap_is_a_cap_error(
+        self, capsys, monkeypatch, order
+    ):
+        # refused before its one label, of quadratic cost, is ranked
+        graph = {"alphabet": 36, "order": order, "vertices": ["Z" * order], "arcs": []}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve")
+        assert (code, out) == (2, "")
+        assert err == f"watchman: resource cap: order {order} exceeds cap 4096\n"
+
+    def test_graph_order_at_the_size_cap_is_solved(self, capsys, monkeypatch):
+        graph = {"alphabet": 36, "order": 4096, "vertices": ["Z" * 4096], "arcs": []}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["optimum"] == 0
 
     def test_huge_json_integer_is_invalid_json(self, capsys, monkeypatch):
         text = '{"alphabet": ' + "9" * 5000 + "}"

@@ -156,6 +156,17 @@ class TestDomination:
         with pytest.raises(DomainError):
             closed_out_neighborhood(g, 99)
 
+    def test_label_of_the_right_length_that_is_no_vertex(self):
+        g = generated_subdigraph(parse_sequence("0000", 2), 3)  # 000 and 001
+        with pytest.raises(DomainError, match="^unknown vertex 011$"):
+            g.index("011")
+
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_label_index_out_of_range(self, i):
+        g = generated_subdigraph(parse_sequence("0000", 2), 3)
+        with pytest.raises(DomainError, match=f"^vertex index {i} out of range$"):
+            g.label(i)
+
     def test_dominating_sets(self):
         g = build_de_bruijn_graph(2, 3)
         assert is_dominating_set(g, {"100", "001", "011", "110"})
@@ -325,6 +336,16 @@ class TestJson:
     def test_generated_provenance_requires_sequence(self):
         with pytest.raises(DomainError):
             Provenance("generated")
+
+    def test_order_is_capped_before_any_label_is_ranked(self, monkeypatch):
+        cap = graphcore.DEFAULT_SIZE_CAP
+        ranked = []
+        monkeypatch.setattr(graphcore, "_text_rank", lambda t, al: ranked.append(t))
+        obj = {"alphabet": 36, "order": cap + 1, "vertices": ["Z" * (cap + 1)]}
+        message = f"^order {cap + 1} exceeds cap {cap}$"
+        with pytest.raises(ResourceCapError, match=message):
+            Digraph.from_json({**obj, "arcs": []})
+        assert ranked == []
 
 
 class TestConstructor:

@@ -146,6 +146,11 @@ class TestValidator:
         assert not is_de_bruijn_sequence(parse_sequence("0", 2), 2)
         assert not is_de_bruijn_sequence(parse_sequence("00110", 2), 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_order_below_one_is_an_error(self, k):
+        with pytest.raises(DomainError, match="^order must be at least 1$"):
+            is_de_bruijn_sequence(parse_sequence("01", 2), k)
+
     def test_agrees_with_counting_oracle_exhaustively(self):
         # every binary sequence of length <= 8, orders 1..4
         for n in range(1, 9):

@@ -41,6 +41,7 @@ from oracles import (
     cover_detours,
     has_closed_dominating_walk,
     min_walk_length,
+    postman_optimum,
 )
 
 FIXTURE_SEQ = "01210123"  # repeated 2-windows, induced walk still minimum
@@ -509,3 +510,66 @@ class TestOracleCrossChecks:
         assert not has_closed_dominating_walk(g)
         assert not solve_min_walk(g).feasible
         assert all(enumerate_min_walks(g, length) == [] for length in range(5))
+
+
+# (a, k, lengths, necklaces with at most 24 vertices, those whose B_D
+# needs extra arcs): at k = 2, B_D is one vertex with a loop per window,
+# and a binary B_D at k = 3 has its arcs 0 -> 1 and 1 -> 0 both or neither
+POSTMAN_FAMILIES = [
+    (2, 3, range(3, 11), 256, 0),
+    (3, 2, range(2, 7), 222, 0),
+    (4, 3, range(3, 7), 1002, 180),
+    (2, 4, range(4, 10), 144, 44),
+    (5, 2, range(2, 6), 830, 0),
+    (3, 3, range(3, 7), 216, 36),
+]
+
+
+class TestPostmanTheorem:
+    """The watchman number of a generated subdigraph, k >= 2, is the
+    length of the directed Chinese postman tour of the window digraph
+    B_D (``oracles.postman_optimum``)."""
+
+    @pytest.mark.parametrize("a,k,lengths,checked,unbalanced", POSTMAN_FAMILIES)
+    def test_postman_optimum_equals_the_oracle_on_every_small_necklace(
+        self, a, k, lengths, checked, unbalanced
+    ):
+        optima = []
+        for n in lengths:
+            for seq in rotation_representatives(a, n):
+                g = generated_subdigraph(seq, k)
+                if g.vertex_count <= 24:
+                    optimum = postman_optimum(seq, k)
+                    assert optimum == solve_min_walk(g, 24).optimum_length, seq.text
+                    optima.append((optimum, g.vertex_count // a))
+        assert len(optima) == checked
+        # a*|W| vertices; an optimum above |W| >= 2 took a balancing arc
+        assert sum(w > 1 and opt > w for opt, w in optima) == unbalanced
+
+    def test_postman_optimum_equals_the_oracle_on_random_sequences(self):
+        rng = random.Random(2026)
+        checked = 0
+        while checked < 1500:
+            a, k = rng.choice((2, 3, 4)), rng.randint(2, 6)
+            n = rng.randint(k, 20)
+            d = CyclicSequence(tuple(rng.randrange(a) for _ in range(n)), Alphabet(a))
+            g = generated_subdigraph(d, k)
+            if g.vertex_count > 30:
+                continue
+            expected = solve_min_walk(g, 30).optimum_length
+            assert postman_optimum(d, k) == expected, (d.text, k)
+            checked += 1
+
+    @pytest.mark.parametrize(
+        "text,a,k,expected",
+        [
+            ("0000", 2, 3, 0),  # one window
+            ("01", 2, 2, 2),  # B_D is one vertex with two loops
+            ("0011", 2, 3, 4),  # distinct windows: D is an Euler circuit of B_D
+            ("0001", 2, 3, 3),  # the window 00 twice: |W| = 3
+            ("00101", 2, 4, 5),  # 01 has one arc more in than out
+            ("01210123", 4, 3, 8),
+        ],
+    )
+    def test_postman_optimum_examples(self, text, a, k, expected):
+        assert postman_optimum(parse_sequence(text, a), k) == expected
