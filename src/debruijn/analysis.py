@@ -9,7 +9,7 @@ sweep harness enumerates sequences (one per rotation class), verifies
 them against the exact oracle, and tallies where the certificates stay
 silent. Renaming the symbols changes no verified field, so the sweep
 runs the oracle once per symbol-permutation orbit of necklaces and
-copies that record to the orbit's other necklaces.
+shares that record with the orbit's other necklaces.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain, groupby
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import generated_subdigraph, is_closed_dominating_walk
 from .seqcore import (
     DEFAULT_SIZE_CAP,
+    SYMBOL_CHARS,
     Alphabet,
     CyclicSequence,
     _check_tour_args,
@@ -263,6 +265,10 @@ def rotation_representatives(a: int, n: int):
         yield CyclicSequence(word, alphabet)
 
 
+def _text(word: tuple[int, ...]) -> str:
+    return "".join([SYMBOL_CHARS[s] for s in word])
+
+
 def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
     labels: dict[int, int] = {}
     for s in word:
@@ -271,33 +277,52 @@ def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(labels.__getitem__, word))
 
 
+SweepEntry = VerificationRecord | SkippedSequence
+
+
 @dataclass
 class SweepReport:
-    """Deterministically ordered records plus summary statistics."""
+    """Deterministically ordered records plus summary statistics.
 
-    records: list[VerificationRecord | SkippedSequence]
+    ``rows`` holds one ``(word, first)`` pair per record: the necklace's
+    symbol tuple and the first entry of its symbol-permutation orbit,
+    whose fields are the record's in all but the sequence. Rows of one
+    orbit share that entry object.
+    """
+
+    rows: list[tuple[tuple[int, ...], SweepEntry]]
     summary: dict
+
+    @cached_property
+    def records(self) -> list[SweepEntry]:
+        """Each row as its own record: the first entry for the orbit's
+        first necklace, a copy with the row's sequence for the others."""
+        return [
+            first
+            if word == first.sequence.symbols
+            else first.with_sequence(CyclicSequence(word, first.sequence.alphabet))
+            for word, first in self.rows
+        ]
 
     def to_jsonl(self) -> str:
         """One line per record, ``json.dumps(entry.to_json())``, then the
         summary line.
 
         The records of one orbit differ only in their sequence, which
-        to_json puts first. So the rest of each distinct record is
-        serialized once, and each line is that rest behind the record's
-        own sequence.
+        to_json puts first. So each orbit's entry is serialized once
+        without it, and each line is that rest behind the row's own text,
+        read off its word: json.dumps escapes no character of
+        SYMBOL_CHARS, so the quoted text is the same bytes.
         """
-        rests: dict[tuple, str] = {}
+        rests: dict[int, str] = {}  # by id: the rows keep every entry alive
         lines = []
-        for entry in self.records:
-            fields = entry.to_json()
-            text = fields.pop("sequence")
-            # the class fixes the keys, so equal values serialize alike
-            key = (type(entry), *fields.values())
-            rest = rests.get(key)
+        for word, first in self.rows:
+            rest = rests.get(id(first))
             if rest is None:
-                rest = rests[key] = json.dumps(fields)[1:]  # without its "{"
-            lines.append('{"sequence": ' + json.dumps(text) + ", " + rest)
+                fields = first.to_json()
+                del fields["sequence"]
+                rest = rests[id(first)] = json.dumps(fields)[1:]  # without its "{"
+            lines.append('{"sequence": "' + _text(word) + '", ' + rest)
         lines.append(json.dumps({"summary": self.summary}))
         return "\n".join(lines) + "\n"
 
@@ -315,18 +340,18 @@ class SweepReport:
                 "is_watchman",
             ]
         )
-        for entry in self.records:
-            if isinstance(entry, SkippedSequence):
+        for word, first in self.rows:
+            if isinstance(first, SkippedSequence):
                 continue
             writer.writerow(
                 [
-                    entry.sequence.text,
-                    len(entry.sequence),
-                    entry.classification.verdict.value,
-                    entry.classification.reason.value,
-                    entry.induced_length,
-                    entry.oracle_optimum,
-                    entry.is_watchman,
+                    _text(word),
+                    len(word),
+                    first.classification.verdict.value,
+                    first.classification.reason.value,
+                    first.induced_length,
+                    first.oracle_optimum,
+                    first.is_watchman,
                 ]
             )
         return buf.getvalue()
@@ -388,8 +413,10 @@ def sweep(
     Records appear sorted by length then by canonical sequence text.
     The exact oracle runs once per symbol-permutation orbit: the first
     necklace of each orbit goes through verify, and every later necklace
-    of that orbit gets a copy of its record or skip entry with only the
-    sequence changed. Relabelling the alphabet is an automorphism of the
+    of that orbit shares its record or skip entry: the report keeps each
+    necklace's word beside that entry (``SweepReport.rows``), and builds
+    a copy with only the sequence changed when ``records`` is read.
+    Relabelling the alphabet is an automorphism of the
     de Bruijn graph that carries the windows, the generated subdigraph
     and the induced walk along, so no field but the sequence can differ
     across an orbit (see the README).
@@ -410,33 +437,32 @@ def sweep(
     symbols; the seam-only evidence comes from verify on rotations.
     """
     lengths = check_sweep_args(a, k, lengths, budget, size_cap)
-    records: list[VerificationRecord | SkippedSequence] = []
+    alphabet = Alphabet(a)
+    rows: list[tuple[tuple[int, ...], SweepEntry]] = []
     # each orbit as [its first entry, its size], the first from verify
     orbits: list[list] = []
     # each orbit under the first-appearance forms of its first necklace's
     # rotations that start a run
     by_form: dict[tuple[int, ...], list] = {}
     truncated = False
-    for seq in chain.from_iterable(rotation_representatives(a, n) for n in lengths):
-        if len(records) >= budget:
+    for word, _ in chain.from_iterable(necklaces(a, n) for n in lengths):
+        if len(rows) >= budget:
             truncated = True
             break
-        symbols = seq.symbols
-        orbit = by_form.get(_first_appearance(symbols))
+        orbit = by_form.get(_first_appearance(word))
         if orbit is None:
+            seq = CyclicSequence(word, alphabet)
             try:
                 entry = verify(seq, k, vertex_cap)
             except ResourceCapError as exc:
                 entry = SkippedSequence(seq, k, str(exc))
             orbit = [entry, 0]
             orbits.append(orbit)
-            for i in range(len(symbols)):  # a constant necklace needs only i = 0
-                if i == 0 or symbols[i] != symbols[i - 1]:
-                    by_form[_first_appearance(symbols[i:] + symbols[:i])] = orbit
-        else:
-            entry = orbit[0].with_sequence(seq)
+            for i in range(len(word)):  # a constant necklace needs only i = 0
+                if i == 0 or word[i] != word[i - 1]:
+                    by_form[_first_appearance(word[i:] + word[:i])] = orbit
         orbit[1] += 1
-        records.append(entry)
+        rows.append((word, orbit[0]))
 
     cells: dict[str, int] = {}
     for verdict in Verdict:
@@ -461,8 +487,8 @@ def sweep(
         "alphabet": a,
         "order": k,
         "lengths": lengths,
-        "total": len(records),
-        "verified": len(records) - skipped,
+        "total": len(rows),
+        "verified": len(rows) - skipped,
         "skipped": skipped,
         "truncated": truncated,
         "cells": cells,
@@ -471,4 +497,4 @@ def sweep(
             "not_watchman": seam_not_watchman,
         },
     }
-    return SweepReport(records, summary)
+    return SweepReport(rows, summary)

@@ -14,6 +14,7 @@ is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -92,7 +93,9 @@ class Digraph:
         size = a**order
         for r in ranks:
             if not (_is_int(r) and 0 <= r < size):
-                raise DomainError(f"vertex rank {r!r} is not an integer in [0, {size})")
+                raise DomainError(
+                    f"vertex rank {_show(r)} is not an integer in [0, {a}**{order})"
+                )
         index = {r: i for i, r in enumerate(ranks)}
         if len(index) != len(ranks):
             raise DomainError("vertex labels must be pairwise distinct")
@@ -109,9 +112,9 @@ class Digraph:
             except (TypeError, ValueError):  # not a pair: rejected just below
                 u = v = None
             if not (_is_int(u) and _is_int(v)):
-                raise DomainError(f"arc {arc!r} must be a pair of vertex indices")
+                raise DomainError(f"arc {_show(arc)} must be a pair of vertex indices")
             if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"arc {arc!r} references an unknown vertex")
+                raise DomainError(f"arc {_show(arc)} references an unknown vertex")
             out[u].append(v)
         self._out = tuple(tuple(sorted(set(ts))) for ts in out)
         if provenance.kind != "custom":
@@ -274,6 +277,29 @@ def _check_provenance(g: Digraph) -> None:
 def _is_int(x: object) -> bool:
     # JSON true/false decode to bool, a subclass of int
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+# in an error message, an int of more bits than this is named by its digit count
+_SHOWN_BITS = 256
+
+
+def _show(x: object) -> str:
+    """``repr(x)`` for an error message, except that a long int, alone or
+    as an item of a tuple or list (an arc), is named by its digit count:
+    ``str`` of an int with more digits than
+    ``sys.get_int_max_str_digits()`` raises ValueError."""
+    if isinstance(x, int) and abs(x).bit_length() > _SHOWN_BITS:
+        n = abs(x)
+        # a lower bound from the bit length, counted up to the exact count
+        digits = int((n.bit_length() - 1) * math.log10(2))
+        while n >= 10**digits:
+            digits += 1
+        return f"<{'a negative' if x < 0 else 'an'} integer of {digits} digits>"
+    if type(x) is list:
+        return "[" + ", ".join(map(_show, x)) + "]"
+    if type(x) is tuple:
+        return "(" + ", ".join(map(_show, x)) + ("," if len(x) == 1 else "") + ")"
+    return repr(x)
 
 
 @dataclass(frozen=True, eq=False)

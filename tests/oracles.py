@@ -54,6 +54,22 @@ def brute_orbit_key(word, a):
     )
 
 
+def symbol_orbit_key(word):
+    """brute_orbit_key for any alphabet, in time free of ``a``. A
+    permutation's image of a word depends only on where it sends the
+    word's own m symbols, and the least image sends them onto 0..m-1; so
+    the m! orders of those symbols stand in for the a! permutations."""
+    labels = [
+        {s: i for i, s in enumerate(order)}
+        for order in itertools.permutations(sorted(set(word)))
+    ]
+    return min(
+        tuple(label[s] for s in rotated)
+        for label in labels
+        for rotated in rotations(word)
+    )
+
+
 def burnside_orbit_count(a, n):
     """Orbits of the length-n words over ``a`` symbols under rotation and
     symbol permutation, by Burnside's lemma: the mean over all pairs

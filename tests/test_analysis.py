@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import itertools
 import json
 from collections import Counter
@@ -20,6 +22,7 @@ from debruijn.analysis import (
     Reason,
     SkippedSequence,
     Verdict,
+    VerificationRecord,
     classify,
     has_constant_run,
     has_distinct_windows,
@@ -365,6 +368,10 @@ SHARED_SWEEPS = [
     (4, 3, range(3, 6), 24),
     (3, 2, range(2, 6), 6),  # skips the 9-vertex subdigraphs
     (4, 3, range(3, 6), 12),  # skips the 16- and 20-vertex ones
+    # every character of SYMBOL_CHARS, in 702 records: each subdigraph has
+    # 36 vertices, so the first sweep skips them all and the second skips none
+    (36, 1, range(1, 3), 24),
+    (36, 1, range(1, 3), 36),
 ]
 # the same with a budget, plus one sweep that the budget stops inside length 6
 BUDGETED_SWEEPS = [(*args, analysis.DEFAULT_SWEEP_BUDGET) for args in SHARED_SWEEPS]
@@ -377,6 +384,11 @@ class TestOrbitSharing:
     )
     def test_burnside_counts(self, a, n):
         assert oracles.burnside_orbit_count(a, n) == ORBIT_COUNTS[a][n]
+
+    @pytest.mark.parametrize("a,n", [(2, 8), (3, 6), (4, 5), (5, 4)])
+    def test_symbol_orbit_key_is_the_brute_force_key(self, a, n):
+        for word in itertools.product(range(a), repeat=n):
+            assert oracles.symbol_orbit_key(word) == oracles.brute_orbit_key(word, a)
 
     @pytest.mark.parametrize(
         "a,n",
@@ -411,8 +423,9 @@ class TestOrbitSharing:
             except ResourceCapError as exc:
                 direct = SkippedSequence(entry.sequence, k, str(exc))
             assert entry.to_json() == direct.to_json()
-        # the small caps compare skip entries too
-        assert (report.summary["skipped"] > 0) == (vertex_cap < 24)
+        # the small caps compare skip entries too, and so does the 36-ary
+        # sweep at 24, whose constant necklaces alone have 36 vertices
+        assert (report.summary["skipped"] > 0) == (vertex_cap < 24 or a > vertex_cap)
 
     @pytest.mark.parametrize("a,k,lengths,vertex_cap,budget", BUDGETED_SWEEPS)
     def test_to_jsonl_is_the_reference_serialization(
@@ -425,6 +438,32 @@ class TestOrbitSharing:
         assert report.to_jsonl() == "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize("a,k,lengths,vertex_cap,budget", BUDGETED_SWEEPS)
+    def test_to_csv_is_the_reference_serialization(
+        self, a, k, lengths, vertex_cap, budget
+    ):
+        report = sweep(a, k, lengths, budget=budget, vertex_cap=vertex_cap)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(
+            "sequence length verdict reason induced_length oracle_optimum "
+            "is_watchman".split()
+        )
+        writer.writerows(
+            [
+                entry.sequence.text,
+                len(entry.sequence),
+                entry.classification.verdict.value,
+                entry.classification.reason.value,
+                entry.induced_length,
+                entry.oracle_optimum,
+                entry.is_watchman,
+            ]
+            for entry in report.records
+            if not isinstance(entry, SkippedSequence)
+        )
+        assert report.to_csv() == buf.getvalue()
+
+    @pytest.mark.parametrize("a,k,lengths,vertex_cap,budget", BUDGETED_SWEEPS)
     def test_copies_and_tallies_match_the_first_of_each_orbit(
         self, a, k, lengths, vertex_cap, budget
     ):
@@ -432,7 +471,7 @@ class TestOrbitSharing:
         firsts = {}
         for entry in report.records:
             symbols = entry.sequence.symbols
-            first = firsts.setdefault(oracles.brute_orbit_key(symbols, a), entry)
+            first = firsts.setdefault(oracles.symbol_orbit_key(symbols), entry)
             if first is not entry:
                 assert entry == dataclasses.replace(first, sequence=entry.sequence)
         # the per-orbit tally equals a count over the records
@@ -451,6 +490,29 @@ class TestOrbitSharing:
         }
         # no necklace is seam-only: one that is not constant starts a run
         assert summary["seam_only_constant_runs"] == {"total": 0, "not_watchman": 0}
+
+    def test_output_builds_one_sequence_per_orbit(self, monkeypatch):
+        # a later necklace of an orbit is a row of the report: sweep,
+        # to_jsonl and to_csv build no record and no sequence for it
+        built = []
+        post_init = CyclicSequence.__post_init__
+
+        def counting_post_init(seq):
+            built.append(seq.symbols)
+            post_init(seq)
+
+        def no_copy(entry, sequence):
+            raise AssertionError(f"copied a record for {sequence.text}")
+
+        monkeypatch.setattr(CyclicSequence, "__post_init__", counting_post_init)
+        monkeypatch.setattr(VerificationRecord, "with_sequence", no_copy)
+        monkeypatch.setattr(SkippedSequence, "with_sequence", no_copy)
+        report = sweep(4, 3, range(3, 7))
+        report.to_jsonl()
+        report.to_csv()
+        assert report.summary["total"] == 1002
+        assert len(built) == sum(ORBIT_COUNTS[4].values()) == 60
+        assert built[:3] == [(0, 0, 0), (0, 0, 1), (0, 1, 2)]
 
     def test_oracle_runs_once_per_orbit(self, monkeypatch):
         calls = []

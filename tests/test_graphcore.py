@@ -384,6 +384,33 @@ class TestConstructor:
         with pytest.raises(DomainError, match="references an unknown vertex"):
             Digraph(Alphabet(2), 2, [0, 1], [arc])
 
+    # str() of an int of more than 4,300 digits raises ValueError, so each
+    # message names a**order and a long int's digit count instead
+    @pytest.mark.parametrize(
+        "a,order,ranks,arcs,message",
+        [
+            (36, 4096, [-1], [], r"vertex rank -1 is not an integer in \[0, 36\*\*4096\)$"),
+            (2, 3, [10**5000], [], r"vertex rank <an integer of 5001 digits> is not"),
+            (36, 4096, [0], [(0, 10**5000)], r"arc \(0, <an integer of 5001 digits>\) ref"),
+        ],
+    )
+    def test_messages_never_print_a_long_int(self, a, order, ranks, arcs, message):
+        with pytest.raises(DomainError, match=message):
+            Digraph(Alphabet(a), order, ranks, arcs)
+
+    @pytest.mark.parametrize("digits", [80, 100, 1000, 4300, 4301])
+    def test_a_long_int_is_named_by_its_exact_digit_count(self, digits):
+        for rank, count in [
+            (10 ** (digits - 1), digits),
+            (10**digits - 1, digits),
+            (-(10**digits), digits + 1),
+        ]:
+            sign = "a negative" if rank < 0 else "an"
+            with pytest.raises(DomainError, match=f"<{sign} integer of {count} digits>"):
+                Digraph(Alphabet(2), 3, [rank], [])
+            with pytest.raises(DomainError, match=f"<{sign} integer of {count} digits>"):
+                Digraph(Alphabet(2), 3, [0], [[rank, "x"]])
+
     @pytest.mark.parametrize("kind", ["custom", "generated", "de_bruijn"])
     @pytest.mark.parametrize("sequence", [5, [1, {"x": None}], {"s": "01"}, 1.5, True])
     def test_rejects_a_provenance_sequence_that_is_not_a_string(self, kind, sequence):
