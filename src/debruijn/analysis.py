@@ -8,8 +8,10 @@ certify "always minimum". All three read the sequence cyclically. The
 sweep harness enumerates sequences (one per rotation class), verifies
 them against the exact oracle, and tallies where the certificates stay
 silent. Renaming the symbols changes no verified field, so the sweep
-runs the oracle once per symbol-permutation orbit of necklaces and
-shares that record with the orbit's other necklaces.
+verifies one necklace per symbol-permutation orbit and shares that
+record with the orbit's other necklaces. The generated subdigraph, and
+so the oracle's optimum, depends only on the set W of (k-1)-windows, so
+orbits with one W share one subdigraph build and one oracle run.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 from itertools import chain, groupby
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
-from .graphcore import generated_subdigraph, is_closed_dominating_walk
+from .graphcore import Digraph, generated_subdigraph, is_closed_dominating_walk
 from .seqcore import (
     DEFAULT_SIZE_CAP,
     SYMBOL_CHARS,
@@ -31,7 +33,7 @@ from .seqcore import (
     CyclicSequence,
     _check_tour_args,
     necklaces,
-    window_ranks,
+    window_set,
 )
 from .watchman import DEFAULT_VERTEX_CAP, induced_walk, solve_min_walk
 
@@ -109,11 +111,12 @@ def is_doubled(d: CyclicSequence, k: int) -> bool:
 
 
 def has_distinct_windows(d: CyclicSequence, k: int) -> bool:
-    """True iff all cyclic windows of length k-1 are pairwise distinct."""
-    _check_tour_args(d, k)
-    if k == 1:  # every sequence has the one empty window
-        return len(d) == 1
-    return len(set(window_ranks(d, k - 1))) == len(d)
+    """True iff all cyclic windows of length k-1 are pairwise distinct.
+
+    For k = 1 every sequence has the one empty window, so only a
+    length-1 sequence qualifies.
+    """
+    return len(window_set(d, k)) == len(d)
 
 
 def classify(d: CyclicSequence, k: int) -> Classification:
@@ -204,8 +207,17 @@ class SkippedSequence:
         return SkippedSequence(sequence, self.order, self.reason)
 
 
+#: A memo for verify: each window set W (``seqcore.window_set``) with its
+#: generated subdigraph and oracle optimum, or the ResourceCapError that
+#: the oracle raised on it.
+Solved = dict[frozenset[int], "tuple[Digraph, int] | ResourceCapError"]
+
+
 def verify(
-    d: CyclicSequence, k: int, vertex_cap: int = DEFAULT_VERTEX_CAP
+    d: CyclicSequence,
+    k: int,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
+    solved: Solved | None = None,
 ) -> VerificationRecord:
     """Build the generated subdigraph and test the induced walk for minimality.
 
@@ -214,14 +226,35 @@ def verify(
     disagree (which would falsify a certificate, so it must never pass
     silently), or if an induced walk of optimum length is not a closed
     dominating walk.
+
+    ``solved`` is a memo keyed by the window set W of ``d``; without
+    one, the call makes its own. The generated subdigraph is
+    W x {0..a-1}, so its build and its oracle optimum depend on W alone:
+    a sequence whose W is in the memo reuses both (or has the cap error
+    raised again) and runs neither. The induced walk, the classification
+    and every InvariantViolation gate still run for each call. One memo
+    serves one alphabet, order and vertex cap; the caller makes it and
+    drops it with its loop.
     """
-    _check_tour_args(d, k)
-    graph = generated_subdigraph(d, k)
+    if solved is None:
+        solved = {}
+    key = window_set(d, k)  # checks k against d
+    hit = solved.get(key)
+    if hit is None:
+        graph = generated_subdigraph(d, k)
+        try:
+            result = solve_min_walk(graph, vertex_cap)
+        except ResourceCapError as exc:
+            hit = exc.with_traceback(None)  # keep no frame (or graph) alive
+        else:
+            if not result.feasible:  # pragma: no cover - induced walks always dominate
+                raise InvariantViolation("generated subdigraph reported infeasible")
+            hit = (graph, result.optimum_length)
+        solved[key] = hit
+    if isinstance(hit, ResourceCapError):
+        raise ResourceCapError(*hit.args)
+    graph, optimum = hit
     walk = induced_walk(d, k, graph)
-    result = solve_min_walk(graph, vertex_cap)
-    if not result.feasible:  # pragma: no cover - induced walks always dominate
-        raise InvariantViolation("generated subdigraph reported infeasible")
-    optimum = result.optimum_length
     induced_length = walk.length
     is_watchman = induced_length == optimum
     if is_watchman and not is_closed_dominating_walk(graph, walk):
@@ -411,7 +444,7 @@ def sweep(
     """Verify every sequence of the given lengths, one per rotation class.
 
     Records appear sorted by length then by canonical sequence text.
-    The exact oracle runs once per symbol-permutation orbit: the first
+    verify runs once per symbol-permutation orbit: the first
     necklace of each orbit goes through verify, and every later necklace
     of that orbit shares its record or skip entry: the report keeps each
     necklace's word beside that entry (``SweepReport.rows``), and builds
@@ -425,6 +458,10 @@ def sweep(
     finds its orbit from its own first-appearance form, in one
     dictionary lookup (the README proves this exact). The summary
     tallies each orbit once, weighted by its size.
+    The verify calls share one memo, made for this call and dropped
+    with it: orbits whose first necklaces have one window set W share
+    one subdigraph build and one oracle run (or one cap error), since
+    the subdigraph is W x {0..a-1}.
     Sequences whose subdigraph exceeds the oracle cap become skip
     entries; hitting the budget stops the sweep and marks the report
     truncated, and a range of more lengths than the budget raises
@@ -444,6 +481,7 @@ def sweep(
     # each orbit under the first-appearance forms of its first necklace's
     # rotations that start a run
     by_form: dict[tuple[int, ...], list] = {}
+    solved: Solved = {}  # verify's memo: orbits with one window set share it
     truncated = False
     for word, _ in chain.from_iterable(necklaces(a, n) for n in lengths):
         if len(rows) >= budget:
@@ -453,7 +491,7 @@ def sweep(
         if orbit is None:
             seq = CyclicSequence(word, alphabet)
             try:
-                entry = verify(seq, k, vertex_cap)
+                entry = verify(seq, k, vertex_cap, solved)
             except ResourceCapError as exc:
                 entry = SkippedSequence(seq, k, str(exc))
             orbit = [entry, 0]

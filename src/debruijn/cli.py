@@ -179,8 +179,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for seq in _sequences_from_args(args):
-        print(json.dumps(verify(seq, args.order, _vertex_cap()).to_json()))
+    seqs, cap = _sequences_from_args(args), _vertex_cap()
+    solved = {}  # sequences with one window set share one oracle run
+    for seq in seqs:
+        print(json.dumps(verify(seq, args.order, cap, solved).to_json()))
     return 0
 
 
@@ -188,6 +190,16 @@ def _open_csv(path: str):
     try:
         return open(path, "w", encoding="utf-8", newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise DomainError(f"cannot write {path}: {exc}") from None
+
+
+def _write_csv(fh, path: str, text: str) -> None:
+    # closing inside the try makes the last block's failed flush an error
+    # here too; a file whose close failed is closed all the same
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from None
 
 
@@ -201,7 +213,7 @@ def cmd_sweep(args) -> int:
         report = sweep(args.alphabet, args.order, lengths, args.budget, cap, size_cap)
         sys.stdout.write(report.to_jsonl())
         if fh is not None:
-            fh.write(report.to_csv())
+            _write_csv(fh, args.csv, report.to_csv())
     return 0
 
 
@@ -297,14 +309,38 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         return exc.code if isinstance(exc.code, int) else 0
 
+    if sys.stdout is None:  # the process started with descriptor 1 closed
+        print("watchman: error: standard output is closed", file=sys.stderr)
+        return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a failed write fails here, not at exit
+        return code
     except DomainError as exc:
         print(f"watchman: error: {exc}", file=sys.stderr)
         return 1
     except ResourceCapError as exc:
         print(f"watchman: resource cap: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the CSV target's errors are DomainErrors
+        print(f"watchman: error: cannot write standard output: {exc}", file=sys.stderr)
+        _discard_stdout()
+        return 1
+
+
+def _discard_stdout() -> None:
+    """Point the process's standard output at the null device.
+
+    After a failed write (a closed pipe, a full disk) its buffer still
+    holds what could not be written, and the flush at exit would fail
+    again and print "Exception ignored". A stand-in for sys.stdout, such
+    as a test's capture, is left alone.
+    """
+    if sys.stdout is not sys.__stdout__:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -24,11 +24,10 @@ from .seqcore import (
     Alphabet,
     CyclicSequence,
     _check_generator_args,
-    _check_tour_args,
     _rank_text,
     _text_rank,
     parse_sequence,
-    window_ranks,
+    window_set,
 )
 
 PROVENANCE_KINDS = ("de_bruijn", "generated", "custom")
@@ -390,9 +389,7 @@ def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
     README proves these vertices are W x {0..a-1} for the set W of
     cyclic (k-1)-windows of ``d``.
     """
-    _check_tour_args(d, k)  # rejects k > len(d) before a**k
-    # for k = 1, W holds the one empty window, of rank 0
-    windows = set(window_ranks(d, k - 1)) if k > 1 else {0}
+    windows = window_set(d, k)  # rejects k > len(d) before a**k
     return _window_digraph(d.alphabet, k, windows, Provenance("generated", d.text))
 
 

@@ -164,6 +164,16 @@ def window_ranks(d: CyclicSequence, k: int) -> list[int]:
     return ranks
 
 
+def window_set(d: CyclicSequence, k: int) -> frozenset[int]:
+    """The set W of ranks of the cyclic (k-1)-windows of ``d``.
+
+    For k = 1, W holds the one empty window, of rank 0. The subdigraph
+    that ``d`` generates at order k depends on W alone (see the README).
+    """
+    _check_tour_args(d, k)
+    return frozenset(window_ranks(d, k - 1)) if k > 1 else frozenset((0,))
+
+
 def is_de_bruijn_sequence(s: CyclicSequence, k: int) -> bool:
     """True iff ``s`` has length a**k and its k-tour windows are all distinct.
 

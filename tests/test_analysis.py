@@ -33,7 +33,13 @@ from debruijn.analysis import (
     verify,
 )
 from debruijn.graphcore import generated_subdigraph
-from debruijn.seqcore import Alphabet, CyclicSequence, parse_sequence
+from debruijn.seqcore import (
+    Alphabet,
+    CyclicSequence,
+    necklaces,
+    parse_sequence,
+    window_set,
+)
 from debruijn.watchman import enumerate_min_walks, induced_walk
 
 
@@ -247,6 +253,46 @@ class TestVerify:
         assert rec.constant_run_seam_only
         assert not rec.is_watchman
 
+    @pytest.mark.parametrize(
+        "a,k,lengths", [(2, 3, range(3, 11)), (3, 2, range(2, 7)), (4, 3, range(3, 6))]
+    )
+    def test_reversal_changes_no_field_but_the_sequence(self, a, k, lengths):
+        # W of the reversal is W with each window reversed, which turns
+        # G(a, k-1)[W] around, and a shortest closed walk through all of
+        # W keeps its length when every arc turns
+        checked = 0
+        for n in lengths:
+            for seq in rotation_representatives(a, n):
+                rev = CyclicSequence(seq.symbols[::-1], seq.alphabet)
+                fields, back = verify(seq, k).to_json(), verify(rev, k).to_json()
+                assert back.pop("sequence") == seq.text[::-1]
+                del fields["sequence"]
+                assert fields == back, seq.text
+                checked += 1
+        assert checked == sum(len(list(necklaces(a, n))) for n in lengths)
+
+    @pytest.mark.parametrize("vertex_cap", [24, 6])
+    def test_memo_gives_the_memo_free_record(self, vertex_cap):
+        # every ternary word, so rotations and renamings meet the memo
+        # out of order, and at cap 6 memo hits raise the cap error again
+        solved = {}
+        hits = 0
+        for n in range(2, 6):
+            for word in itertools.product(range(3), repeat=n):
+                seq = CyclicSequence(word, Alphabet(3))
+                hits += window_set(seq, 2) in solved
+                outcomes = []
+                for memo in (solved, None):
+                    try:
+                        outcomes.append(verify(seq, 2, vertex_cap, memo).to_json())
+                    except ResourceCapError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], seq.text
+        assert len(solved) == 7  # the nonempty subsets of {0, 1, 2}
+        assert hits == 3**2 + 3**3 + 3**4 + 3**5 - 7
+        capped = [v for v in solved.values() if isinstance(v, ResourceCapError)]
+        assert len(capped) == (1 if vertex_cap == 6 else 0)
+
 
 class TestRotationRepresentatives:
     def test_binary_length_three(self):
@@ -372,6 +418,8 @@ SHARED_SWEEPS = [
     # 36 vertices, so the first sweep skips them all and the second skips none
     (36, 1, range(1, 3), 24),
     (36, 1, range(1, 3), 36),
+    # 144 records of 17 window sets, so most records come from the memo
+    (2, 4, range(4, 10), 24),
 ]
 # the same with a budget, plus one sweep that the budget stops inside length 6
 BUDGETED_SWEEPS = [(*args, analysis.DEFAULT_SWEEP_BUDGET) for args in SHARED_SWEEPS]
@@ -401,7 +449,7 @@ class TestOrbitSharing:
         # of the brute-force key: verify gets the first necklace of each
         calls = []
 
-        def recording_verify(d, k, vertex_cap):
+        def recording_verify(d, k, vertex_cap, solved):
             calls.append(d.symbols)
             raise ResourceCapError("not run")
 
@@ -517,12 +565,71 @@ class TestOrbitSharing:
     def test_oracle_runs_once_per_orbit(self, monkeypatch):
         calls = []
 
-        def counting_verify(d, k, vertex_cap):
+        def counting_verify(d, k, vertex_cap, solved):
             calls.append(d.text)
-            return verify(d, k, vertex_cap)
+            return verify(d, k, vertex_cap, solved)
 
         monkeypatch.setattr(analysis, "verify", counting_verify)
         report = sweep(4, 3, range(3, 7))
         assert len(report.records) == 1002
         assert len(calls) == sum(ORBIT_COUNTS[4].values()) == 60
         assert calls[:3] == ["000", "001", "012"]  # each orbit's first necklace
+
+
+def _counting(monkeypatch, name):
+    """Patch ``analysis.<name>`` to record each call's result."""
+    results = []
+    fn = getattr(analysis, name)
+
+    def counting(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(analysis, name, counting)
+    return results
+
+
+def _orbit_window_sets(a, k, lengths):
+    """The first necklace of each symbol-permutation orbit, in necklace
+    order, and the distinct sets of their cyclic (k-1)-windows, derived
+    apart from sweep."""
+    firsts = {}
+    for n in lengths:
+        for seq in rotation_representatives(a, n):
+            firsts.setdefault(oracles.symbol_orbit_key(seq.symbols), seq.symbols)
+    firsts = list(firsts.values())
+    return firsts, {frozenset(oracles.cyclic_windows(w, k - 1)) for w in firsts}
+
+
+class TestWindowSetMemo:
+    def test_oracle_runs_once_per_window_set(self, monkeypatch):
+        firsts, window_sets = _orbit_window_sets(4, 3, range(3, 7))
+        assert (len(firsts), len(window_sets)) == (60, 36)
+        graphs = _counting(monkeypatch, "generated_subdigraph")
+        results = _counting(monkeypatch, "solve_min_walk")
+        verifies = _counting(monkeypatch, "verify")
+        for _ in range(2):  # each call starts from an empty memo
+            graphs.clear(), results.clear(), verifies.clear()
+            report = sweep(4, 3, range(3, 7))
+            assert report.summary["verified"] == 1002
+            assert len(verifies) == len(firsts)
+            assert len(graphs) == len(results) == len(window_sets)
+            assert sum(g.vertex_count for g in graphs) == 716
+            assert sum(r.explored_states for r in results) == 228
+
+    def test_capped_sweep_builds_each_over_cap_window_set_once(self, monkeypatch):
+        _, window_sets = _orbit_window_sets(4, 3, range(3, 6))
+        graphs = _counting(monkeypatch, "generated_subdigraph")
+        report = sweep(4, 3, range(3, 6), vertex_cap=12)
+        built = Counter(frozenset(r // 4 for r in g.ranks) for g in graphs)
+        assert set(built.values()) == {1}
+        assert len(built) == len(window_sets)
+        over_cap = [g for g in graphs if g.vertex_count > 12]
+        assert len(over_cap) == sum(4 * len(w) > 12 for w in window_sets) > 0
+        skips = [e for e in report.records if isinstance(e, SkippedSequence)]
+        skipped_orbits = {id(first) for _, first in report.rows if first in skips}
+        assert len(skipped_orbits) > len(over_cap)  # orbits shared an over-cap W
+        assert len(skips) == report.summary["skipped"] > len(skipped_orbits)
+        for g in over_cap:
+            reason = f"digraph has {g.vertex_count} vertices, oracle cap is 12"
+            assert any(e.reason.startswith(reason) for e in skips)

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import debruijn
+from debruijn import analysis, cli
 from debruijn.cli import main
 
 
@@ -364,6 +366,28 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--seq", "0011", "-a", "2", "-k", "3")
         assert code == 2 and "cap" in err
 
+    def test_seq_file_runs_the_oracle_once_per_window_set(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # the three rotations of 0011 have one set of 2-windows; 0001 has another
+        texts = ["0011", "0110", "0001", "1100"]
+        singles = [
+            run(capsys, "verify", "--seq", t, "-a", "2", "-k", "3")[1] for t in texts
+        ]
+        solves = []
+        solve = analysis.solve_min_walk
+        monkeypatch.setattr(
+            analysis, "solve_min_walk", lambda g, cap: solves.append(g) or solve(g, cap)
+        )
+        path = tmp_path / "seqs.txt"
+        path.write_text("\n".join(texts) + "\n")
+        code, out, err = run(
+            capsys, "verify", "--seq-file", str(path), "-a", "2", "-k", "3"
+        )
+        assert (code, err) == (0, "")
+        assert out == "".join(singles)
+        assert len(solves) == 2
+
     def test_length_one_sequence_at_order_one(self, capsys):
         # the induced walk is the stationary walk, which is minimum
         code, out, err = run(capsys, "verify", "--seq", "0", "-a", "2", "-k", "1")
@@ -575,3 +599,96 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class _Full(io.RawIOBase):
+    """A writable stream on a full disk: every write fails."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestWriteFailures:
+    """A failed write exits 1 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "-a", "2", "-k", "3"],  # print
+            ["graph", "-a", "2", "-k", "2", "--dot"],  # sys.stdout.write
+            ["sweep", "-a", "2", "-k", "2", "--lengths", "2..3"],
+        ],
+        ids=["gen", "graph", "sweep"],
+    )
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_failed_stdout_is_an_error_line(self, capsys, monkeypatch, argv, failing):
+        class FullStdout(io.StringIO):
+            def fail(self, *args):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        stdout = FullStdout()
+        setattr(stdout, failing, stdout.fail)  # a flush failure is buffered output
+        monkeypatch.setattr("sys.stdout", stdout)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err == (
+            "watchman: error: cannot write standard output: "
+            "[Errno 28] No space left on device\n"
+        )
+
+    def test_closed_stdout_is_an_error_line(self, capsys, monkeypatch):
+        # a process started with descriptor 1 closed has no sys.stdout
+        monkeypatch.setattr("sys.stdout", None)
+        code, _, err = run(capsys, "gen", "-a", "2", "-k", "3")
+        assert (code, err) == (1, "watchman: error: standard output is closed\n")
+
+    def test_failed_csv_write_is_an_error_line(self, capsys, monkeypatch):
+        opened = []
+
+        def open_full(path):
+            fh = io.TextIOWrapper(io.BufferedWriter(_Full()), encoding="utf-8")
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(cli, "_open_csv", open_full)
+        code, out, err = run(
+            capsys, "sweep", "-a", "2", "-k", "3", "--lengths", "3..4", "--csv", "x.csv"
+        )
+        assert code == 1
+        assert json.loads(out.splitlines()[-1])["summary"]["total"] == 10  # all lines
+        assert err == (
+            "watchman: error: cannot write x.csv: [Errno 28] No space left on device\n"
+        )
+        assert opened[0].closed
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "-a", "2", "-k", "3"],  # fails at main's flush
+            ["graph", "-a", "2", "-k", "10"],  # 38 kB: fails inside print
+        ],
+        ids=["flush", "write"],
+    )
+    def test_closed_pipe_is_an_error_line(self, argv):
+        src = str(Path(debruijn.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: every write fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "debruijn.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=30,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "watchman: error: cannot write standard output: [Errno 32] Broken pipe\n"
+        )

@@ -14,6 +14,7 @@ from debruijn.seqcore import (
     parse_sequence,
     read_sequences,
     window_ranks,
+    window_set,
 )
 
 from oracles import (
@@ -134,6 +135,26 @@ class TestWindowRanks:
                         int("".join(map(str, w)), a) for w in cyclic_windows(syms, k)
                     ]
                     assert window_ranks(seq, k) == expected
+
+
+class TestWindowSet:
+    def test_order_one_has_the_one_empty_window(self):
+        for text in ("0", "0110", "21"):
+            assert window_set(parse_sequence(text, 3), 1) == {0}
+
+    def test_the_set_of_the_previous_order_ranks(self):
+        seq = parse_sequence("01210123", 4)
+        # the 2-windows 01 12 21 10 01 12 23 30, each once, in base 4
+        assert window_set(seq, 3) == {1, 6, 9, 4, 11, 12}
+        for k in range(2, len(seq) + 1):
+            assert window_set(seq, k) == set(window_ranks(seq, k - 1))
+
+    def test_checks_the_order_against_the_sequence(self):
+        # k = len(d) + 1 has (k-1)-windows, but no k-windows to generate
+        with pytest.raises(DomainError, match="shorter than order"):
+            window_set(parse_sequence("10", 2), 3)
+        with pytest.raises(DomainError, match="at least 1"):
+            window_set(parse_sequence("10", 2), 0)
 
 
 class TestValidator:
