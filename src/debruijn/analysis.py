@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby
@@ -28,14 +28,14 @@ from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import Digraph, generated_subdigraph, is_closed_dominating_walk
 from .seqcore import (
     DEFAULT_SIZE_CAP,
-    SYMBOL_CHARS,
     Alphabet,
     CyclicSequence,
     _check_tour_args,
+    _symbols_text,
     necklaces,
     window_set,
 )
-from .watchman import DEFAULT_VERTEX_CAP, induced_walk, solve_min_walk
+from .watchman import DEFAULT_VERTEX_CAP, _check_vertex_cap, induced_walk, solve_min_walk
 
 
 class Verdict(Enum):
@@ -170,20 +170,6 @@ class VerificationRecord:
             "constant_run_seam_only": self.constant_run_seam_only,
         }
 
-    def with_sequence(self, sequence: CyclicSequence) -> VerificationRecord:
-        """This record with only the sequence changed, for another member
-        of its orbit: one constructor call, cheaper than
-        ``dataclasses.replace``."""
-        return VerificationRecord(
-            sequence,
-            self.order,
-            self.classification,
-            self.induced_length,
-            self.oracle_optimum,
-            self.is_watchman,
-            self.constant_run_seam_only,
-        )
-
 
 @dataclass(frozen=True)
 class SkippedSequence:
@@ -202,15 +188,11 @@ class SkippedSequence:
             "reason": self.reason,
         }
 
-    def with_sequence(self, sequence: CyclicSequence) -> SkippedSequence:
-        """This entry with only the sequence changed (see VerificationRecord)."""
-        return SkippedSequence(sequence, self.order, self.reason)
 
-
-#: A memo for verify: each window set W (``seqcore.window_set``) with its
-#: generated subdigraph and oracle optimum, or the ResourceCapError that
-#: the oracle raised on it.
-Solved = dict[frozenset[int], "tuple[Digraph, int] | ResourceCapError"]
+#: A memo for verify: each solved window set W (``seqcore.window_set``)
+#: with its generated subdigraph and oracle optimum. An over-cap W is
+#: refused before its subdigraph is built, so it has no entry.
+Solved = dict[frozenset[int], tuple[Digraph, int]]
 
 
 def verify(
@@ -221,38 +203,33 @@ def verify(
 ) -> VerificationRecord:
     """Build the generated subdigraph and test the induced walk for minimality.
 
-    Raises ResourceCapError when the subdigraph exceeds the oracle cap,
-    and InvariantViolation if the certificates and the oracle ever
-    disagree (which would falsify a certificate, so it must never pass
-    silently), or if an induced walk of optimum length is not a closed
-    dominating walk.
+    Raises ResourceCapError, before building anything, when the
+    subdigraph exceeds the oracle cap, and InvariantViolation if the
+    certificates and the oracle ever disagree (which would falsify a
+    certificate, so it must never pass silently), or if an induced walk
+    of optimum length is not a closed dominating walk.
 
     ``solved`` is a memo keyed by the window set W of ``d``; without
     one, the call makes its own. The generated subdigraph is
-    W x {0..a-1}, so its build and its oracle optimum depend on W alone:
-    a sequence whose W is in the memo reuses both (or has the cap error
-    raised again) and runs neither. The induced walk, the classification
-    and every InvariantViolation gate still run for each call. One memo
-    serves one alphabet, order and vertex cap; the caller makes it and
-    drops it with its loop.
+    W x {0..a-1}, so its a * |W| vertices are checked against the cap
+    before anything is built, and its build and its oracle optimum
+    depend on W alone: a sequence whose W is in the memo reuses both
+    and runs neither. Only solved window sets enter the memo. The
+    induced walk, the classification and every InvariantViolation gate
+    still run for each call. One memo serves one alphabet, order and
+    vertex cap; the caller makes it and drops it with its loop.
     """
     if solved is None:
         solved = {}
     key = window_set(d, k)  # checks k against d
+    _check_vertex_cap(d.alphabet.size * len(key), vertex_cap)
     hit = solved.get(key)
     if hit is None:
         graph = generated_subdigraph(d, k)
-        try:
-            result = solve_min_walk(graph, vertex_cap)
-        except ResourceCapError as exc:
-            hit = exc.with_traceback(None)  # keep no frame (or graph) alive
-        else:
-            if not result.feasible:  # pragma: no cover - induced walks always dominate
-                raise InvariantViolation("generated subdigraph reported infeasible")
-            hit = (graph, result.optimum_length)
-        solved[key] = hit
-    if isinstance(hit, ResourceCapError):
-        raise ResourceCapError(*hit.args)
+        result = solve_min_walk(graph, vertex_cap)
+        if not result.feasible:  # pragma: no cover - induced walks always dominate
+            raise InvariantViolation("generated subdigraph reported infeasible")
+        hit = solved[key] = (graph, result.optimum_length)
     graph, optimum = hit
     walk = induced_walk(d, k, graph)
     induced_length = walk.length
@@ -298,10 +275,6 @@ def rotation_representatives(a: int, n: int):
         yield CyclicSequence(word, alphabet)
 
 
-def _text(word: tuple[int, ...]) -> str:
-    return "".join([SYMBOL_CHARS[s] for s in word])
-
-
 def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
     labels: dict[int, int] = {}
     for s in word:
@@ -333,7 +306,7 @@ class SweepReport:
         return [
             first
             if word == first.sequence.symbols
-            else first.with_sequence(CyclicSequence(word, first.sequence.alphabet))
+            else replace(first, sequence=CyclicSequence(word, first.sequence.alphabet))
             for word, first in self.rows
         ]
 
@@ -355,7 +328,7 @@ class SweepReport:
                 fields = first.to_json()
                 del fields["sequence"]
                 rest = rests[id(first)] = json.dumps(fields)[1:]  # without its "{"
-            lines.append('{"sequence": "' + _text(word) + '", ' + rest)
+            lines.append('{"sequence": "' + _symbols_text(word) + '", ' + rest)
         lines.append(json.dumps({"summary": self.summary}))
         return "\n".join(lines) + "\n"
 
@@ -378,7 +351,7 @@ class SweepReport:
                 continue
             writer.writerow(
                 [
-                    _text(word),
+                    _symbols_text(word),
                     len(word),
                     first.classification.verdict.value,
                     first.classification.reason.value,
@@ -460,10 +433,11 @@ def sweep(
     tallies each orbit once, weighted by its size.
     The verify calls share one memo, made for this call and dropped
     with it: orbits whose first necklaces have one window set W share
-    one subdigraph build and one oracle run (or one cap error), since
-    the subdigraph is W x {0..a-1}.
+    one subdigraph build and one oracle run, since the subdigraph is
+    W x {0..a-1}.
     Sequences whose subdigraph exceeds the oracle cap become skip
-    entries; hitting the budget stops the sweep and marks the report
+    entries; verify refuses them from a * |W| without building the
+    subdigraph. Hitting the budget stops the sweep and marks the report
     truncated, and a range of more lengths than the budget raises
     ResourceCapError before any sequence is verified, as does a length
     above ``size_cap``. The summary

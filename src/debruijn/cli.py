@@ -36,9 +36,11 @@ from .seqcore import (
     gen_greedy,
     parse_sequence,
     read_sequences,
+    window_set,
 )
 from .watchman import (
     DEFAULT_VERTEX_CAP,
+    _check_vertex_cap,
     construct_watchman_walk,
     enumerate_min_walks,
     induced_walk,
@@ -142,6 +144,8 @@ def cmd_solve(args) -> int:
         if args.alphabet is None or args.order is None:
             raise DomainError("--from-seq needs -a and -k")
         d = parse_sequence(args.from_seq, args.alphabet)
+        # the subdigraph is W x {0..a-1}: an over-cap one is never built
+        _check_vertex_cap(args.alphabet * len(window_set(d, args.order)), _vertex_cap())
         graph = generated_subdigraph(d, args.order)
     else:
         try:

@@ -259,10 +259,12 @@ def _check_provenance(g: Digraph) -> None:
     if kind == "generated":
         try:
             d = parse_sequence(g.provenance.sequence, a)
-            claimed = generated_subdigraph(d, g.order)
+            # the claim is W x {0..a-1}: one of another size is not built
+            same_size = a * len(window_set(d, g.order)) == g.vertex_count
+            claimed = generated_subdigraph(d, g.order) if same_size else None
         except DomainError as exc:
             raise DomainError(f"provenance sequence: {exc}") from exc
-        if claimed.ranks != g.ranks or claimed.adjacency != g.adjacency:
+        if not same_size or claimed.ranks != g.ranks or claimed.adjacency != g.adjacency:
             raise DomainError(
                 "graph is not the subdigraph its provenance sequence generates"
             )

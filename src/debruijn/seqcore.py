@@ -72,10 +72,15 @@ class CyclicSequence:
 
     @property
     def text(self) -> str:
-        return "".join(SYMBOL_CHARS[s] for s in self.symbols)
+        return _symbols_text(self.symbols)
 
     def __str__(self) -> str:
         return self.text
+
+
+def _symbols_text(symbols: Sequence[int]) -> str:
+    """The text of a symbol string, one character of SYMBOL_CHARS per symbol."""
+    return "".join([SYMBOL_CHARS[s] for s in symbols])
 
 
 def parse_sequence(text: str, a: int) -> CyclicSequence:
@@ -124,7 +129,7 @@ def _unrank(rank: int, a: int, k: int) -> tuple[int, ...]:
 
 def _rank_text(rank: int, a: int, k: int) -> str:
     """The text of the k-string whose base-``a`` rank is ``rank``."""
-    return "".join(SYMBOL_CHARS[s] for s in _unrank(rank, a, k))
+    return _symbols_text(_unrank(rank, a, k))
 
 
 def _text_rank(text: str, alphabet: Alphabet) -> int:

@@ -118,6 +118,15 @@ def induced_walk(d: CyclicSequence, k: int, graph: Digraph) -> Walk:
     return Walk(graph, tuple(map(graph.index_of_rank, window_ranks(d, k))), closed=True)
 
 
+def _check_vertex_cap(n: int, vertex_cap: int) -> None:
+    """Refuse a digraph of ``n`` vertices when ``n`` exceeds the oracle cap."""
+    if n > vertex_cap:
+        raise ResourceCapError(
+            f"digraph has {n} vertices, oracle cap is {vertex_cap} "
+            f"(worst-case state space ~{n} * 2^{n})"
+        )
+
+
 class _SearchSetup:
     """Per-graph data shared by the oracle and the enumerator.
 
@@ -128,11 +137,7 @@ class _SearchSetup:
 
     def __init__(self, g: Digraph, vertex_cap: int) -> None:
         n = g.vertex_count
-        if n > vertex_cap:
-            raise ResourceCapError(
-                f"digraph has {n} vertices, oracle cap is {vertex_cap} "
-                f"(worst-case state space ~{n} * 2^{n})"
-            )
+        _check_vertex_cap(n, vertex_cap)
         self.n = n
         self.full = (1 << n) - 1
         self.out = g.adjacency

@@ -22,7 +22,6 @@ from debruijn.analysis import (
     Reason,
     SkippedSequence,
     Verdict,
-    VerificationRecord,
     classify,
     has_constant_run,
     has_distinct_windows,
@@ -274,7 +273,8 @@ class TestVerify:
     @pytest.mark.parametrize("vertex_cap", [24, 6])
     def test_memo_gives_the_memo_free_record(self, vertex_cap):
         # every ternary word, so rotations and renamings meet the memo
-        # out of order, and at cap 6 memo hits raise the cap error again
+        # out of order; at cap 6 a W of all three symbols (9 vertices) is
+        # refused before the memo, so it never enters it
         solved = {}
         hits = 0
         for n in range(2, 6):
@@ -288,10 +288,15 @@ class TestVerify:
                     except ResourceCapError as exc:
                         outcomes.append(str(exc))
                 assert outcomes[0] == outcomes[1], seq.text
-        assert len(solved) == 7  # the nonempty subsets of {0, 1, 2}
-        assert hits == 3**2 + 3**3 + 3**4 + 3**5 - 7
-        capped = [v for v in solved.values() if isinstance(v, ResourceCapError)]
-        assert len(capped) == (1 if vertex_cap == 6 else 0)
+        assert all(3 * len(w) <= vertex_cap for w in solved)
+        if vertex_cap == 24:
+            assert len(solved) == 7  # the nonempty subsets of {0, 1, 2}
+            assert hits == 3**2 + 3**3 + 3**4 + 3**5 - 7
+        else:
+            assert len(solved) == 6  # the subsets of one or two symbols
+            # 3 * 2**n - 3 words of length n use at most two symbols, and
+            # the first word of each stored W is no hit
+            assert hits == sum(3 * 2**n - 3 for n in range(2, 6)) - 6
 
 
 class TestRotationRepresentatives:
@@ -553,8 +558,7 @@ class TestOrbitSharing:
             raise AssertionError(f"copied a record for {sequence.text}")
 
         monkeypatch.setattr(CyclicSequence, "__post_init__", counting_post_init)
-        monkeypatch.setattr(VerificationRecord, "with_sequence", no_copy)
-        monkeypatch.setattr(SkippedSequence, "with_sequence", no_copy)
+        monkeypatch.setattr(analysis, "replace", no_copy)
         report = sweep(4, 3, range(3, 7))
         report.to_jsonl()
         report.to_csv()
@@ -602,6 +606,25 @@ def _orbit_window_sets(a, k, lengths):
 
 
 class TestWindowSetMemo:
+    # verify checks the cap against a * |W| before it builds anything, so
+    # it rests on the subdigraph being W x {0..a-1}
+    @pytest.mark.parametrize(
+        "a,k,lengths", list(dict.fromkeys(args[:3] for args in SHARED_SWEEPS))
+    )
+    def test_sweep_subdigraphs_have_a_times_w_vertices(self, a, k, lengths):
+        for n in lengths:
+            for seq in rotation_representatives(a, n):
+                g = generated_subdigraph(seq, k)
+                assert g.vertex_count == a * len(window_set(seq, k)), seq.text
+
+    @given(st.data())
+    def test_random_subdigraphs_have_a_times_w_vertices(self, data):
+        a = data.draw(st.integers(2, 6))
+        k = data.draw(st.integers(1, 6))
+        word = data.draw(st.lists(st.integers(0, a - 1), min_size=k, max_size=40))
+        seq = CyclicSequence(tuple(word), Alphabet(a))
+        assert generated_subdigraph(seq, k).vertex_count == a * len(window_set(seq, k))
+
     def test_oracle_runs_once_per_window_set(self, monkeypatch):
         firsts, window_sets = _orbit_window_sets(4, 3, range(3, 7))
         assert (len(firsts), len(window_sets)) == (60, 36)
@@ -617,19 +640,20 @@ class TestWindowSetMemo:
             assert sum(g.vertex_count for g in graphs) == 716
             assert sum(r.explored_states for r in results) == 228
 
-    def test_capped_sweep_builds_each_over_cap_window_set_once(self, monkeypatch):
+    def test_capped_sweep_builds_no_over_cap_window_set(self, monkeypatch):
         _, window_sets = _orbit_window_sets(4, 3, range(3, 6))
         graphs = _counting(monkeypatch, "generated_subdigraph")
         report = sweep(4, 3, range(3, 6), vertex_cap=12)
-        built = Counter(frozenset(r // 4 for r in g.ranks) for g in graphs)
-        assert set(built.values()) == {1}
-        assert len(built) == len(window_sets)
-        over_cap = [g for g in graphs if g.vertex_count > 12]
-        assert len(over_cap) == sum(4 * len(w) > 12 for w in window_sets) > 0
+        # a vertex s*4 + c has the 2-window s, here as its symbol pair
+        built = Counter(frozenset(divmod(r // 4, 4) for r in g.ranks) for g in graphs)
+        assert set(built.values()) == {1}  # each solved W once
+        assert set(built) == {w for w in window_sets if 4 * len(w) <= 12}
+        over_cap = [w for w in window_sets if 4 * len(w) > 12]
+        assert over_cap
         skips = [e for e in report.records if isinstance(e, SkippedSequence)]
         skipped_orbits = {id(first) for _, first in report.rows if first in skips}
         assert len(skipped_orbits) > len(over_cap)  # orbits shared an over-cap W
         assert len(skips) == report.summary["skipped"] > len(skipped_orbits)
-        for g in over_cap:
-            reason = f"digraph has {g.vertex_count} vertices, oracle cap is 12"
+        for w in over_cap:
+            reason = f"digraph has {4 * len(w)} vertices, oracle cap is 12"
             assert any(e.reason.startswith(reason) for e in skips)

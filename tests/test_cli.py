@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import debruijn
-from debruijn import analysis, cli
+from debruijn import analysis, cli, graphcore
 from debruijn.cli import main
+from debruijn.graphcore import generated_subdigraph
+from debruijn.seqcore import parse_sequence
 
 
 def run(capsys, *argv):
@@ -502,6 +505,62 @@ class TestSweep:
             capsys, "sweep", "-a", "2", "-k", "2", "--lengths", "2..2", "--budget", "0"
         )
         assert code == 1 and "budget" in err
+
+
+# a binary sequence whose order-20 subdigraph has thousands of vertices
+_LONG = "".join(random.Random(23).choices("01", k=2000))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The sequence text of each generated_subdigraph call, counted at
+    every module global that names it."""
+    calls = []
+    for module in (analysis, cli, graphcore):
+        build = module.generated_subdigraph
+        monkeypatch.setattr(
+            module,
+            "generated_subdigraph",
+            lambda d, k, build=build: calls.append(d.text) or build(d, k),
+        )
+    return calls
+
+
+class TestCapBeforeBuild:
+    """A subdigraph a sequence generates is W x {0..a-1}, so an input whose
+    a * |W| vertices do not fit is refused before that subdigraph is built."""
+
+    @pytest.mark.parametrize("option", ["--seq", "--from-seq"])
+    def test_over_cap_sequence_is_never_built(self, capsys, builds, option):
+        command = "verify" if option == "--seq" else "solve"
+        n = generated_subdigraph(parse_sequence(_LONG, 2), 20).vertex_count
+        code, out, err = run(capsys, command, option, _LONG, "-a", "2", "-k", "20")
+        assert (code, out, builds) == (2, "", [])
+        assert err == (
+            f"watchman: resource cap: digraph has {n} vertices, oracle cap is 24 "
+            f"(worst-case state space ~{n} * 2^{n})\n"
+        )
+
+    def test_provenance_of_another_size_is_never_built(
+        self, capsys, monkeypatch, builds
+    ):
+        graph = {"alphabet": 2, "order": 20, "vertices": ["0" * 20], "arcs": []}
+        graph["provenance"] = {"kind": "generated", "sequence": _LONG}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve")
+        assert (code, out, builds) == (1, "", [])
+        assert err == (
+            "watchman: error: graph is not the subdigraph its provenance "
+            "sequence generates\n"
+        )
+
+    def test_inputs_that_fit_are_built_once(self, capsys, monkeypatch, builds):
+        graph = generated_subdigraph(parse_sequence("0011", 2), 3).to_json()
+        for command, option in [("verify", "--seq"), ("solve", "--from-seq")]:
+            assert run(capsys, command, option, "0011", "-a", "2", "-k", "3")[0] == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        assert run(capsys, "solve")[0] == 0
+        assert builds == ["0011"] * 3
 
 
 class TestHugeIntegers:
