@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -290,6 +291,7 @@ SweepEntry = VerificationRecord | SkippedSequence
 class SweepReport:
     """Deterministically ordered records plus summary statistics.
 
+    ``summary`` is folded row by row as ``sweep`` appends the rows.
     ``rows`` holds one ``(word, first)`` pair per record: the necklace's
     symbol tuple and the first entry of its symbol-permutation orbit,
     whose fields are the record's in all but the sequence. Rows of one
@@ -429,8 +431,10 @@ def sweep(
     The first necklace of an orbit files it under the first-appearance
     form of each of its rotations that starts a run; a later necklace
     finds its orbit from its own first-appearance form, in one
-    dictionary lookup (the README proves this exact). The summary
-    tallies each orbit once, weighted by its size.
+    dictionary lookup (the README proves this exact). The summary is
+    folded as the rows are appended: each orbit carries its summary
+    cell, and each row adds one to that cell's count, so no pass over
+    the orbits follows the row loop.
     The verify calls share one memo, made for this call and dropped
     with it: orbits whose first necklaces have one window set W share
     one subdigraph build and one oracle run, since the subdigraph is
@@ -443,18 +447,18 @@ def sweep(
     above ``size_cap``. The summary
     tallies verdict x is_watchman cells (the Undetermined/true cell
     holds the sequences no certificate explains) plus a count of
-    seam-only constant runs. That count is always zero, since a
-    necklace that is not constant begins and ends with different
-    symbols; the seam-only evidence comes from verify on rotations.
+    seam-only constant runs. That count is written as zero, since a
+    necklace that is not constant starts with its least symbol and ends
+    with another; the seam-only evidence comes from verify on rotations.
     """
     lengths = check_sweep_args(a, k, lengths, budget, size_cap)
     alphabet = Alphabet(a)
     rows: list[tuple[tuple[int, ...], SweepEntry]] = []
-    # each orbit as [its first entry, its size], the first from verify
-    orbits: list[list] = []
-    # each orbit under the first-appearance forms of its first necklace's
-    # rotations that start a run
-    by_form: dict[tuple[int, ...], list] = {}
+    # each orbit as (its first entry, its summary cell, None for a skip),
+    # under the first-appearance forms of its first necklace's rotations
+    # that start a run
+    by_form: dict[tuple[int, ...], tuple[SweepEntry, str | None]] = {}
+    counts: Counter[str | None] = Counter()  # rows per summary cell
     solved: Solved = {}  # verify's memo: orbits with one window set share it
     truncated = False
     for word, _ in chain.from_iterable(necklaces(a, n) for n in lengths):
@@ -466,47 +470,30 @@ def sweep(
             seq = CyclicSequence(word, alphabet)
             try:
                 entry = verify(seq, k, vertex_cap, solved)
+                cell = f"{entry.classification.verdict.value}:{str(entry.is_watchman).lower()}"
             except ResourceCapError as exc:
-                entry = SkippedSequence(seq, k, str(exc))
-            orbit = [entry, 0]
-            orbits.append(orbit)
+                entry, cell = SkippedSequence(seq, k, str(exc)), None
+            orbit = (entry, cell)
             for i in range(len(word)):  # a constant necklace needs only i = 0
                 if i == 0 or word[i] != word[i - 1]:
                     by_form[_first_appearance(word[i:] + word[:i])] = orbit
-        orbit[1] += 1
+        counts[orbit[1]] += 1
         rows.append((word, orbit[0]))
-
-    cells: dict[str, int] = {}
-    for verdict in Verdict:
-        for flag in (False, True):
-            cells[f"{verdict.value}:{str(flag).lower()}"] = 0
-    skipped = 0
-    seam_total = 0
-    seam_not_watchman = 0
-    # the members of an orbit share every tallied field
-    for first, size in orbits:
-        if isinstance(first, SkippedSequence):
-            skipped += size
-            continue
-        cell = f"{first.classification.verdict.value}:{str(first.is_watchman).lower()}"
-        cells[cell] += size
-        if first.constant_run_seam_only:
-            seam_total += size
-            if not first.is_watchman:
-                seam_not_watchman += size
 
     summary = {
         "alphabet": a,
         "order": k,
         "lengths": lengths,
         "total": len(rows),
-        "verified": len(rows) - skipped,
-        "skipped": skipped,
+        "verified": len(rows) - counts[None],
+        "skipped": counts[None],
         "truncated": truncated,
-        "cells": cells,
-        "seam_only_constant_runs": {
-            "total": seam_total,
-            "not_watchman": seam_not_watchman,
+        "cells": {
+            f"{verdict.value}:{flag}": counts[f"{verdict.value}:{flag}"]
+            for verdict in Verdict for flag in ("false", "true")
         },
+        # a necklace that is not constant starts with its least symbol and
+        # ends with another, so no swept record is seam-only (see README)
+        "seam_only_constant_runs": {"total": 0, "not_watchman": 0},
     }
     return SweepReport(rows, summary)

@@ -140,12 +140,13 @@ def cmd_walk(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    cap = _vertex_cap()
     if args.from_seq is not None:
         if args.alphabet is None or args.order is None:
             raise DomainError("--from-seq needs -a and -k")
         d = parse_sequence(args.from_seq, args.alphabet)
         # the subdigraph is W x {0..a-1}: an over-cap one is never built
-        _check_vertex_cap(args.alphabet * len(window_set(d, args.order)), _vertex_cap())
+        _check_vertex_cap(args.alphabet * len(window_set(d, args.order)), cap)
         graph = generated_subdigraph(d, args.order)
     else:
         try:
@@ -160,18 +161,18 @@ def cmd_solve(args) -> int:
             # ValueError includes integers past the str-digits limit;
             # RecursionError is nesting deeper than the decoder can follow
             raise DomainError(f"invalid graph JSON: {exc}") from None
+        # refuse an over-cap graph before any of its labels is ranked
+        if isinstance(obj, dict) and isinstance(obj.get("vertices"), list):
+            _check_vertex_cap(len(obj["vertices"]), cap)
         graph = Digraph.from_json(obj)
-    cap = _vertex_cap()
     result = solve_min_walk(graph, cap)
     payload = result.to_json()
     if args.count:
-        if result.feasible:
-            walks = enumerate_min_walks(graph, result.optimum_length, cap)
-            payload["count"] = len(walks)
-            payload["walks"] = [list(w.label_texts) for w in walks]
-        else:
-            payload["count"] = 0
-            payload["walks"] = []
+        walks = (
+            enumerate_min_walks(graph, result.optimum_length, cap) if result.feasible else []
+        )
+        payload["count"] = len(walks)
+        payload["walks"] = [list(w.label_texts) for w in walks]
     print(json.dumps(payload))
     return 0
 
@@ -221,12 +222,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_alphabet_order(parser, alphabet_required=True, order_required=True):
+def _add_alphabet_order(parser, required=True):
     parser.add_argument(
         "-a",
         "--alphabet",
         type=int,
-        required=alphabet_required,
+        required=required,
         default=None,
         help="alphabet size (2..36)",
     )
@@ -234,7 +235,7 @@ def _add_alphabet_order(parser, alphabet_required=True, order_required=True):
         "-k",
         "--order",
         type=int,
-        required=order_required,
+        required=required,
         default=None,
         help="string/window order k",
     )
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("solve", help="exact minimum closed dominating walk")
-    _add_alphabet_order(p, alphabet_required=False, order_required=False)
+    _add_alphabet_order(p, required=False)
     p.add_argument("--from-seq", help="solve the subdigraph generated by this sequence")
     p.add_argument(
         "--count",

@@ -251,6 +251,24 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err == "watchman: error: WATCHMAN_MAX_VERTICES must be positive\n"
 
+    @pytest.mark.parametrize("alphabet", [2, "two"], ids=["valid", "bad-alphabet"])
+    def test_over_cap_graph_json_is_refused_before_any_label_is_ranked(
+        self, capsys, monkeypatch, alphabet
+    ):
+        def no_ranking(text, alphabet):
+            raise AssertionError("ranked a label of an over-cap graph")
+
+        monkeypatch.setattr(graphcore, "_text_rank", no_ranking)
+        vertices = [format(i, "018b") for i in range(25)]
+        graph = {"alphabet": alphabet, "order": 18, "vertices": vertices, "arcs": []}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve")
+        assert (code, out) == (2, "")
+        assert err == (
+            "watchman: resource cap: digraph has 25 vertices, oracle cap is 24 "
+            "(worst-case state space ~25 * 2^25)\n"
+        )
+
     def test_count_without_a_closed_dominating_walk_is_zero(self, capsys, monkeypatch):
         # each vertex sees only itself, and no walk joins them
         graph = {"alphabet": 2, "order": 2, "vertices": ["00", "01"], "arcs": [[0, 0]]}

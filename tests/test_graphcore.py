@@ -479,6 +479,15 @@ class TestRankConstructionMatchesStrings:
             provenance = {"kind": "generated", "sequence": text}
             assert_matches_text_graph(g, labels, arcs, 4, k, provenance)
 
+    def test_long_binary_sequence_at_a_large_order(self):
+        # labels of 200 symbols, where rank-to-text conversion costs most
+        rng = random.Random(200)
+        text = "".join(rng.choice("01") for _ in range(600))
+        g = generated_subdigraph(parse_sequence(text, 2), 200)
+        labels, arcs = oracles.text_generated_subdigraph(text, 2, 200)
+        provenance = {"kind": "generated", "sequence": text}
+        assert_matches_text_graph(g, labels, arcs, 2, 200, provenance)
+
     @pytest.mark.parametrize("a,k", SMALL_PAIRS)
     def test_full_graphs(self, a, k):
         labels, arcs = oracles.text_de_bruijn_graph(a, k)
