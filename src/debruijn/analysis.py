@@ -6,12 +6,15 @@ the subdigraph it generates: a length-k constant run or a doubled
 sequence certifies "never minimum", while pairwise-distinct (k-1)-windows
 certify "always minimum". All three read the sequence cyclically. The
 sweep harness enumerates sequences (one per rotation class), verifies
-them against the exact oracle, and tallies where the certificates stay
-silent. Renaming the symbols changes no verified field, so the sweep
-verifies one necklace per symbol-permutation orbit and shares that
-record with the orbit's other necklaces. The generated subdigraph, and
-so the oracle's optimum, depends only on the set W of (k-1)-windows, so
-orbits with one W share one subdigraph build and one oracle run.
+them against the exact optimum, and tallies where the certificates stay
+silent. That optimum is the directed Chinese postman tour of the window
+digraph (``watchman._postman_optimum``, proved in the README), so
+verify and sweep run no exponential search; ``solve_min_walk`` serves
+``solve`` and the tests. Renaming the symbols changes no verified
+field, so the sweep verifies one necklace per symbol-permutation orbit
+and shares that record with the orbit's other necklaces. The generated
+subdigraph, and so its optimum, depends only on the set W of
+(k-1)-windows, so orbits with one W share one postman run.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ from .seqcore import (
     necklaces,
     window_set,
 )
-from .watchman import DEFAULT_VERTEX_CAP, _check_vertex_cap, induced_walk, solve_min_walk
+from .watchman import (
+    DEFAULT_VERTEX_CAP,
+    _check_vertex_cap,
+    _postman_optimum,
+    induced_walk,
+)
 
 
 class Verdict(Enum):
@@ -141,11 +149,13 @@ def classify(d: CyclicSequence, k: int) -> Classification:
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """One sequence checked against the exact oracle.
+    """One sequence checked against the exact optimum.
 
-    is_watchman means the induced walk attains the oracle optimum; such a
-    walk is also checked to be a closed dominating walk of the generated
-    subdigraph, so it is one of the minimum walks.
+    oracle_optimum is the watchman number of the generated subdigraph,
+    the postman optimum of the sequence's window set. is_watchman means
+    the induced walk attains it; such a walk is also checked to be a
+    closed dominating walk of the generated subdigraph, so it is one of
+    the minimum walks.
     constant_run_seam_only flags sequences whose constant run exists only
     across the cyclic seam, as evidence for the cyclic reading.
     """
@@ -191,9 +201,10 @@ class SkippedSequence:
 
 
 #: A memo for verify: each solved window set W (``seqcore.window_set``)
-#: with its generated subdigraph and oracle optimum. An over-cap W is
-#: refused before its subdigraph is built, so it has no entry.
-Solved = dict[frozenset[int], tuple[Digraph, int]]
+#: with its postman optimum and, once a sequence with that W has proved
+#: watchman, its generated subdigraph. An over-cap W is refused before
+#: it is solved, so it has no entry.
+Solved = dict[frozenset[int], tuple[int, Digraph | None]]
 
 
 def verify(
@@ -202,44 +213,56 @@ def verify(
     vertex_cap: int = DEFAULT_VERTEX_CAP,
     solved: Solved | None = None,
 ) -> VerificationRecord:
-    """Build the generated subdigraph and test the induced walk for minimality.
+    """Test the induced walk of ``d`` for minimality in the subdigraph it
+    generates.
 
-    Raises ResourceCapError, before building anything, when the
-    subdigraph exceeds the oracle cap, and InvariantViolation if the
-    certificates and the oracle ever disagree (which would falsify a
-    certificate, so it must never pass silently), or if an induced walk
-    of optimum length is not a closed dominating walk.
+    The optimum is the postman optimum of ``d``'s window set W
+    (``watchman._postman_optimum``), which the README proves equal to
+    the watchman number of the generated subdigraph; no exponential
+    search runs. Raises ResourceCapError, before anything is solved or
+    built, when the subdigraph's a * |W| vertices exceed the vertex cap,
+    so the cap and its skip reasons stay those of the search oracle.
+    Raises InvariantViolation if the optimum exceeds the induced walk's
+    length or, with |W| >= 2, falls below |W| (bounds every closed
+    dominating walk obeys), if the certificates and the optimum ever
+    disagree (which would falsify a certificate, so it must never pass
+    silently), or if an induced walk of optimum length is not a closed
+    dominating walk of the generated subdigraph.
 
-    ``solved`` is a memo keyed by the window set W of ``d``; without
-    one, the call makes its own. The generated subdigraph is
-    W x {0..a-1}, so its a * |W| vertices are checked against the cap
-    before anything is built, and its build and its oracle optimum
-    depend on W alone: a sequence whose W is in the memo reuses both
-    and runs neither. Only solved window sets enter the memo. The
-    induced walk, the classification and every InvariantViolation gate
-    still run for each call. One memo serves one alphabet, order and
-    vertex cap; the caller makes it and drops it with its loop.
+    ``solved`` is a memo keyed by W; without one, the call makes its
+    own. The optimum depends on W alone, so a sequence whose W is in the
+    memo reuses it. The subdigraph, W x {0..a-1}, is built only for the
+    closed-dominating check, at most once per W: when the first sequence
+    with that W turns out watchman. Only solved window sets enter the
+    memo. The classification and every InvariantViolation gate still
+    run for each call. One memo serves one alphabet, order and vertex
+    cap; the caller makes it and drops it with its loop.
     """
     if solved is None:
         solved = {}
+    a = d.alphabet.size
     key = window_set(d, k)  # checks k against d
-    _check_vertex_cap(d.alphabet.size * len(key), vertex_cap)
+    _check_vertex_cap(a * len(key), vertex_cap)
     hit = solved.get(key)
     if hit is None:
-        graph = generated_subdigraph(d, k)
-        result = solve_min_walk(graph, vertex_cap)
-        if not result.feasible:  # pragma: no cover - induced walks always dominate
-            raise InvariantViolation("generated subdigraph reported infeasible")
-        hit = solved[key] = (graph, result.optimum_length)
-    graph, optimum = hit
-    walk = induced_walk(d, k, graph)
-    induced_length = walk.length
-    is_watchman = induced_length == optimum
-    if is_watchman and not is_closed_dominating_walk(graph, walk):
+        hit = solved[key] = (_postman_optimum(key, a, k), None)
+    optimum, graph = hit
+    induced_length = len(d) if len(d) > 1 else 0  # a stationary walk has no arcs
+    if optimum > induced_length or (len(key) > 1 and optimum < len(key)):
         raise InvariantViolation(
-            f"induced walk of {d.text} (k={k}) attains the optimum but is "
-            "not a closed dominating walk"
+            f"postman optimum {optimum} of {d.text} (k={k}) is not between "
+            f"|W| = {len(key)} and the induced length {induced_length}"
         )
+    is_watchman = induced_length == optimum
+    if is_watchman:
+        if graph is None:
+            graph = generated_subdigraph(d, k)
+            solved[key] = (optimum, graph)
+        if not is_closed_dominating_walk(graph, induced_walk(d, k, graph)):
+            raise InvariantViolation(
+                f"induced walk of {d.text} (k={k}) attains the optimum but is "
+                "not a closed dominating walk"
+            )
 
     classification = classify(d, k)
     if classification.verdict is Verdict.PROVABLY_WATCHMAN and not is_watchman:
@@ -437,12 +460,12 @@ def sweep(
     the orbits follows the row loop.
     The verify calls share one memo, made for this call and dropped
     with it: orbits whose first necklaces have one window set W share
-    one subdigraph build and one oracle run, since the subdigraph is
-    W x {0..a-1}.
+    one postman run and at most one subdigraph build, since the
+    subdigraph is W x {0..a-1}.
     Sequences whose subdigraph exceeds the oracle cap become skip
-    entries; verify refuses them from a * |W| without building the
-    subdigraph. Hitting the budget stops the sweep and marks the report
-    truncated, and a range of more lengths than the budget raises
+    entries; verify refuses them from a * |W| without solving or
+    building anything. Hitting the budget stops the sweep and marks the
+    report truncated, and a range of more lengths than the budget raises
     ResourceCapError before any sequence is verified, as does a length
     above ``size_cap``. The summary
     tallies verdict x is_watchman cells (the Undetermined/true cell

@@ -5,11 +5,15 @@ construct_watchman_walk builds a walk attaining it by lifting a de Bruijn
 sequence of order k-1. solve_min_walk is the exact oracle: a per-start
 breadth-first search over (vertex, dominated-bitset) states, pruned by
 each start's cover masks, so it needs no formula and works on any
-digraph within the vertex cap.
+digraph within the vertex cap. _postman_optimum gives the same optimum
+for a subdigraph a sequence generates in polynomial time, as a directed
+Chinese postman tour; it finds no walk.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
@@ -125,6 +129,94 @@ def _check_vertex_cap(n: int, vertex_cap: int) -> None:
             f"digraph has {n} vertices, oracle cap is {vertex_cap} "
             f"(worst-case state space ~{n} * 2^{n})"
         )
+
+
+def _postman_optimum(windows: frozenset[int], a: int, k: int) -> int:
+    """The watchman number of the subdigraph a sequence generates at
+    order k, from its window set W (``seqcore.window_set``).
+
+    It is 0 when W holds one window, so for k = 1 and for constant
+    sequences. Otherwise it is the directed Chinese postman tour of B_D,
+    the digraph on (k-2)-strings with one arc w // a -> w % a**(k-2) per
+    w in W: |W| plus the least number of extra arc copies that balance
+    every vertex (the README proves this). Those copies are a min-cost
+    flow, at cost 1 per copy and with no capacity limit, from the
+    vertices with more arcs in than out to those with more out than in.
+
+    Successive shortest paths: each round runs Dijkstra on the reduced
+    costs of the residual graph from every vertex with supply left at
+    once, then augments along the path to the nearest vertex with demand
+    left by the path's bottleneck. A residual arc adds a copy of w (cost
+    1, unbounded) or removes an added one (cost -1). Each vertex's
+    potential is its distance in the last round, from a source joined at
+    cost 0 to every vertex with supply left, which keeps every reduced
+    cost non-negative; a vertex with supply starts a round at minus its
+    potential, the reduced cost of its arc from that source. D walks
+    every arc of B_D, so B_D is strongly connected and each round
+    reaches every vertex.
+    """
+    if len(windows) == 1:
+        return 0
+    drop = a ** (k - 2)
+    index: dict[int, int] = {}  # a (k-2)-string's rank -> its vertex
+    tails, heads = [], []
+    for w in windows:
+        tails.append(index.setdefault(w // a, len(index)))
+        heads.append(index.setdefault(w % drop, len(index)))
+    n = len(index)
+    out: list[list[int]] = [[] for _ in range(n)]  # arcs by tail, then by head
+    into: list[list[int]] = [[] for _ in range(n)]
+    excess = [0] * n  # in-degree minus out-degree, then what is left to route
+    for i, (u, v) in enumerate(zip(tails, heads)):
+        out[u].append(i)
+        into[v].append(i)
+        excess[u] -= 1
+        excess[v] += 1
+    copies = [0] * len(tails)  # extra copies of each arc
+    potential = [0] * n
+    extra = 0
+    while any(x > 0 for x in excess):
+        dist = [math.inf] * n
+        pred: list[int | None] = [None] * n  # arc that reached each vertex
+        heap = [(-potential[s], s) for s in range(n) if excess[s] > 0]
+        for d, s in heap:
+            dist[s] = d
+        heapq.heapify(heap)
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            base = d + potential[u]
+            for i in out[u]:
+                v = heads[i]
+                dv = base + 1 - potential[v]
+                if dv < dist[v]:
+                    dist[v], pred[v] = dv, i
+                    heapq.heappush(heap, (dv, v))
+            for i in into[u]:
+                if copies[i]:
+                    v = tails[i]
+                    dv = base - 1 - potential[v]
+                    if dv < dist[v]:
+                        dist[v], pred[v] = dv, i
+                        heapq.heappush(heap, (dv, v))
+        for v in range(n):
+            potential[v] += dist[v]
+        sink = min((v for v in range(n) if excess[v] < 0), key=potential.__getitem__)
+        path = []  # (arc, +1 to add a copy or -1 to remove one), sink first
+        v = sink
+        while pred[v] is not None:
+            i = pred[v]
+            step = 1 if heads[i] == v else -1
+            path.append((i, step))
+            v = tails[i] if step == 1 else heads[i]
+        flow = min(excess[v], -excess[sink], *(copies[i] for i, s in path if s < 0))
+        for i, step in path:
+            copies[i] += step * flow
+        excess[v] -= flow
+        excess[sink] += flow
+        extra += flow * potential[sink]
+    return len(windows) + extra
 
 
 class _SearchSetup:

@@ -172,24 +172,36 @@ class TestVerify:
         assert rec.is_watchman
         assert rec.classification.verdict is Verdict.UNDETERMINED
 
-    def test_solve_and_enumerate_share_one_search_setup(self, monkeypatch):
-        built = []
-
-        class CountingSetup(watchman._SearchSetup):
-            def __init__(self, g, vertex_cap):
-                built.append(g)
-                super().__init__(g, vertex_cap)
-
-        monkeypatch.setattr(watchman, "_SearchSetup", CountingSetup)
+    def test_verify_runs_no_search(self, monkeypatch):
+        setups = _search_setups(monkeypatch)
         rec = verify(parse_sequence("01210123", 4), 3)
-        assert rec.is_watchman  # so verify ran its optimum-length check
-        assert len(built) == 1
+        assert rec.is_watchman  # so verify built G_D for its closed-walk check
+        assert not verify(parse_sequence("0001", 2), 3).is_watchman
+        assert setups == []
 
     def test_optimum_walk_must_be_closed_dominating(self, monkeypatch):
         monkeypatch.setattr(analysis, "is_closed_dominating_walk", lambda g, w: False)
         with pytest.raises(InvariantViolation, match="closed dominating walk"):
             verify(parse_sequence("0011", 2), 3)
         assert not verify(parse_sequence("0001", 2), 3).is_watchman  # not checked
+
+    @pytest.mark.parametrize(
+        "text,wrong",
+        [("0001", 5), ("0001", 2), ("0011", 3), ("0", 1), ("0000", 5)],
+    )
+    def test_optimum_must_lie_between_w_and_the_induced_length(
+        self, monkeypatch, text, wrong
+    ):
+        # the induced walk is a closed dominating walk, and with |W| >= 2
+        # every such walk passes all of W; 0001 has |W| = 3 and length 4
+        monkeypatch.setattr(analysis, "_postman_optimum", lambda w, a, k: wrong)
+        with pytest.raises(InvariantViolation, match="postman optimum"):
+            verify(parse_sequence(text, 2), 3 if len(text) > 1 else 1)
+
+    def test_one_window_has_no_lower_bound(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_postman_optimum", lambda w, a, k: 0)
+        rec = verify(parse_sequence("0000", 2), 3)
+        assert (rec.oracle_optimum, rec.is_watchman) == (0, False)
 
     @pytest.mark.parametrize(
         "a,k,lengths", [(2, 3, range(3, 9)), (3, 2, range(2, 6)), (4, 3, range(3, 7))]
@@ -581,16 +593,35 @@ class TestOrbitSharing:
 
 
 def _counting(monkeypatch, name):
-    """Patch ``analysis.<name>`` to record each call's result."""
-    results = []
+    """Patch ``analysis.<name>`` to record each call's arguments and result."""
+    calls = []
     fn = getattr(analysis, name)
 
     def counting(*args):
-        results.append(fn(*args))
-        return results[-1]
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
 
     monkeypatch.setattr(analysis, name, counting)
-    return results
+    return calls
+
+
+def _search_setups(monkeypatch):
+    """The digraph of each exact-search setup built from here on: every
+    solve_min_walk and enumerate_min_walks call builds one."""
+    built = []
+
+    class CountingSetup(watchman._SearchSetup):
+        def __init__(self, g, vertex_cap):
+            built.append(g)
+            super().__init__(g, vertex_cap)
+
+    monkeypatch.setattr(watchman, "_SearchSetup", CountingSetup)
+    return built
+
+
+def _symbol_pairs(ranks):
+    """A set of 4-ary 2-window ranks as the symbol pairs they stand for."""
+    return frozenset(divmod(r, 4) for r in ranks)
 
 
 def _orbit_window_sets(a, k, lengths):
@@ -603,6 +634,17 @@ def _orbit_window_sets(a, k, lengths):
             firsts.setdefault(oracles.symbol_orbit_key(seq.symbols), seq.symbols)
     firsts = list(firsts.values())
     return firsts, {frozenset(oracles.cyclic_windows(w, k - 1)) for w in firsts}
+
+
+def _attained_window_sets(firsts):
+    """The 2-window sets W, among 4-ary first necklaces at k = 3, of those
+    whose length is their brute-force postman optimum: verify builds G_D
+    for its closed-walk check once for each."""
+    return {
+        frozenset(oracles.cyclic_windows(w, 2))
+        for w in firsts
+        if len(w) == oracles.postman_optimum(CyclicSequence(w, Alphabet(4)), 3)
+    }
 
 
 class TestWindowSetMemo:
@@ -628,26 +670,38 @@ class TestWindowSetMemo:
     def test_oracle_runs_once_per_window_set(self, monkeypatch):
         firsts, window_sets = _orbit_window_sets(4, 3, range(3, 7))
         assert (len(firsts), len(window_sets)) == (60, 36)
+        attained = _attained_window_sets(firsts)
+        assert len(attained) == 33
+        optima = _counting(monkeypatch, "_postman_optimum")
         graphs = _counting(monkeypatch, "generated_subdigraph")
-        results = _counting(monkeypatch, "solve_min_walk")
         verifies = _counting(monkeypatch, "verify")
+        setups = _search_setups(monkeypatch)
         for _ in range(2):  # each call starts from an empty memo
-            graphs.clear(), results.clear(), verifies.clear()
+            optima.clear(), graphs.clear(), verifies.clear()
             report = sweep(4, 3, range(3, 7))
             assert report.summary["verified"] == 1002
             assert len(verifies) == len(firsts)
-            assert len(graphs) == len(results) == len(window_sets)
-            assert sum(g.vertex_count for g in graphs) == 716
-            assert sum(r.explored_states for r in results) == 228
+            solved = [_symbol_pairs(args[0]) for args, _ in optima]
+            assert Counter(solved) == Counter(window_sets)  # each W once
+            built = [_symbol_pairs(r // 4 for r in g.ranks) for _, g in graphs]
+            assert Counter(built) == Counter(attained)
+            assert sum(g.vertex_count for _, g in graphs) == 4 * sum(map(len, attained))
+            assert setups == []
 
     def test_capped_sweep_builds_no_over_cap_window_set(self, monkeypatch):
-        _, window_sets = _orbit_window_sets(4, 3, range(3, 6))
+        firsts, window_sets = _orbit_window_sets(4, 3, range(3, 6))
+        optima = _counting(monkeypatch, "_postman_optimum")
         graphs = _counting(monkeypatch, "generated_subdigraph")
+        setups = _search_setups(monkeypatch)
         report = sweep(4, 3, range(3, 6), vertex_cap=12)
+        solved = Counter(_symbol_pairs(args[0]) for args, _ in optima)
+        assert set(solved.values()) == {1}  # each solved W once
+        assert set(solved) == {w for w in window_sets if 4 * len(w) <= 12}
         # a vertex s*4 + c has the 2-window s, here as its symbol pair
-        built = Counter(frozenset(divmod(r // 4, 4) for r in g.ranks) for g in graphs)
-        assert set(built.values()) == {1}  # each solved W once
-        assert set(built) == {w for w in window_sets if 4 * len(w) <= 12}
+        built = Counter(_symbol_pairs(r // 4 for r in g.ranks) for _, g in graphs)
+        assert set(built.values()) == {1}
+        assert set(built) == _attained_window_sets(firsts) & set(solved)
+        assert setups == []
         over_cap = [w for w in window_sets if 4 * len(w) > 12]
         assert over_cap
         skips = [e for e in report.records if isinstance(e, SkippedSequence)]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import debruijn
-from debruijn import analysis, cli, graphcore
+from debruijn import analysis, cli, graphcore, watchman
 from debruijn.cli import main
 from debruijn.graphcore import generated_subdigraph
 from debruijn.seqcore import parse_sequence
@@ -395,11 +395,16 @@ class TestVerify:
         singles = [
             run(capsys, "verify", "--seq", t, "-a", "2", "-k", "3")[1] for t in texts
         ]
-        solves = []
-        solve = analysis.solve_min_walk
+        runs, setups = [], []
+        postman = analysis._postman_optimum
         monkeypatch.setattr(
-            analysis, "solve_min_walk", lambda g, cap: solves.append(g) or solve(g, cap)
+            analysis,
+            "_postman_optimum",
+            lambda w, a, k: runs.append(w) or postman(w, a, k),
         )
+        monkeypatch.setattr(
+            watchman, "_SearchSetup", lambda g, cap: setups.append(g)
+        )  # no exact search runs
         path = tmp_path / "seqs.txt"
         path.write_text("\n".join(texts) + "\n")
         code, out, err = run(
@@ -407,7 +412,8 @@ class TestVerify:
         )
         assert (code, err) == (0, "")
         assert out == "".join(singles)
-        assert len(solves) == 2
+        assert len(runs) == 2
+        assert setups == []
 
     def test_length_one_sequence_at_order_one(self, capsys):
         # the induced walk is the stationary walk, which is minimum

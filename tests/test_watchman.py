@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,10 @@ from debruijn.seqcore import (
     gen_greedy,
     is_de_bruijn_sequence,
     parse_sequence,
+    window_set,
 )
 from debruijn.watchman import (
+    _postman_optimum,
     _SearchSetup,
     construct_watchman_walk,
     enumerate_min_walks,
@@ -573,3 +576,86 @@ class TestPostmanTheorem:
     )
     def test_postman_optimum_examples(self, text, a, k, expected):
         assert postman_optimum(parse_sequence(text, a), k) == expected
+
+
+def flow_optimum(d, k):
+    return _postman_optimum(window_set(d, k), d.alphabet.size, k)
+
+
+class TestPostmanFlow:
+    """``watchman._postman_optimum``, the min-cost flow that verify and
+    sweep use, against the Bellman-Ford reference ``oracles.postman_optimum``
+    and the exact search."""
+
+    # the postman families, plus order 1, where W is the one empty window
+    @pytest.mark.parametrize(
+        "a,k,lengths,checked",
+        [(a, k, lengths, checked) for a, k, lengths, checked, _ in POSTMAN_FAMILIES]
+        + [(3, 1, range(1, 6), 95)],
+    )
+    def test_flow_equals_the_reference_and_the_oracle_on_every_small_necklace(
+        self, a, k, lengths, checked
+    ):
+        count = one_window = 0
+        for n in lengths:
+            for seq in rotation_representatives(a, n):
+                g = generated_subdigraph(seq, k)
+                if g.vertex_count <= 24:
+                    optimum = flow_optimum(seq, k)
+                    assert optimum == postman_optimum(seq, k), seq.text
+                    assert optimum == solve_min_walk(g, 24).optimum_length, seq.text
+                    count += 1
+                    one_window += len(window_set(seq, k)) == 1
+        assert count == checked
+        assert one_window  # constant necklaces, and every necklace at k = 1
+
+    def test_flow_equals_the_reference_and_the_oracle_on_random_sequences(self):
+        rng = random.Random(2027)
+        checked = orders = 0
+        while checked < 1500:
+            a, k = rng.choice((2, 3, 4)), rng.randint(1, 6)
+            n = rng.randint(k, 20)
+            if rng.random() < 0.05:  # one window
+                d = CyclicSequence((rng.randrange(a),) * n, Alphabet(a))
+            else:
+                d = CyclicSequence(tuple(rng.randrange(a) for _ in range(n)), Alphabet(a))
+            g = generated_subdigraph(d, k)
+            if g.vertex_count > 30:
+                continue
+            expected = solve_min_walk(g, 30).optimum_length
+            assert flow_optimum(d, k) == postman_optimum(d, k) == expected, (d.text, k)
+            checked += 1
+            orders |= 1 << k
+        assert orders == 0b1111110  # every k in 1..6
+
+    @pytest.mark.parametrize("a,n,k,windows", [(2, 512, 9, 221), (3, 729, 6, 235)])
+    def test_flow_equals_the_reference_on_a_long_sequence(self, a, n, k, windows):
+        d = CyclicSequence(tuple(random.Random(7).choices(range(a), k=n)), Alphabet(a))
+        assert len(window_set(d, k)) == windows
+        optimum = flow_optimum(d, k)
+        assert optimum == postman_optimum(d, k)
+        assert optimum > windows  # B_D needed extra arcs
+
+    def test_reversal_keeps_the_oracle_optimum(self):
+        # B of D reversed is B_D with every arc turned round, which keeps a
+        # postman tour's cost; the check needs no flow code. The two
+        # subdigraphs need not be isomorphic: some pairs differ in their
+        # multisets of (out-degree, in-degree)
+        def degrees(g):
+            ins = Counter(v for _, v in g.arcs)
+            return sorted((len(out), ins[v]) for v, out in enumerate(g.adjacency))
+
+        rng = random.Random(2028)
+        checked = differ = 0
+        while checked < 1000:
+            a, k = rng.choice((2, 3, 4)), rng.randint(2, 6)
+            n = rng.randint(k, 18)
+            d = CyclicSequence(tuple(rng.randrange(a) for _ in range(n)), Alphabet(a))
+            rev = CyclicSequence(d.symbols[::-1], d.alphabet)
+            g, h = generated_subdigraph(d, k), generated_subdigraph(rev, k)
+            if g.vertex_count > 30:
+                continue
+            assert solve_min_walk(g, 30).optimum_length == solve_min_walk(h, 30).optimum_length
+            differ += degrees(g) != degrees(h)
+            checked += 1
+        assert differ
