@@ -14,7 +14,10 @@ verify and sweep run no exponential search; ``solve_min_walk`` serves
 field, so the sweep verifies one necklace per symbol-permutation orbit
 and shares that record with the orbit's other necklaces. The generated
 subdigraph, and so its optimum, depends only on the set W of
-(k-1)-windows, so orbits with one W share one postman run.
+(k-1)-windows, so orbits with one W share one postman run. That
+subdigraph is W x {0..a-1} with left-shift arcs, so verify checks an
+induced walk against it on window ranks
+(``watchman._closed_dominating_ranks``) and builds no ``Digraph``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from functools import cached_property
 from itertools import chain, groupby
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
-from .graphcore import Digraph, generated_subdigraph, is_closed_dominating_walk
 from .seqcore import (
     DEFAULT_SIZE_CAP,
     Alphabet,
@@ -37,13 +39,14 @@ from .seqcore import (
     _check_tour_args,
     _symbols_text,
     necklaces,
+    window_ranks,
     window_set,
 )
 from .watchman import (
     DEFAULT_VERTEX_CAP,
     _check_vertex_cap,
+    _closed_dominating_ranks,
     _postman_optimum,
-    induced_walk,
 )
 
 
@@ -201,10 +204,9 @@ class SkippedSequence:
 
 
 #: A memo for verify: each solved window set W (``seqcore.window_set``)
-#: with its postman optimum and, once a sequence with that W has proved
-#: watchman, its generated subdigraph. An over-cap W is refused before
-#: it is solved, so it has no entry.
-Solved = dict[frozenset[int], tuple[int, Digraph | None]]
+#: with its postman optimum. An over-cap W is refused before it is
+#: solved, so it has no entry.
+Solved = dict[frozenset[int], int]
 
 
 def verify(
@@ -219,34 +221,33 @@ def verify(
     The optimum is the postman optimum of ``d``'s window set W
     (``watchman._postman_optimum``), which the README proves equal to
     the watchman number of the generated subdigraph; no exponential
-    search runs. Raises ResourceCapError, before anything is solved or
-    built, when the subdigraph's a * |W| vertices exceed the vertex cap,
-    so the cap and its skip reasons stay those of the search oracle.
-    Raises InvariantViolation if the optimum exceeds the induced walk's
-    length or, with |W| >= 2, falls below |W| (bounds every closed
-    dominating walk obeys), if the certificates and the optimum ever
-    disagree (which would falsify a certificate, so it must never pass
-    silently), or if an induced walk of optimum length is not a closed
-    dominating walk of the generated subdigraph.
+    search runs. Raises ResourceCapError, before anything is solved,
+    when the subdigraph's a * |W| vertices exceed the vertex cap, so the
+    cap and its skip reasons stay those of the search oracle. Raises
+    InvariantViolation if the optimum exceeds the induced walk's length
+    or, with |W| >= 2, falls below |W| (bounds every closed dominating
+    walk obeys), if the certificates and the optimum ever disagree
+    (which would falsify a certificate, so it must never pass silently),
+    or if an induced walk of optimum length is not a closed dominating
+    walk of the generated subdigraph. That last check reads the walk's
+    window ranks against W x {0..a-1}
+    (``watchman._closed_dominating_ranks``), so no subdigraph is built.
 
-    ``solved`` is a memo keyed by W; without one, the call makes its
-    own. The optimum depends on W alone, so a sequence whose W is in the
-    memo reuses it. The subdigraph, W x {0..a-1}, is built only for the
-    closed-dominating check, at most once per W: when the first sequence
-    with that W turns out watchman. Only solved window sets enter the
-    memo. The classification and every InvariantViolation gate still
-    run for each call. One memo serves one alphabet, order and vertex
-    cap; the caller makes it and drops it with its loop.
+    ``solved`` is a memo from W to its optimum; without one, the call
+    makes its own. The optimum depends on W alone, so a sequence whose W
+    is in the memo reuses it. Only solved window sets enter the memo.
+    The classification and every InvariantViolation gate still run for
+    each call. One memo serves one alphabet, order and vertex cap; the
+    caller makes it and drops it with its loop.
     """
     if solved is None:
         solved = {}
     a = d.alphabet.size
     key = window_set(d, k)  # checks k against d
     _check_vertex_cap(a * len(key), vertex_cap)
-    hit = solved.get(key)
-    if hit is None:
-        hit = solved[key] = (_postman_optimum(key, a, k), None)
-    optimum, graph = hit
+    optimum = solved.get(key)
+    if optimum is None:
+        optimum = solved[key] = _postman_optimum(key, a, k)
     induced_length = len(d) if len(d) > 1 else 0  # a stationary walk has no arcs
     if optimum > induced_length or (len(key) > 1 and optimum < len(key)):
         raise InvariantViolation(
@@ -254,15 +255,11 @@ def verify(
             f"|W| = {len(key)} and the induced length {induced_length}"
         )
     is_watchman = induced_length == optimum
-    if is_watchman:
-        if graph is None:
-            graph = generated_subdigraph(d, k)
-            solved[key] = (optimum, graph)
-        if not is_closed_dominating_walk(graph, induced_walk(d, k, graph)):
-            raise InvariantViolation(
-                f"induced walk of {d.text} (k={k}) attains the optimum but is "
-                "not a closed dominating walk"
-            )
+    if is_watchman and not _closed_dominating_ranks(window_ranks(d, k), key, a, k):
+        raise InvariantViolation(
+            f"induced walk of {d.text} (k={k}) attains the optimum but is "
+            "not a closed dominating walk"
+        )
 
     classification = classify(d, k)
     if classification.verdict is Verdict.PROVABLY_WATCHMAN and not is_watchman:
@@ -460,19 +457,18 @@ def sweep(
     the orbits follows the row loop.
     The verify calls share one memo, made for this call and dropped
     with it: orbits whose first necklaces have one window set W share
-    one postman run and at most one subdigraph build, since the
-    subdigraph is W x {0..a-1}.
+    one postman run. No subdigraph is built.
     Sequences whose subdigraph exceeds the oracle cap become skip
-    entries; verify refuses them from a * |W| without solving or
-    building anything. Hitting the budget stops the sweep and marks the
-    report truncated, and a range of more lengths than the budget raises
-    ResourceCapError before any sequence is verified, as does a length
-    above ``size_cap``. The summary
-    tallies verdict x is_watchman cells (the Undetermined/true cell
-    holds the sequences no certificate explains) plus a count of
-    seam-only constant runs. That count is written as zero, since a
-    necklace that is not constant starts with its least symbol and ends
-    with another; the seam-only evidence comes from verify on rotations.
+    entries; verify refuses them from a * |W| without solving anything.
+    Hitting the budget stops the sweep and marks the report truncated,
+    and a range of more lengths than the budget raises ResourceCapError
+    before any sequence is verified, as does a length above
+    ``size_cap``. The summary tallies verdict x is_watchman cells (the
+    Undetermined/true cell holds the sequences no certificate explains)
+    plus a count of seam-only constant runs. That count is written as
+    zero, since a necklace that is not constant starts with its least
+    symbol and ends with another; the seam-only evidence comes from
+    verify on rotations.
     """
     lengths = check_sweep_args(a, k, lengths, budget, size_cap)
     alphabet = Alphabet(a)

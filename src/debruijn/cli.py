@@ -2,7 +2,7 @@
 
 Subcommands: gen, graph, walk, solve, classify, verify, sweep. Exit
 status is 0 on success, 1 on domain/usage errors, 2 when a resource cap
-would be exceeded. All output is deterministic for fixed inputs. The
+would be exceeded or memory runs out. All output is deterministic for fixed inputs. The
 caps can be overridden with the WATCHMAN_MAX_SEQ (generator/builder
 a**k cap) and WATCHMAN_MAX_VERTICES (oracle cap) environment variables.
 """
@@ -331,6 +331,10 @@ def main(argv=None) -> int:
         print(f"watchman: error: cannot write standard output: {exc}", file=sys.stderr)
         _discard_stdout()
         return 1
+    except MemoryError:
+        pass  # reported below, once its traceback and the frames it holds are freed
+    print("watchman: resource cap: out of memory", file=sys.stderr)
+    return 2
 
 
 def _discard_stdout() -> None:

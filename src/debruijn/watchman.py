@@ -131,6 +131,33 @@ def _check_vertex_cap(n: int, vertex_cap: int) -> None:
         )
 
 
+def _closed_dominating_ranks(
+    walk: list[int], windows: frozenset[int], a: int, k: int
+) -> bool:
+    """True iff the closed walk on the vertex ranks ``walk`` is a closed
+    dominating walk of the left-shift digraph on W x {0..a-1}, W being
+    ``windows`` (``graphcore._window_digraph``), which is not built.
+
+    A rank x is a vertex iff its prefix x // a is in W. The arcs out of
+    a vertex x go to the block of its suffix s = x % a**(k-1), the a
+    vertices s*a + c, when s is in W; so between two vertices, x -> y is
+    an arc iff y // a == s. Each x dominates itself and that block, so
+    the walk dominates iff each s in W is the suffix of a walk vertex or
+    all a vertices of its block are on the walk. Once every cyclic step
+    is an arc, the walk's prefixes are its suffixes (each vertex's prefix
+    is its predecessor's suffix), and the second case implies the first.
+    So the walk is a closed dominating walk iff every step is a shift and
+    its prefixes are exactly W: "within" for being vertices, "all of" for
+    dominating. A one-vertex walk is stationary, yet testing its "step"
+    x -> x changes nothing: with W = {x // a}, x dominates iff
+    x % a**(k-1) is in W, which is that step's test. O(len(walk)).
+    """
+    drop = a ** (k - 1)
+    return {x // a for x in walk} == windows and all(
+        y // a == x % drop for x, y in zip(walk, walk[1:] + walk[:1])
+    )
+
+
 def _postman_optimum(windows: frozenset[int], a: int, k: int) -> int:
     """The watchman number of the subdigraph a sequence generates at
     order k, from its window set W (``seqcore.window_set``).

@@ -15,6 +15,7 @@ from debruijn import (
     InvariantViolation,
     ResourceCapError,
     analysis,
+    graphcore,
     watchman,
 )
 from debruijn.analysis import (
@@ -174,13 +175,16 @@ class TestVerify:
 
     def test_verify_runs_no_search(self, monkeypatch):
         setups = _search_setups(monkeypatch)
+        graphs = _digraph_builds(monkeypatch)
         rec = verify(parse_sequence("01210123", 4), 3)
-        assert rec.is_watchman  # so verify built G_D for its closed-walk check
+        assert rec.is_watchman  # so verify ran its closed-walk check
         assert not verify(parse_sequence("0001", 2), 3).is_watchman
-        assert setups == []
+        assert setups == graphs == []
 
     def test_optimum_walk_must_be_closed_dominating(self, monkeypatch):
-        monkeypatch.setattr(analysis, "is_closed_dominating_walk", lambda g, w: False)
+        monkeypatch.setattr(
+            analysis, "_closed_dominating_ranks", lambda walk, w, a, k: False
+        )
         with pytest.raises(InvariantViolation, match="closed dominating walk"):
             verify(parse_sequence("0011", 2), 3)
         assert not verify(parse_sequence("0001", 2), 3).is_watchman  # not checked
@@ -605,6 +609,20 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _digraph_builds(monkeypatch):
+    """The ranks of each Digraph built from here on, by any route:
+    generated_subdigraph and build_de_bruijn_graph build one each."""
+    built = []
+    init = graphcore.Digraph.__init__
+
+    def counting_init(self, alphabet, k, ranks, *args, **kwargs):
+        built.append(ranks := tuple(ranks))
+        init(self, alphabet, k, ranks, *args, **kwargs)
+
+    monkeypatch.setattr(graphcore.Digraph, "__init__", counting_init)
+    return built
+
+
 def _search_setups(monkeypatch):
     """The digraph of each exact-search setup built from here on: every
     solve_min_walk and enumerate_min_walks call builds one."""
@@ -636,15 +654,15 @@ def _orbit_window_sets(a, k, lengths):
     return firsts, {frozenset(oracles.cyclic_windows(w, k - 1)) for w in firsts}
 
 
-def _attained_window_sets(firsts):
-    """The 2-window sets W, among 4-ary first necklaces at k = 3, of those
-    whose length is their brute-force postman optimum: verify builds G_D
-    for its closed-walk check once for each."""
-    return {
-        frozenset(oracles.cyclic_windows(w, 2))
+def _attaining_firsts(firsts):
+    """The 4-ary first necklaces at k = 3 whose length is their
+    brute-force postman optimum: verify runs its closed-walk check on
+    each."""
+    return [
+        w
         for w in firsts
         if len(w) == oracles.postman_optimum(CyclicSequence(w, Alphabet(4)), 3)
-    }
+    ]
 
 
 class TestWindowSetMemo:
@@ -670,38 +688,50 @@ class TestWindowSetMemo:
     def test_oracle_runs_once_per_window_set(self, monkeypatch):
         firsts, window_sets = _orbit_window_sets(4, 3, range(3, 7))
         assert (len(firsts), len(window_sets)) == (60, 36)
-        attained = _attained_window_sets(firsts)
-        assert len(attained) == 33
+        attaining = _attaining_firsts(firsts)
+        assert len(attaining) == 34
         optima = _counting(monkeypatch, "_postman_optimum")
-        graphs = _counting(monkeypatch, "generated_subdigraph")
+        checks = _counting(monkeypatch, "_closed_dominating_ranks")
         verifies = _counting(monkeypatch, "verify")
         setups = _search_setups(monkeypatch)
+        graphs = _digraph_builds(monkeypatch)
         for _ in range(2):  # each call starts from an empty memo
-            optima.clear(), graphs.clear(), verifies.clear()
+            optima.clear(), checks.clear(), verifies.clear()
             report = sweep(4, 3, range(3, 7))
             assert report.summary["verified"] == 1002
             assert len(verifies) == len(firsts)
             solved = [_symbol_pairs(args[0]) for args, _ in optima]
             assert Counter(solved) == Counter(window_sets)  # each W once
-            built = [_symbol_pairs(r // 4 for r in g.ranks) for _, g in graphs]
-            assert Counter(built) == Counter(attained)
-            assert sum(g.vertex_count for _, g in graphs) == 4 * sum(map(len, attained))
-            assert setups == []
+            # the closed-walk check runs on ranks for each attaining orbit;
+            # a window's first symbol is its rank // 4**2
+            walks = [tuple(r // 16 for r in args[0]) for args, _ in checks]
+            assert walks == attaining
+            assert all(ok for _, ok in checks)
+            assert setups == graphs == []
+
+    def test_sweep_memo_holds_only_optima(self, monkeypatch):
+        memos = []
+
+        def recording_verify(d, k, vertex_cap, solved):
+            memos.append(solved)
+            return verify(d, k, vertex_cap, solved)
+
+        monkeypatch.setattr(analysis, "verify", recording_verify)
+        sweep(4, 3, range(3, 7))
+        assert len(memos) == 60 and all(m is memos[0] for m in memos)  # one memo
+        assert len(memos[0]) == 36  # one entry per window set
+        assert all(type(v) is int for v in memos[0].values())
 
     def test_capped_sweep_builds_no_over_cap_window_set(self, monkeypatch):
-        firsts, window_sets = _orbit_window_sets(4, 3, range(3, 6))
+        _, window_sets = _orbit_window_sets(4, 3, range(3, 6))
         optima = _counting(monkeypatch, "_postman_optimum")
-        graphs = _counting(monkeypatch, "generated_subdigraph")
         setups = _search_setups(monkeypatch)
+        graphs = _digraph_builds(monkeypatch)
         report = sweep(4, 3, range(3, 6), vertex_cap=12)
         solved = Counter(_symbol_pairs(args[0]) for args, _ in optima)
         assert set(solved.values()) == {1}  # each solved W once
         assert set(solved) == {w for w in window_sets if 4 * len(w) <= 12}
-        # a vertex s*4 + c has the 2-window s, here as its symbol pair
-        built = Counter(_symbol_pairs(r // 4 for r in g.ranks) for _, g in graphs)
-        assert set(built.values()) == {1}
-        assert set(built) == _attained_window_sets(firsts) & set(solved)
-        assert setups == []
+        assert setups == graphs == []
         over_cap = [w for w in window_sets if 4 * len(w) > 12]
         assert over_cap
         skips = [e for e in report.records if isinstance(e, SkippedSequence)]

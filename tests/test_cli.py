@@ -415,6 +415,25 @@ class TestVerify:
         assert len(runs) == 2
         assert setups == []
 
+    def test_seq_file_memo_holds_only_optima(self, capsys, monkeypatch, tmp_path):
+        memos, real = [], cli.verify
+
+        def recording_verify(d, k, vertex_cap, solved):
+            memos.append(solved)
+            return real(d, k, vertex_cap, solved)
+
+        monkeypatch.setattr(cli, "verify", recording_verify)
+        path = tmp_path / "seqs.txt"
+        path.write_text("0011\n0110\n0001\n0101\n")
+        code, _, err = run(
+            capsys, "verify", "--seq-file", str(path), "-a", "2", "-k", "3"
+        )
+        assert (code, err) == (0, "")
+        assert len(memos) == 4 and all(m is memos[0] for m in memos)  # one memo
+        # one postman optimum per window set, and nothing else
+        assert sorted(memos[0].values()) == [2, 3, 4]
+        assert all(type(v) is int for v in memos[0].values())
+
     def test_length_one_sequence_at_order_one(self, capsys):
         # the induced walk is the stationary walk, which is minimum
         code, out, err = run(capsys, "verify", "--seq", "0", "-a", "2", "-k", "1")
@@ -540,7 +559,7 @@ def builds(monkeypatch):
     """The sequence text of each generated_subdigraph call, counted at
     every module global that names it."""
     calls = []
-    for module in (analysis, cli, graphcore):
+    for module in (debruijn, cli, graphcore):
         build = module.generated_subdigraph
         monkeypatch.setattr(
             module,
@@ -584,7 +603,10 @@ class TestCapBeforeBuild:
             assert run(capsys, command, option, "0011", "-a", "2", "-k", "3")[0] == 0
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
         assert run(capsys, "solve")[0] == 0
-        assert builds == ["0011"] * 3
+        # verify checks its walk on window ranks and builds nothing; solve
+        # builds from --from-seq, and from JSON builds the provenance's
+        # subdigraph to compare
+        assert builds == ["0011"] * 2
 
 
 class TestHugeIntegers:
@@ -682,6 +704,19 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestOutOfMemory:
+    """Running out of memory is a resource cap: exit 2, one line, no traceback."""
+
+    @pytest.mark.parametrize("name", ["cmd_solve", "solve_min_walk"])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, name):
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, name, out_of_memory)
+        code, out, err = run(capsys, "solve", "--from-seq", "0011", "-a", "2", "-k", "3")
+        assert (code, out, err) == (2, "", "watchman: resource cap: out of memory\n")
 
 
 class _Full(io.RawIOBase):

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -25,9 +25,11 @@ from debruijn.seqcore import (
     gen_greedy,
     is_de_bruijn_sequence,
     parse_sequence,
+    window_ranks,
     window_set,
 )
 from debruijn.watchman import (
+    _closed_dominating_ranks,
     _postman_optimum,
     _SearchSetup,
     construct_watchman_walk,
@@ -659,3 +661,101 @@ class TestPostmanFlow:
             differ += degrees(g) != degrees(h)
             checked += 1
         assert differ
+
+
+def graphcore_closed_dominating(g, ranks):
+    """The reference for ``_closed_dominating_ranks``: the walk on these
+    vertex ranks, built on the digraph ``g`` and read by graphcore. A rank
+    that is no vertex of ``g`` makes no walk of it."""
+    if not set(ranks) <= set(g.ranks):
+        return False
+    walk = Walk(g, tuple(map(g.index_of_rank, ranks)), closed=True)
+    return is_closed_dominating_walk(g, walk)
+
+
+def rank_mutants(ranks):
+    """Each rank list with one rank dropped, then each with two cyclically
+    adjacent ranks swapped; none for a single rank."""
+    n = len(ranks)
+    if n < 2:
+        return []
+    drops = [ranks[:i] + ranks[i + 1 :] for i in range(n)]
+    swaps = []
+    for i in range(n):
+        j = (i + 1) % n
+        swapped = list(ranks)
+        swapped[i], swapped[j] = ranks[j], ranks[i]
+        swaps.append(swapped)
+    return drops + swaps
+
+
+class TestClosedDominatingRanks:
+    """``watchman._closed_dominating_ranks``, verify's closed-walk check on
+    window ranks, against graphcore on the built subdigraph."""
+
+    # 1,799 necklaces in all
+    @pytest.mark.parametrize(
+        "a,k,lengths,necklaces",
+        [
+            (2, 1, range(1, 6), 23),
+            (3, 1, range(1, 5), 44),
+            (2, 3, range(3, 11), 256),
+            (3, 2, range(2, 7), 222),
+            (4, 3, range(3, 7), 1002),
+            (2, 4, range(4, 11), 252),
+        ],
+    )
+    def test_agrees_with_graphcore_on_every_necklace_and_its_mutants(
+        self, a, k, lengths, necklaces
+    ):
+        verdicts = Counter()
+        # the induced walks of the last three necklaces: every step is a
+        # shift, but the ranks may leave W x {0..a-1} or miss a window
+        recent = deque(maxlen=3)
+        for n in lengths:
+            for seq in rotation_representatives(a, n):
+                g = generated_subdigraph(seq, k)
+                windows, ranks = window_set(seq, k), window_ranks(seq, k)
+                # an induced walk passes every window, so it always dominates
+                assert _closed_dominating_ranks(ranks, windows, a, k), seq.text
+                assert is_closed_dominating_walk(g, induced_walk(seq, k, g)), seq.text
+                verdicts["induced"] += 1
+                for walk in rank_mutants(ranks) + list(recent):
+                    ok = _closed_dominating_ranks(walk, windows, a, k)
+                    assert ok == graphcore_closed_dominating(g, walk), (seq.text, walk)
+                    verdicts[ok] += 1
+                recent.append(ranks)
+        assert verdicts["induced"] == necklaces
+        # at k = 1, G_D is complete with a loop at each vertex, so every
+        # walk on its vertices is closed and dominating
+        assert verdicts[True] and (verdicts[False] or k == 1)
+
+    @given(st.data())
+    def test_agrees_with_graphcore_on_mutated_walks(self, data):
+        a = data.draw(st.integers(2, 4))
+        k = data.draw(st.integers(1, 4))
+        word = data.draw(st.lists(st.integers(0, a - 1), min_size=k, max_size=12))
+        seq = CyclicSequence(tuple(word), Alphabet(a))
+        g = generated_subdigraph(seq, k)
+        windows, walk = window_set(seq, k), window_ranks(seq, k)
+        kinds = ["replace", "drop", "swap", "outside", "other"]
+        kind = data.draw(st.sampled_from(kinds))
+        i = data.draw(st.integers(0, len(walk) - 1))
+        if kind == "replace":  # by a vertex of G_D, so only arcs and cover decide
+            walk[i] = data.draw(st.sampled_from(g.ranks))
+        elif kind == "drop" and len(walk) > 1:
+            del walk[i]
+        elif kind == "swap":
+            j = data.draw(st.integers(0, len(walk) - 1))
+            walk[i], walk[j] = walk[j], walk[i]
+        elif kind == "outside":  # a rank x with x // a not in W
+            outside = [x for x in range(a ** k + a) if x // a not in windows]
+            walk[i] = data.draw(st.sampled_from(outside))
+        elif kind == "other":  # every step a shift, but W may gain or lose
+            extra = data.draw(st.lists(st.integers(0, a - 1), max_size=4))
+            other = word[: data.draw(st.integers(k, len(word)))] + extra
+            walk = window_ranks(CyclicSequence(tuple(other), Alphabet(a)), k)
+        ok = _closed_dominating_ranks(walk, windows, a, k)
+        assert ok == graphcore_closed_dominating(g, walk), (seq.text, k, kind, walk)
+        if kind == "outside":
+            assert not ok
