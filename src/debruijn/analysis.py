@@ -4,7 +4,11 @@ Three certificate predicates decide, where possible, whether the walk
 induced by a generating sequence is a minimum closed dominating walk of
 the subdigraph it generates: a length-k constant run or a doubled
 sequence certifies "never minimum", while pairwise-distinct (k-1)-windows
-certify "always minimum". All three read the sequence cyclically. The
+certify "always minimum". All three read the sequence cyclically.
+verify applies them in one pass (``_classify``): one run scan gives the
+cyclic longest run and the linear one behind the seam-only flag, and
+the distinct-window test reads the W that verify has already built for
+its memo. The run certificates stay an O(len D) scan at any k. The
 sweep harness enumerates sequences (one per rotation class), verifies
 them against the exact optimum, and tallies where the certificates stay
 silent. That optimum is the directed Chinese postman tour of the window
@@ -12,7 +16,10 @@ digraph (``watchman._postman_optimum``, proved in the README), so
 verify and sweep run no exponential search; ``solve_min_walk`` serves
 ``solve`` and the tests. Renaming the symbols changes no verified
 field, so the sweep verifies one necklace per symbol-permutation orbit
-and shares that record with the orbit's other necklaces. The generated
+and shares that record with the orbit's other necklaces. The necklace
+generator (``seqcore.necklaces``) yields each necklace's
+first-appearance form, so a later necklace finds its orbit in one
+dictionary lookup, without relabelling its symbols. The generated
 subdigraph, and so its optimum, depends only on the set W of
 (k-1)-windows, so orbits with one W share one postman run. That
 subdigraph is W x {0..a-1} with left-shift arcs, so verify checks an
@@ -85,17 +92,26 @@ class Classification:
         return f"{self.verdict.value} ({self.reason.value})"
 
 
-def _longest_run(d: CyclicSequence, cyclic: bool) -> int:
-    """Length of the longest run of equal symbols, from one linear scan.
+#: The four valid classifications, built once.
+_CONSTANT_RUN = Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.CONSTANT_RUN)
+_DOUBLED = Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.DOUBLED_SEQUENCE)
+_DISTINCT = Classification(Verdict.PROVABLY_WATCHMAN, Reason.DISTINCT_WINDOWS)
+_UNDETERMINED = Classification(Verdict.UNDETERMINED, Reason.NONE)
+
+
+def _longest_run(d: CyclicSequence) -> tuple[int, int]:
+    """Lengths of the longest linear and cyclic runs of equal symbols,
+    from one scan.
 
     Read cyclically, the first and last runs join across the seam when
     their symbols agree; an all-equal sequence is a single run of len(d)
     and so has a run of every length k <= len(d) at every position.
     """
     runs = [len(list(group)) for _, group in groupby(d.symbols)]
-    if cyclic and len(runs) > 1 and d.symbols[0] == d.symbols[-1]:
-        runs.append(runs[0] + runs[-1])
-    return max(runs)
+    linear = max(runs)
+    if len(runs) > 1 and d.symbols[0] == d.symbols[-1]:
+        return linear, max(linear, runs[0] + runs[-1])
+    return linear, linear
 
 
 def has_constant_run(d: CyclicSequence, k: int) -> bool:
@@ -105,13 +121,7 @@ def has_constant_run(d: CyclicSequence, k: int) -> bool:
     3, 0 even though no linear window repeats.
     """
     _check_tour_args(d, k)
-    return _longest_run(d, cyclic=True) >= k
-
-
-def has_linear_constant_run(d: CyclicSequence, k: int) -> bool:
-    """Like has_constant_run but without wraparound, for seam diagnostics."""
-    _check_tour_args(d, k)
-    return _longest_run(d, cyclic=False) >= k
+    return _longest_run(d)[1] >= k
 
 
 def is_doubled(d: CyclicSequence, k: int) -> bool:
@@ -140,14 +150,31 @@ def classify(d: CyclicSequence, k: int) -> Classification:
     walk of length 0, which is minimum, so the run certificate does not
     apply to it.
     """
+    return _classify(d, k, None)[0]
+
+
+def _classify(
+    d: CyclicSequence, k: int, windows: frozenset[int] | None
+) -> tuple[Classification, bool]:
+    """classify's result, and whether its constant run exists only
+    across the seam.
+
+    One run scan gives both the cyclic and the linear longest run.
+    ``windows`` is W (``seqcore.window_set(d, k)``) when the caller
+    holds it, else None; it is built only if no negative certificate
+    applies, so a long constant run costs one O(len d) scan at any k.
+    """
     _check_tour_args(d, k)
-    if len(d) > 1 and has_constant_run(d, k):
-        return Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.CONSTANT_RUN)
-    if is_doubled(d, k):
-        return Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.DOUBLED_SEQUENCE)
-    if has_distinct_windows(d, k):
-        return Classification(Verdict.PROVABLY_WATCHMAN, Reason.DISTINCT_WINDOWS)
-    return Classification(Verdict.UNDETERMINED, Reason.NONE)
+    n = len(d)
+    linear, cyclic = _longest_run(d)
+    if n > 1 and cyclic >= k:
+        return _CONSTANT_RUN, linear < k
+    half = n // 2
+    if n % 2 == 0 and half >= k and d.symbols[:half] == d.symbols[half:]:
+        return _DOUBLED, False
+    if windows is None:
+        windows = window_set(d, k)
+    return (_DISTINCT if len(windows) == n else _UNDETERMINED), False
 
 
 @dataclass(frozen=True)
@@ -261,7 +288,7 @@ def verify(
             "not a closed dominating walk"
         )
 
-    classification = classify(d, k)
+    classification, seam_only = _classify(d, k, key)
     if classification.verdict is Verdict.PROVABLY_WATCHMAN and not is_watchman:
         raise InvariantViolation(
             f"distinct-window certificate violated by {d.text} (k={k})"
@@ -270,10 +297,6 @@ def verify(
         raise InvariantViolation(
             f"negative certificate violated by {d.text} (k={k})"
         )
-    seam_only = (
-        classification.reason is Reason.CONSTANT_RUN
-        and not has_linear_constant_run(d, k)
-    )
     return VerificationRecord(
         sequence=d,
         order=k,
@@ -292,7 +315,7 @@ def rotation_representatives(a: int, n: int):
     necklace), in lexicographic order.
     """
     alphabet = Alphabet(a)
-    for word, _ in necklaces(a, n):
+    for word, _, _ in necklaces(a, n):
         yield CyclicSequence(word, alphabet)
 
 
@@ -450,8 +473,9 @@ def sweep(
     across an orbit (see the README).
     The first necklace of an orbit files it under the first-appearance
     form of each of its rotations that starts a run; a later necklace
-    finds its orbit from its own first-appearance form, in one
-    dictionary lookup (the README proves this exact). The summary is
+    finds its orbit from its own first-appearance form, which
+    ``necklaces`` yields beside it, in one dictionary lookup and with
+    no relabelling (the README proves this exact). The summary is
     folded as the rows are appended: each orbit carries its summary
     cell, and each row adds one to that cell's count, so no pass over
     the orbits follows the row loop.
@@ -480,11 +504,11 @@ def sweep(
     counts: Counter[str | None] = Counter()  # rows per summary cell
     solved: Solved = {}  # verify's memo: orbits with one window set share it
     truncated = False
-    for word, _ in chain.from_iterable(necklaces(a, n) for n in lengths):
+    for word, _, form in chain.from_iterable(necklaces(a, n) for n in lengths):
         if len(rows) >= budget:
             truncated = True
             break
-        orbit = by_form.get(_first_appearance(word))
+        orbit = by_form.get(form)
         if orbit is None:
             seq = CyclicSequence(word, alphabet)
             try:

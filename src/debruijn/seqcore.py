@@ -209,26 +209,36 @@ def necklaces(a: int, n: int):
     """Every length-n necklace over ``a`` symbols, in lexicographic order.
 
     A necklace is the lexicographically least rotation of its class.
-    Yields (word, p) where p is the length of the word's longest Lyndon
-    prefix, so the necklace is word[:p] repeated n // p times. Iterative
+    Yields (word, p, form) where p is the length of the word's longest
+    Lyndon prefix, so the necklace is word[:p] repeated n // p times,
+    and form is the word's first-appearance form: each symbol relabelled
+    by the order of first appearance, so 2110 has form 0112. Iterative
     FKM successor rule (Ruskey, Savage & Wang 1992): bump the last
     symbol below a - 1, then extend the new prefix periodically; the
     result is a prenecklace with period p, and a necklace iff p divides n.
+    The form is kept beside the word: only the bumped symbol gets a new
+    label (that of its first occurrence, or the next unused one), and
+    the suffix copies the form's prefix as it copies the word's, since
+    each copied symbol already occurs, with its label, in that prefix.
     """
     word = [0] * n
+    form = [0] * n
     p = 1
     while True:
         if n % p == 0:
-            yield tuple(word), p
+            yield tuple(word), p, tuple(form)
         i = n - 1
         while i >= 0 and word[i] == a - 1:
             i -= 1
         if i < 0:
             return
         word[i] += 1
-        for j in range(i + 1, n):
-            word[j] = word[j - i - 1]
+        first = word.index(word[i])
+        form[i] = form[first] if first < i else max(form[:i], default=-1) + 1
         p = i + 1
+        for j in range(p, n):
+            word[j] = word[j - p]
+            form[j] = form[j - p]
 
 
 def gen_fkm(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
@@ -240,7 +250,7 @@ def gen_fkm(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
     """
     alphabet = _check_generator_args(a, k, size_cap)
     seq: list[int] = []
-    for word, p in necklaces(a, k):
+    for word, p, _ in necklaces(a, k):
         seq.extend(word[:p])
     return CyclicSequence(tuple(seq), alphabet)
 

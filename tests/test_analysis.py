@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -26,7 +27,6 @@ from debruijn.analysis import (
     classify,
     has_constant_run,
     has_distinct_windows,
-    has_linear_constant_run,
     is_doubled,
     rotation_representatives,
     sweep,
@@ -60,8 +60,9 @@ class TestPredicates:
     def test_constant_run_crosses_the_seam(self):
         # 1001 read cyclically has the 2-run 1,1 at positions 3,0
         assert has_constant_run(parse_sequence("1001", 2), 2)
-        assert not has_linear_constant_run(parse_sequence("010", 2), 2)
+        assert not oracles.has_constant_window((0, 1, 0), 2, cyclic=False)
         assert has_constant_run(parse_sequence("010", 2), 2)
+        assert analysis._classify(parse_sequence("010", 2), 2, None)[1]  # seam only
 
     @pytest.mark.parametrize("a", [2, 3])
     def test_constant_runs_match_brute_force(self, a):
@@ -70,12 +71,14 @@ class TestPredicates:
             for syms in itertools.product(range(a), repeat=n):
                 seq = CyclicSequence(syms, alphabet)
                 for k in range(1, n + 1):
-                    assert has_constant_run(seq, k) == oracles.has_constant_window(
-                        syms, k, cyclic=True
+                    cyclic = oracles.has_constant_window(syms, k, cyclic=True)
+                    assert has_constant_run(seq, k) == cyclic, (syms, k)
+                    # the seam flag is the linear scan of the same pass
+                    classification, seam_only = analysis._classify(seq, k, None)
+                    assert seam_only == (
+                        classification.reason is Reason.CONSTANT_RUN
+                        and not oracles.has_constant_window(syms, k, cyclic=False)
                     ), (syms, k)
-                    assert has_linear_constant_run(
-                        seq, k
-                    ) == oracles.has_constant_window(syms, k, cyclic=False), (syms, k)
 
     def test_constant_run_scan_is_linear(self):
         n = 100_000
@@ -163,6 +166,80 @@ class TestClassify:
     def test_classify_is_rotation_invariant(self, seq_k, r):
         seq, k = seq_k
         assert classify(seq, k) == classify(oracles.rotate(seq, r), k)
+
+
+def _reference_classification(symbols, k):
+    """classify and the seam-only flag by brute force, from the window
+    scans of tests/oracles.py: no run scan and no window set."""
+    n = len(symbols)
+    not_watchman = Verdict.PROVABLY_NOT_WATCHMAN
+    if n > 1 and oracles.has_constant_window(symbols, k, cyclic=True):
+        seam_only = not oracles.has_constant_window(symbols, k, cyclic=False)
+        return Classification(not_watchman, Reason.CONSTANT_RUN), seam_only
+    half = n // 2
+    if n % 2 == 0 and half >= k and symbols[:half] == symbols[half:]:
+        return Classification(not_watchman, Reason.DOUBLED_SEQUENCE), False
+    if len(set(oracles.cyclic_windows(symbols, k - 1))) == n:
+        return Classification(Verdict.PROVABLY_WATCHMAN, Reason.DISTINCT_WINDOWS), False
+    return Classification(Verdict.UNDETERMINED, Reason.NONE), False
+
+
+def _random_certificate_cases(count, seed):
+    """Seeded (symbols, a, k) cases: k from 1 and lengths from k; three
+    cases in eight are a doubled block, one of those three constant."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        a, k = rng.randint(2, 5), rng.randint(1, 6)
+        word = tuple(rng.randrange(a) for _ in range(rng.randint(k, k + 12)))
+        shape = rng.randrange(8)
+        if shape == 0:
+            word = (word[0],) * len(word) * 2
+        elif shape < 3:
+            word = word * 2
+        cases.append((word, a, k))
+    return cases
+
+
+def _rotation_certificate_cases():
+    """Every rotation of every necklace of three small sweeps."""
+    return [
+        (word, a, k)
+        for a, k, lengths in [
+            (2, 3, range(3, 10)),
+            (3, 2, range(2, 7)),
+            (4, 3, range(3, 6)),
+        ]
+        for n in lengths
+        for seq in rotation_representatives(a, n)
+        for word in oracles.rotations(seq.symbols)
+    ]
+
+
+class TestCertificatesMatchBruteForce:
+    @pytest.mark.parametrize(
+        "cases",
+        [_rotation_certificate_cases(), _random_certificate_cases(2000, 28)],
+        ids=["necklace-rotations", "random"],
+    )
+    def test_classify_and_verify_match_the_reference(self, cases):
+        fixtures = [
+            ((0,), 2, 1),  # k = 1 with len(d) == k
+            ((0, 0), 2, 1),
+            ((0, 1, 1), 2, 3),  # len(d) == k, a seam-only run
+            ((1, 1, 1, 1), 2, 2),  # doubled and constant
+            ((2, 2, 2, 2, 2, 2), 3, 3),
+        ]
+        memos = {}
+        for word, a, k in fixtures + cases:
+            seq = CyclicSequence(word, Alphabet(a))
+            expected, seam_only = _reference_classification(word, k)
+            assert classify(seq, k) == expected, (word, k)
+            rec = verify(seq, k, 4096, memos.setdefault((a, k), {}))
+            got = (rec.classification, rec.constant_run_seam_only)
+            assert got == (expected, seam_only), (word, k)
+        verdicts = Counter(_reference_classification(w, k) for w, _, k in cases)
+        assert len(verdicts) == 5  # every reason, and seam-only runs too
 
 
 class TestVerify:
@@ -741,3 +818,27 @@ class TestWindowSetMemo:
         for w in over_cap:
             reason = f"digraph has {4 * len(w)} vertices, oracle cap is 12"
             assert any(e.reason.startswith(reason) for e in skips)
+
+    def test_sweep_finds_later_necklaces_by_their_generated_form(self, monkeypatch):
+        # the generator hands sweep each necklace's form, so relabelling
+        # runs only to file each orbit's run-starting rotations; verify
+        # builds W once and classifies from it
+        firsts, _ = _orbit_window_sets(4, 3, range(3, 7))
+        forms = _counting(monkeypatch, "_first_appearance")
+        windows = _counting(monkeypatch, "window_set")
+
+        def forbidden(*args):
+            raise AssertionError("verify classifies from the W it holds")
+
+        monkeypatch.setattr(analysis, "classify", forbidden)
+        monkeypatch.setattr(analysis, "has_distinct_windows", forbidden)
+        report = sweep(4, 3, range(3, 7))
+        assert report.summary["verified"] == 1002
+        filed = [
+            w[i:] + w[:i]
+            for w in firsts
+            for i in range(len(w))
+            if i == 0 or w[i] != w[i - 1]
+        ]
+        assert [args[0] for args, _ in forms] == filed
+        assert [args[0].symbols for args, _ in windows] == firsts

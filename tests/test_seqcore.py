@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from debruijn import DomainError, ResourceCapError
+from debruijn.analysis import _first_appearance
 from debruijn.seqcore import (
     Alphabet,
     CyclicSequence,
@@ -11,6 +12,7 @@ from debruijn.seqcore import (
     gen_greedy,
     is_de_bruijn_sequence,
     k_tour,
+    necklaces,
     parse_sequence,
     read_sequences,
     window_ranks,
@@ -228,6 +230,20 @@ class TestGenerators:
             gen_fkm(1, 3)
         with pytest.raises(DomainError):
             gen_fkm(2, 0)
+
+
+class TestNecklaces:
+    @pytest.mark.parametrize(
+        "a,n",
+        [(a, n) for a in range(2, 6) for n in range(1, 9)]
+        + [(36, n) for n in range(1, 4)],
+    )
+    def test_form_is_the_first_appearance_form(self, a, n):
+        # the generator updates the form at each successor step; the
+        # reference relabels each yielded word from scratch
+        for word, p, form in necklaces(a, n):
+            assert form == _first_appearance(word), word
+            assert word == word[:p] * (n // p)
 
 
 class TestValueTypes:
