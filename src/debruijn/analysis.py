@@ -36,13 +36,14 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .seqcore import (
     DEFAULT_SIZE_CAP,
     Alphabet,
     CyclicSequence,
+    _TO_TEXT,
     _check_tour_args,
     _symbols_text,
     necklaces,
@@ -107,10 +108,24 @@ def _longest_run(d: CyclicSequence) -> tuple[int, int]:
     their symbols agree; an all-equal sequence is a single run of len(d)
     and so has a run of every length k <= len(d) at every position.
     """
-    runs = [len(list(group)) for _, group in groupby(d.symbols)]
-    linear = max(runs)
-    if len(runs) > 1 and d.symbols[0] == d.symbols[-1]:
-        return linear, max(linear, runs[0] + runs[-1])
+    syms = d.symbols
+    prev = syms[0]
+    first = 0  # the first run's length, once a second run starts
+    linear = run = 1
+    for s in syms[1:]:
+        if s == prev:
+            run += 1
+            continue
+        if run > linear:
+            linear = run
+        if not first:
+            first = run
+        prev = s
+        run = 1
+    if run > linear:
+        linear = run
+    if first and syms[0] == prev:  # the last run meets the first across the seam
+        return linear, max(linear, first + run)
     return linear, linear
 
 
@@ -361,21 +376,25 @@ class SweepReport:
 
         The records of one orbit differ only in their sequence, which
         to_json puts first. So each orbit's entry is serialized once
-        without it, and each line is that rest behind the row's own text,
-        read off its word: json.dumps escapes no character of
-        SYMBOL_CHARS, so the quoted text is the same bytes.
+        without it, as ASCII bytes, and each line is a shared head, the
+        row's text and that rest: the text is the row's word through the
+        codec's table (``seqcore._TO_TEXT``), and json.dumps escapes no
+        character of SYMBOL_CHARS, so the quoted text is the same bytes.
+        The pieces are joined and decoded once.
         """
-        rests: dict[int, str] = {}  # by id: the rows keep every entry alive
-        lines = []
+        head = b'{"sequence": "'
+        rests: dict[int, bytes] = {}  # by id: the rows keep every entry alive
+        pieces = []
         for word, first in self.rows:
             rest = rests.get(id(first))
             if rest is None:
                 fields = first.to_json()
                 del fields["sequence"]
-                rest = rests[id(first)] = json.dumps(fields)[1:]  # without its "{"
-            lines.append('{"sequence": "' + _symbols_text(word) + '", ' + rest)
-        lines.append(json.dumps({"summary": self.summary}))
-        return "\n".join(lines) + "\n"
+                rest = json.dumps(fields)[1:]  # without its "{"; all ASCII
+                rest = rests[id(first)] = f'", {rest}\n'.encode()
+            pieces += (head, bytes(word).translate(_TO_TEXT), rest)
+        pieces.append(json.dumps({"summary": self.summary}).encode() + b"\n")
+        return b"".join(pieces).decode("ascii")
 
     def to_csv(self) -> str:
         buf = io.StringIO()

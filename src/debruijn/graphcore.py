@@ -230,7 +230,7 @@ class Digraph:
         order = obj["order"]
         if not _is_int(order) or order < 1:
             raise DomainError("order must be a positive integer")
-        # ranking a label costs the square of its length, so cap the order first
+        # the order is capped before any label is ranked
         if order > DEFAULT_SIZE_CAP:
             raise ResourceCapError(f"order {order} exceeds cap {DEFAULT_SIZE_CAP}")
         if not isinstance(obj["vertices"], list) or not isinstance(obj["arcs"], list):

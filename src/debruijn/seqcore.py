@@ -4,7 +4,8 @@ and ``gen_eulerian``).
 
 Symbols are integer indices ``0..a-1`` rendered as the characters 0-9
 then A-Z, so every sequence has an exact one-character-per-symbol text
-form. Sequences are always read cyclically; there is no linear mode.
+form; the two convert through one pair of byte translation tables.
+Sequences are always read cyclically; there is no linear mode.
 All values are immutable after construction. This module is the only
 place that converts between symbols or text and base-``a`` ranks: a
 k-string's rank is its symbols read as a base-``a`` number, so for a
@@ -14,11 +15,21 @@ fixed ``k`` rank order is lexicographic order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 
 SYMBOL_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+# The symbol/text codec: one translation table each way between the bytes
+# of symbols 0..35 and the ASCII bytes of SYMBOL_CHARS. Every other byte
+# maps to itself, so a text is checked against the first ``a`` characters
+# before its bytes are translated (``_decode``).
+_SYMBOL_BYTES = bytes(range(len(SYMBOL_CHARS)))
+_SYMBOL_ASCII = SYMBOL_CHARS.encode("ascii")
+_TO_TEXT = bytes.maketrans(_SYMBOL_BYTES, _SYMBOL_ASCII)
+_TO_SYMBOLS = bytes.maketrans(_SYMBOL_ASCII, _SYMBOL_BYTES)
 
 #: Generators and graph builders refuse instances with a**k above this cap
 #: unless the caller passes a larger one explicitly.
@@ -48,7 +59,12 @@ class Alphabet:
 
 
 def _check_symbols(symbols: tuple[int, ...], alphabet: Alphabet) -> None:
-    for s in symbols:
+    try:  # the common case in C: every symbol is a byte below a
+        if not bytes(symbols).translate(None, _SYMBOL_BYTES[: alphabet.size]):
+            return
+    except (TypeError, ValueError):  # a symbol that is no byte
+        pass
+    for s in symbols:  # name the first symbol out of range
         if not 0 <= s < alphabet.size:
             raise DomainError(
                 f"symbol {s} out of range for alphabet of size {alphabet.size}"
@@ -80,7 +96,19 @@ class CyclicSequence:
 
 def _symbols_text(symbols: Sequence[int]) -> str:
     """The text of a symbol string, one character of SYMBOL_CHARS per symbol."""
-    return "".join([SYMBOL_CHARS[s] for s in symbols])
+    return bytes(symbols).translate(_TO_TEXT).decode("ascii")
+
+
+def _decode(text: str, a: int) -> bytes | None:
+    """The symbols of ``text`` over ``a`` symbols, one byte each, or None
+    if some character is not among the first ``a`` of SYMBOL_CHARS."""
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if raw.translate(None, _SYMBOL_ASCII[:a]):  # a character that is no symbol
+        return None
+    return raw.translate(_TO_SYMBOLS)
 
 
 def parse_sequence(text: str, a: int) -> CyclicSequence:
@@ -88,14 +116,13 @@ def parse_sequence(text: str, a: int) -> CyclicSequence:
     alphabet = Alphabet(a)
     if not text:
         raise DomainError("empty sequence text")
-    symbols = []
-    for pos, ch in enumerate(text):
-        sym = SYMBOL_CHARS.find(ch)
-        if not 0 <= sym < a:
-            raise DomainError(
-                f"invalid symbol {ch!r} at position {pos} for alphabet size {a}"
-            )
-        symbols.append(sym)
+    symbols = _decode(text, a)
+    if symbols is None:
+        for pos, ch in enumerate(text):  # name the first bad character
+            if not 0 <= SYMBOL_CHARS.find(ch) < a:
+                raise DomainError(
+                    f"invalid symbol {ch!r} at position {pos} for alphabet size {a}"
+                )
     return CyclicSequence(tuple(symbols), alphabet)
 
 
@@ -113,7 +140,22 @@ def read_sequences(text: str, a: int) -> list[CyclicSequence]:
     return out
 
 
+# _rank and _unrank convert a k-string of more symbols than this by
+# halves, so a long label costs a few big-integer products or divisions,
+# not one per symbol; up to this length they run symbol by symbol
+_RANK_LEAF = 64
+
+
+@lru_cache(maxsize=128)
+def _power(a: int, h: int) -> int:
+    return a**h
+
+
 def _rank(symbols: Sequence[int], a: int) -> int:
+    k = len(symbols)
+    if k > _RANK_LEAF:
+        h = k // 2
+        return _rank(symbols[: k - h], a) * _power(a, h) + _rank(symbols[k - h :], a)
     rank = 0
     for sym in symbols:
         rank = rank * a + sym
@@ -121,6 +163,10 @@ def _rank(symbols: Sequence[int], a: int) -> int:
 
 
 def _unrank(rank: int, a: int, k: int) -> tuple[int, ...]:
+    if k > _RANK_LEAF:
+        h = k // 2
+        high, low = divmod(rank, _power(a, h))
+        return _unrank(high, a, k - h) + _unrank(low, a, h)
     syms = [0] * k
     for i in range(k - 1, -1, -1):
         rank, syms[i] = divmod(rank, a)
@@ -134,7 +180,11 @@ def _rank_text(rank: int, a: int, k: int) -> str:
 
 def _text_rank(text: str, alphabet: Alphabet) -> int:
     """The base-``a`` rank of a k-string's text; a foreign character is an error."""
-    return _rank([alphabet.decode(ch) for ch in text], alphabet.size)
+    symbols = _decode(text, alphabet.size)
+    if symbols is None:
+        for ch in text:  # name the first foreign character
+            alphabet.decode(ch)
+    return _rank(symbols, alphabet.size)
 
 
 def _check_tour_args(d: CyclicSequence, k: int) -> None:

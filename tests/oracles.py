@@ -8,6 +8,8 @@ import dataclasses
 import itertools
 import math
 
+from debruijn.seqcore import SYMBOL_CHARS
+
 
 def naive_fkm(a, k):
     """Every Lyndon word whose length divides k, concatenated in the
@@ -91,6 +93,65 @@ def burnside_orbit_count(a, n):
             total += fixed_symbols**g
     assert total % (n * len(perms)) == 0
     return total // (n * len(perms))
+
+
+def symbols_text(symbols):
+    """The text of a symbol string, looked up one symbol at a time."""
+    return "".join([SYMBOL_CHARS[s] for s in symbols])
+
+
+def parse_symbols(text, a):
+    """The symbols of ``text`` over ``a`` symbols, looked up one
+    character at a time, or the message that names its first bad one."""
+    symbols = []
+    for pos, ch in enumerate(text):
+        s = SYMBOL_CHARS.find(ch)
+        if not 0 <= s < a:
+            return f"invalid symbol {ch!r} at position {pos} for alphabet size {a}"
+        symbols.append(s)
+    return tuple(symbols)
+
+
+def read_symbols(text, a):
+    """parse_symbols over the sequence file format: each line stripped,
+    blank and ``#`` lines skipped, a message prefixed with its line."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        got = parse_symbols(line, a)
+        if isinstance(got, str):
+            return f"line {lineno}: {got}"
+        out.append(got)
+    return out
+
+
+def symbols_rank(symbols, a):
+    """The base-``a`` rank of a symbol string, one symbol at a time."""
+    rank = 0
+    for s in symbols:
+        rank = rank * a + s
+    return rank
+
+
+def rank_symbols(rank, a, k):
+    """The k symbols of a base-``a`` rank, one division per symbol."""
+    symbols = []
+    for _ in range(k):
+        rank, s = divmod(rank, a)
+        symbols.append(s)
+    return tuple(reversed(symbols))
+
+
+def longest_runs(symbols):
+    """The longest linear and cyclic runs of equal symbols, from the
+    list of every run's length."""
+    runs = [len(list(group)) for _, group in itertools.groupby(symbols)]
+    linear = max(runs)
+    if len(runs) > 1 and symbols[0] == symbols[-1]:
+        return linear, max(linear, runs[0] + runs[-1])
+    return linear, linear
 
 
 def cyclic_windows(symbols, k):

@@ -524,6 +524,31 @@ BUDGETED_SWEEPS = [(*args, analysis.DEFAULT_SWEEP_BUDGET) for args in SHARED_SWE
 BUDGETED_SWEEPS.append((4, 3, range(3, 7), 12, 500))
 
 
+class TestRunScan:
+    """The one-pass run scan against the list of every run's length."""
+
+    @pytest.mark.parametrize(
+        "a,n",
+        sorted(
+            {(a, n) for a, counts in ORBIT_COUNTS.items() for n in counts}
+            | {(a, n) for a, _, lengths, _ in SHARED_SWEEPS for n in lengths}
+        ),
+    )
+    def test_run_scan_matches_the_run_list_on_necklaces(self, a, n):
+        alphabet = Alphabet(a)
+        for word, _, _ in necklaces(a, n):
+            seq = CyclicSequence(word, alphabet)
+            assert analysis._longest_run(seq) == oracles.longest_runs(word), word
+
+    def test_run_scan_matches_the_run_list_on_random_sequences(self):
+        rng = random.Random(29)
+        for _ in range(20_000):
+            a = rng.randint(2, 5)
+            word = tuple(rng.randrange(a) for _ in range(rng.randint(1, 30)))
+            seq = CyclicSequence(word, Alphabet(a))
+            assert analysis._longest_run(seq) == oracles.longest_runs(word), word
+
+
 class TestOrbitSharing:
     @pytest.mark.parametrize(
         "a,n", [(a, n) for a, counts in ORBIT_COUNTS.items() for n in counts]
@@ -579,7 +604,11 @@ class TestOrbitSharing:
     ):
         report = sweep(a, k, lengths, budget=budget, vertex_cap=vertex_cap)
         assert report.summary["truncated"] == (budget == 500)
-        lines = [json.dumps(entry.to_json()) for entry in report.records]
+        lines = []
+        for entry in report.records:
+            fields = entry.to_json()  # "sequence" stays the first key
+            fields["sequence"] = oracles.symbols_text(entry.sequence.symbols)
+            lines.append(json.dumps(fields))
         lines.append(json.dumps({"summary": report.summary}))
         assert report.to_jsonl() == "\n".join(lines) + "\n"
 
@@ -596,7 +625,7 @@ class TestOrbitSharing:
         )
         writer.writerows(
             [
-                entry.sequence.text,
+                oracles.symbols_text(entry.sequence.symbols),
                 len(entry.sequence),
                 entry.classification.verdict.value,
                 entry.classification.reason.value,

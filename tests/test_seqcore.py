@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from debruijn import DomainError, ResourceCapError
+from debruijn import DomainError, ResourceCapError, seqcore
 from debruijn.analysis import _first_appearance
 from debruijn.seqcore import (
+    SYMBOL_CHARS,
     Alphabet,
     CyclicSequence,
     gen_fkm,
@@ -24,14 +26,19 @@ from oracles import (
     is_least_rotation,
     naive_fkm,
     naive_is_de_bruijn,
+    parse_symbols,
+    rank_symbols,
+    read_symbols,
     rotate,
     rotations,
+    symbols_rank,
+    symbols_text,
 )
 
 
 @st.composite
-def sequences(draw):
-    a = draw(st.integers(2, 6))
+def sequences(draw, max_a=6):
+    a = draw(st.integers(2, max_a))
     n = draw(st.integers(1, 12))
     syms = tuple(draw(st.integers(0, a - 1)) for _ in range(n))
     return CyclicSequence(syms, Alphabet(a))
@@ -84,6 +91,92 @@ class TestParse:
     def test_read_sequences_reports_line(self):
         with pytest.raises(DomainError, match="line 2"):
             read_sequences("11\n12\n", 2)
+
+
+# characters a decoder must refuse or must not confuse with a symbol:
+# lowercase letters (int() reads them as digits), signs, "_", NUL, a
+# space, a non-ASCII letter, a full-width digit and lone surrogates
+FOREIGN_CHARS = "abcxyz+-_\x00 \t\u00e9\uff10\ud800\udfff"
+
+
+@st.composite
+def texts(draw, chars):
+    """An alphabet size and a text: a prefix of its symbols, then any
+    characters of SYMBOL_CHARS (symbols >= a included) and ``chars``."""
+    a = draw(st.integers(2, 36))
+    prefix = draw(st.text(st.sampled_from(SYMBOL_CHARS[:a]), max_size=40))
+    rest = draw(st.text(st.sampled_from(SYMBOL_CHARS + chars), max_size=8))
+    return a, prefix + rest
+
+
+def _message(call):
+    try:
+        return call()
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestDecoder:
+    """The codec's decoder against a per-character reference."""
+
+    @given(texts(FOREIGN_CHARS))
+    def test_parse_matches_the_per_character_reference(self, case):
+        a, text = case
+        expected = parse_symbols(text, a) if text else "empty sequence text"
+        got = _message(lambda: parse_sequence(text, a))
+        assert (got if isinstance(got, str) else got.symbols) == expected
+
+    @given(texts(FOREIGN_CHARS + "\n\r#"))
+    def test_read_matches_the_per_character_reference(self, case):
+        a, text = case
+        got = _message(lambda: read_sequences(text, a))
+        if not isinstance(got, str):
+            got = [d.symbols for d in got]
+        assert got == read_symbols(text, a)
+
+    @given(texts(FOREIGN_CHARS))
+    def test_label_rank_names_the_same_character(self, case):
+        a, text = case
+        alphabet = Alphabet(a)
+        expected = symbols_rank([SYMBOL_CHARS.find(ch) for ch in text], a)
+        for ch in text:
+            if not 0 <= SYMBOL_CHARS.find(ch) < a:
+                expected = (
+                    f"character {ch!r} is not a symbol of an alphabet of size {a}"
+                )
+                break
+        assert _message(lambda: seqcore._text_rank(text, alphabet)) == expected
+
+    @given(sequences(max_a=36))
+    def test_text_round_trip(self, d):
+        assert d.text == symbols_text(d.symbols)
+        assert parse_sequence(d.text, d.alphabet.size) == d
+
+    def test_long_text_names_the_last_position(self):
+        text = "Z" * 999_999 + "z"
+        with pytest.raises(DomainError) as err:
+            read_sequences(text + "\n", 36)
+        assert str(err.value) == (
+            "line 1: invalid symbol 'z' at position 999999 for alphabet size 36"
+        )
+        assert parse_sequence(text[:-1], 36).symbols == (35,) * 999_999
+
+
+class TestRanks:
+    @pytest.mark.parametrize("a", [2, 3, 36])
+    @pytest.mark.parametrize("k", [1, 63, 64, 65, 200, 4096, 16384])
+    def test_ranks_match_the_per_symbol_reference(self, a, k):
+        rng = random.Random(a * 100_003 + k)
+        words = [(0,) * k, (a - 1,) * k, tuple(rng.randrange(a) for _ in range(k))]
+        for word in words:
+            rank = symbols_rank(word, a)
+            text = symbols_text(word)
+            assert rank_symbols(rank, a, k) == word
+            assert seqcore._rank(word, a) == rank
+            assert seqcore._text_rank(text, Alphabet(a)) == rank
+            assert seqcore._unrank(rank, a, k) == word
+            assert seqcore._rank_text(rank, a, k) == text
+        assert seqcore._rank(words[1], a) == a**k - 1
 
 
 class TestKTour:
@@ -252,6 +345,15 @@ class TestValueTypes:
             CyclicSequence((0, 2), Alphabet(2))
         with pytest.raises(DomainError, match="at least one symbol"):
             CyclicSequence((), Alphabet(2))
+
+    @pytest.mark.parametrize(
+        "symbols,bad",
+        [((0, 5, 1), 5), ((0, 300, 2), 300), ((0, 2, -1), 2), ((1, -1), -1)],
+    )
+    def test_symbol_check_names_the_first_bad_symbol(self, symbols, bad):
+        with pytest.raises(DomainError) as err:
+            CyclicSequence(symbols, Alphabet(2))
+        assert str(err.value) == f"symbol {bad} out of range for alphabet of size 2"
 
     def test_sequence_indexing_is_cyclic(self):
         seq = parse_sequence("012", 3)
