@@ -2,9 +2,11 @@
 
 Subcommands: gen, graph, walk, solve, classify, verify, sweep. Exit
 status is 0 on success, 1 on domain/usage errors, 2 when a resource cap
-would be exceeded or memory runs out. All output is deterministic for fixed inputs. The
-caps can be overridden with the WATCHMAN_MAX_SEQ (generator/builder
-a**k cap) and WATCHMAN_MAX_VERTICES (oracle cap) environment variables.
+would be exceeded or memory runs out. All output is deterministic for
+fixed inputs. The caps can be overridden with the WATCHMAN_MAX_SEQ
+(generator/builder a**k cap, and the longest sequence verify or sweep
+takes) and WATCHMAN_MAX_VERTICES (the vertex cap of solve's exact
+search) environment variables.
 """
 
 from __future__ import annotations
@@ -184,10 +186,17 @@ def cmd_classify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seqs, cap = _sequences_from_args(args), _vertex_cap()
-    solved = {}  # sequences with one window set share one oracle run
+    seqs, size_cap = _sequences_from_args(args), _size_cap()
+    # the postman flow grows faster than linearly in |W| <= len(seq), so
+    # every sequence is checked before any window set is built
+    longest = max(map(len, seqs))
+    if longest > size_cap:
+        raise ResourceCapError(
+            f"sequence length {longest} exceeds size cap {size_cap}"
+        )
+    solved = {}  # sequences with one window set share one postman run
     for seq in seqs:
-        print(json.dumps(verify(seq, args.order, cap, solved).to_json()))
+        print(json.dumps(verify(seq, args.order, solved).to_json()))
     return 0
 
 
@@ -209,13 +218,13 @@ def _write_csv(fh, path: str, text: str) -> None:
 
 
 def cmd_sweep(args) -> int:
-    lengths, cap, size_cap = _parse_lengths(args.lengths), _vertex_cap(), _size_cap()
+    lengths, size_cap = _parse_lengths(args.lengths), _size_cap()
     # reject bad arguments before opening (and so truncating) the CSV
     # target, then open it, so that a bad path fails before the sweep
     check_sweep_args(args.alphabet, args.order, lengths, args.budget, size_cap)
     csv_target = nullcontext() if args.csv is None else _open_csv(args.csv)
     with csv_target as fh:
-        report = sweep(args.alphabet, args.order, lengths, args.budget, cap, size_cap)
+        report = sweep(args.alphabet, args.order, lengths, args.budget, size_cap)
         sys.stdout.write(report.to_jsonl())
         if fh is not None:
             _write_csv(fh, args.csv, report.to_csv())

@@ -22,7 +22,6 @@ from debruijn import (
 from debruijn.analysis import (
     Classification,
     Reason,
-    SkippedSequence,
     Verdict,
     classify,
     has_constant_run,
@@ -235,7 +234,7 @@ class TestCertificatesMatchBruteForce:
             seq = CyclicSequence(word, Alphabet(a))
             expected, seam_only = _reference_classification(word, k)
             assert classify(seq, k) == expected, (word, k)
-            rec = verify(seq, k, 4096, memos.setdefault((a, k), {}))
+            rec = verify(seq, k, memos.setdefault((a, k), {}))
             got = (rec.classification, rec.constant_run_seam_only)
             assert got == (expected, seam_only), (word, k)
         verdicts = Counter(_reference_classification(w, k) for w, _, k in cases)
@@ -291,7 +290,7 @@ class TestVerify:
         # verify trusts the oracle optimum; the enumerator must agree
         checked = 0
         for rec in sweep(a, k, lengths).records:
-            if isinstance(rec, SkippedSequence) or not rec.is_watchman:
+            if not rec.is_watchman:
                 continue
             graph = generated_subdigraph(rec.sequence, k)
             walk = induced_walk(rec.sequence, k, graph)
@@ -328,9 +327,23 @@ class TestVerify:
                 assert rec.classification == base.classification
                 assert rec.is_watchman == base.is_watchman
 
-    def test_cap_is_a_hard_error(self):
-        with pytest.raises(ResourceCapError):
-            verify(parse_sequence("01234", 5), 2)  # 25-vertex subdigraph
+    @pytest.mark.parametrize(
+        "text,a,k,optimum",
+        [
+            ("01234", 5, 2, 5),  # 25 vertices
+            # an order-5 de Bruijn sequence generates all 64 of G(2, 6),
+            # and so does its doubling, which is no watchman's walk
+            ("00000100011001010011101011011111", 2, 6, 32),
+            ("00000100011001010011101011011111" * 2, 2, 6, 32),
+            ("0", 36, 1, 0),  # 36 vertices and a stationary walk
+        ],
+    )
+    def test_no_vertex_cap_applies(self, text, a, k, optimum):
+        # the postman optimum needs no search, so a subdigraph past the
+        # search oracle's cap is verified like any other
+        seq = parse_sequence(text, a)
+        assert a * len(window_set(seq, k)) > watchman.DEFAULT_VERTEX_CAP
+        assert verify(seq, k).oracle_optimum == optimum
 
     def test_json_fields(self):
         obj = verify(parse_sequence("0001", 2), 3).to_json()
@@ -363,33 +376,19 @@ class TestVerify:
                 checked += 1
         assert checked == sum(len(list(necklaces(a, n))) for n in lengths)
 
-    @pytest.mark.parametrize("vertex_cap", [24, 6])
-    def test_memo_gives_the_memo_free_record(self, vertex_cap):
+    def test_memo_gives_the_memo_free_record(self):
         # every ternary word, so rotations and renamings meet the memo
-        # out of order; at cap 6 a W of all three symbols (9 vertices) is
-        # refused before the memo, so it never enters it
+        # out of order
         solved = {}
         hits = 0
         for n in range(2, 6):
             for word in itertools.product(range(3), repeat=n):
                 seq = CyclicSequence(word, Alphabet(3))
                 hits += window_set(seq, 2) in solved
-                outcomes = []
-                for memo in (solved, None):
-                    try:
-                        outcomes.append(verify(seq, 2, vertex_cap, memo).to_json())
-                    except ResourceCapError as exc:
-                        outcomes.append(str(exc))
-                assert outcomes[0] == outcomes[1], seq.text
-        assert all(3 * len(w) <= vertex_cap for w in solved)
-        if vertex_cap == 24:
-            assert len(solved) == 7  # the nonempty subsets of {0, 1, 2}
-            assert hits == 3**2 + 3**3 + 3**4 + 3**5 - 7
-        else:
-            assert len(solved) == 6  # the subsets of one or two symbols
-            # 3 * 2**n - 3 words of length n use at most two symbols, and
-            # the first word of each stored W is no hit
-            assert hits == sum(3 * 2**n - 3 for n in range(2, 6)) - 6
+                with_memo = verify(seq, 2, solved).to_json()
+                assert with_memo == verify(seq, 2).to_json(), seq.text
+        assert len(solved) == 7  # the nonempty subsets of {0, 1, 2}
+        assert hits == 3**2 + 3**3 + 3**4 + 3**5 - 7
 
 
 class TestRotationRepresentatives:
@@ -459,12 +458,14 @@ class TestSweep:
             sweep(2, 1, range(1, 5), size_cap=3)
         assert sweep(2, 1, range(1, 4), size_cap=3).summary["total"] == 9
 
-    def test_oracle_cap_becomes_skip_marker(self):
-        report = sweep(4, 2, range(4, 5), vertex_cap=10)
-        skipped = [r for r in report.records if isinstance(r, SkippedSequence)]
-        assert skipped
-        assert report.summary["skipped"] == len(skipped)
-        assert skipped[0].to_json()["skipped"] is True
+    def test_subdigraphs_past_the_search_cap_are_verified(self):
+        # no vertex cap applies, so the summary's "skipped" stays 0
+        report = sweep(5, 2, range(5, 6))
+        sizes = [5 * len(window_set(r.sequence, 2)) for r in report.records]
+        assert max(sizes) == 25 > watchman.DEFAULT_VERTEX_CAP
+        summary = report.summary
+        assert summary["verified"] == summary["total"] == len(report.records)
+        assert summary["skipped"] == 0
 
     def test_lengths_below_order_rejected(self):
         with pytest.raises(DomainError):
@@ -505,23 +506,23 @@ ORBIT_COUNTS = {
 }
 
 
-# (a, k, lengths, vertex_cap) of sweeps whose shared records are checked
+# (a, k, lengths) of sweeps whose shared records are checked
 SHARED_SWEEPS = [
-    (2, 3, range(3, 9), 24),
-    (3, 2, range(2, 6), 24),
-    (4, 3, range(3, 6), 24),
-    (3, 2, range(2, 6), 6),  # skips the 9-vertex subdigraphs
-    (4, 3, range(3, 6), 12),  # skips the 16- and 20-vertex ones
-    # every character of SYMBOL_CHARS, in 702 records: each subdigraph has
-    # 36 vertices, so the first sweep skips them all and the second skips none
-    (36, 1, range(1, 3), 24),
-    (36, 1, range(1, 3), 36),
+    (2, 3, range(3, 9)),
+    (3, 2, range(2, 6)),
+    (4, 3, range(3, 6)),
+    # every character of SYMBOL_CHARS, in 702 records of 36 vertices each
+    (36, 1, range(1, 3)),
     # 144 records of 17 window sets, so most records come from the memo
-    (2, 4, range(4, 10), 24),
+    (2, 4, range(4, 10)),
+    # subdigraphs of up to 25 and 28 vertices, past the search oracle's
+    # default cap of 24, which verify does not obey
+    (5, 2, range(2, 6)),
+    (2, 5, range(12, 15)),
 ]
 # the same with a budget, plus one sweep that the budget stops inside length 6
 BUDGETED_SWEEPS = [(*args, analysis.DEFAULT_SWEEP_BUDGET) for args in SHARED_SWEEPS]
-BUDGETED_SWEEPS.append((4, 3, range(3, 7), 12, 500))
+BUDGETED_SWEEPS.append((4, 3, range(3, 7), 500))
 
 
 class TestRunScan:
@@ -531,7 +532,7 @@ class TestRunScan:
         "a,n",
         sorted(
             {(a, n) for a, counts in ORBIT_COUNTS.items() for n in counts}
-            | {(a, n) for a, _, lengths, _ in SHARED_SWEEPS for n in lengths}
+            | {(a, n) for a, _, lengths in SHARED_SWEEPS for n in lengths}
         ),
     )
     def test_run_scan_matches_the_run_list_on_necklaces(self, a, n):
@@ -572,9 +573,9 @@ class TestOrbitSharing:
         # of the brute-force key: verify gets the first necklace of each
         calls = []
 
-        def recording_verify(d, k, vertex_cap, solved):
+        def recording_verify(d, k, solved):
             calls.append(d.symbols)
-            raise ResourceCapError("not run")
+            return verify(d, k, solved)
 
         monkeypatch.setattr(analysis, "verify", recording_verify)
         report = sweep(a, 1, [n])
@@ -583,40 +584,33 @@ class TestOrbitSharing:
             firsts.setdefault(oracles.brute_orbit_key(seq.symbols, a), seq.symbols)
         assert calls == list(firsts.values())
         assert len(calls) == oracles.burnside_orbit_count(a, n)
-        assert report.summary["skipped"] == len(report.records)
+        assert report.summary["verified"] == len(report.records)
 
-    @pytest.mark.parametrize("a,k,lengths,vertex_cap", SHARED_SWEEPS)
-    def test_shared_records_equal_direct_verify(self, a, k, lengths, vertex_cap):
-        report = sweep(a, k, lengths, vertex_cap=vertex_cap)
+    @pytest.mark.parametrize("a,k,lengths", SHARED_SWEEPS)
+    def test_shared_records_equal_direct_verify(self, a, k, lengths):
+        report = sweep(a, k, lengths)
         for entry in report.records:
-            try:
-                direct = verify(entry.sequence, k, vertex_cap)
-            except ResourceCapError as exc:
-                direct = SkippedSequence(entry.sequence, k, str(exc))
-            assert entry.to_json() == direct.to_json()
-        # the small caps compare skip entries too, and so does the 36-ary
-        # sweep at 24, whose constant necklaces alone have 36 vertices
-        assert (report.summary["skipped"] > 0) == (vertex_cap < 24 or a > vertex_cap)
+            assert entry.to_json() == verify(entry.sequence, k).to_json()
+        assert report.summary["skipped"] == 0
 
-    @pytest.mark.parametrize("a,k,lengths,vertex_cap,budget", BUDGETED_SWEEPS)
-    def test_to_jsonl_is_the_reference_serialization(
-        self, a, k, lengths, vertex_cap, budget
-    ):
-        report = sweep(a, k, lengths, budget=budget, vertex_cap=vertex_cap)
+    # the serializations are compared line by line, each line with its
+    # terminator, so every byte is checked and a failure names its line
+    # without a diff of the whole text
+    @pytest.mark.parametrize("a,k,lengths,budget", BUDGETED_SWEEPS)
+    def test_to_jsonl_is_the_reference_serialization(self, a, k, lengths, budget):
+        report = sweep(a, k, lengths, budget=budget)
         assert report.summary["truncated"] == (budget == 500)
         lines = []
         for entry in report.records:
             fields = entry.to_json()  # "sequence" stays the first key
             fields["sequence"] = oracles.symbols_text(entry.sequence.symbols)
-            lines.append(json.dumps(fields))
-        lines.append(json.dumps({"summary": report.summary}))
-        assert report.to_jsonl() == "\n".join(lines) + "\n"
+            lines.append(json.dumps(fields) + "\n")
+        lines.append(json.dumps({"summary": report.summary}) + "\n")
+        assert report.to_jsonl().splitlines(keepends=True) == lines
 
-    @pytest.mark.parametrize("a,k,lengths,vertex_cap,budget", BUDGETED_SWEEPS)
-    def test_to_csv_is_the_reference_serialization(
-        self, a, k, lengths, vertex_cap, budget
-    ):
-        report = sweep(a, k, lengths, budget=budget, vertex_cap=vertex_cap)
+    @pytest.mark.parametrize("a,k,lengths,budget", BUDGETED_SWEEPS)
+    def test_to_csv_is_the_reference_serialization(self, a, k, lengths, budget):
+        report = sweep(a, k, lengths, budget=budget)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(
@@ -634,15 +628,15 @@ class TestOrbitSharing:
                 entry.is_watchman,
             ]
             for entry in report.records
-            if not isinstance(entry, SkippedSequence)
         )
-        assert report.to_csv() == buf.getvalue()
+        expected = buf.getvalue().splitlines(keepends=True)
+        assert report.to_csv().splitlines(keepends=True) == expected
 
-    @pytest.mark.parametrize("a,k,lengths,vertex_cap,budget", BUDGETED_SWEEPS)
+    @pytest.mark.parametrize("a,k,lengths,budget", BUDGETED_SWEEPS)
     def test_copies_and_tallies_match_the_first_of_each_orbit(
-        self, a, k, lengths, vertex_cap, budget
+        self, a, k, lengths, budget
     ):
-        report = sweep(a, k, lengths, budget=budget, vertex_cap=vertex_cap)
+        report = sweep(a, k, lengths, budget=budget)
         firsts = {}
         for entry in report.records:
             symbols = entry.sequence.symbols
@@ -650,14 +644,15 @@ class TestOrbitSharing:
             if first is not entry:
                 assert entry == dataclasses.replace(first, sequence=entry.sequence)
         # the per-orbit tally equals a count over the records
-        verified = [e for e in report.records if not isinstance(e, SkippedSequence)]
+        records = report.records
         cells = Counter(
             f"{e.classification.verdict.value}:{str(e.is_watchman).lower()}"
-            for e in verified
+            for e in records
         )
-        seam = [e for e in verified if e.constant_run_seam_only]
+        seam = [e for e in records if e.constant_run_seam_only]
         summary = report.summary
-        assert summary["skipped"] == len(report.records) - len(verified)
+        assert summary["verified"] == summary["total"] == len(records)
+        assert summary["skipped"] == 0
         assert {cell: n for cell, n in summary["cells"].items() if n} == cells
         assert summary["seam_only_constant_runs"] == {
             "total": len(seam),
@@ -691,9 +686,9 @@ class TestOrbitSharing:
     def test_oracle_runs_once_per_orbit(self, monkeypatch):
         calls = []
 
-        def counting_verify(d, k, vertex_cap, solved):
+        def counting_verify(d, k, solved):
             calls.append(d.text)
-            return verify(d, k, vertex_cap, solved)
+            return verify(d, k, solved)
 
         monkeypatch.setattr(analysis, "verify", counting_verify)
         report = sweep(4, 3, range(3, 7))
@@ -772,11 +767,9 @@ def _attaining_firsts(firsts):
 
 
 class TestWindowSetMemo:
-    # verify checks the cap against a * |W| before it builds anything, so
-    # it rests on the subdigraph being W x {0..a-1}
-    @pytest.mark.parametrize(
-        "a,k,lengths", list(dict.fromkeys(args[:3] for args in SHARED_SWEEPS))
-    )
+    # verify checks its walk against W x {0..a-1} without building the
+    # subdigraph, so it rests on the subdigraph being that set
+    @pytest.mark.parametrize("a,k,lengths", SHARED_SWEEPS)
     def test_sweep_subdigraphs_have_a_times_w_vertices(self, a, k, lengths):
         for n in lengths:
             for seq in rotation_representatives(a, n):
@@ -818,9 +811,9 @@ class TestWindowSetMemo:
     def test_sweep_memo_holds_only_optima(self, monkeypatch):
         memos = []
 
-        def recording_verify(d, k, vertex_cap, solved):
+        def recording_verify(d, k, solved):
             memos.append(solved)
-            return verify(d, k, vertex_cap, solved)
+            return verify(d, k, solved)
 
         monkeypatch.setattr(analysis, "verify", recording_verify)
         sweep(4, 3, range(3, 7))
@@ -828,25 +821,21 @@ class TestWindowSetMemo:
         assert len(memos[0]) == 36  # one entry per window set
         assert all(type(v) is int for v in memos[0].values())
 
-    def test_capped_sweep_builds_no_over_cap_window_set(self, monkeypatch):
-        _, window_sets = _orbit_window_sets(4, 3, range(3, 6))
+    def test_window_sets_past_the_search_cap_are_solved_once(self, monkeypatch):
+        # length 7 gives window sets of 7 pairs, 28 vertices: past the
+        # search oracle's default cap, yet each is solved once, unbuilt
+        _, window_sets = _orbit_window_sets(4, 3, range(3, 8))
         optima = _counting(monkeypatch, "_postman_optimum")
         setups = _search_setups(monkeypatch)
         graphs = _digraph_builds(monkeypatch)
-        report = sweep(4, 3, range(3, 6), vertex_cap=12)
+        report = sweep(4, 3, range(3, 8))
         solved = Counter(_symbol_pairs(args[0]) for args, _ in optima)
         assert set(solved.values()) == {1}  # each solved W once
-        assert set(solved) == {w for w in window_sets if 4 * len(w) <= 12}
+        assert set(solved) == window_sets
+        assert max(4 * len(w) for w in window_sets) == 28 > watchman.DEFAULT_VERTEX_CAP
         assert setups == graphs == []
-        over_cap = [w for w in window_sets if 4 * len(w) > 12]
-        assert over_cap
-        skips = [e for e in report.records if isinstance(e, SkippedSequence)]
-        skipped_orbits = {id(first) for _, first in report.rows if first in skips}
-        assert len(skipped_orbits) > len(over_cap)  # orbits shared an over-cap W
-        assert len(skips) == report.summary["skipped"] > len(skipped_orbits)
-        for w in over_cap:
-            reason = f"digraph has {4 * len(w)} vertices, oracle cap is 12"
-            assert any(e.reason.startswith(reason) for e in skips)
+        summary = report.summary
+        assert summary["verified"] == summary["total"] == len(report.records)
 
     def test_sweep_finds_later_necklaces_by_their_generated_form(self, monkeypatch):
         # the generator hands sweep each necklace's form, so relabelling

@@ -383,9 +383,40 @@ class TestVerify:
         assert "missing.txt" in err and "Traceback" not in err
 
     def test_cap_exit(self, capsys, monkeypatch):
-        monkeypatch.setenv("WATCHMAN_MAX_VERTICES", "4")
-        code, _, err = run(capsys, "verify", "--seq", "0011", "-a", "2", "-k", "3")
-        assert code == 2 and "cap" in err
+        monkeypatch.setenv("WATCHMAN_MAX_SEQ", "3")
+        code, out, err = run(capsys, "verify", "--seq", "0011", "-a", "2", "-k", "3")
+        assert (code, out) == (2, "")
+        assert err == "watchman: resource cap: sequence length 4 exceeds size cap 3\n"
+        monkeypatch.setenv("WATCHMAN_MAX_SEQ", "4")  # a sequence at the cap is verified
+        code, out, err = run(capsys, "verify", "--seq", "0011", "-a", "2", "-k", "3")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["is_watchman"] is True
+
+    @pytest.mark.parametrize("cap", [None, "9"])
+    def test_long_sequence_is_refused_before_its_windows(
+        self, capsys, monkeypatch, tmp_path, cap
+    ):
+        # one over-long sequence in a file refuses the whole file, before
+        # any window set is built or any record is printed
+        def no_windows(d, k):
+            raise AssertionError("built the window set of a refused input")
+
+        monkeypatch.setattr(analysis, "window_set", no_windows)
+        monkeypatch.setattr(cli, "window_set", no_windows)
+        limit = 4096
+        if cap is not None:
+            monkeypatch.setenv("WATCHMAN_MAX_SEQ", cap)
+            limit = int(cap)
+        path = tmp_path / "seqs.txt"
+        path.write_text(f"0011\n{'1' * limit}0\n0001\n")
+        code, out, err = run(
+            capsys, "verify", "--seq-file", str(path), "-a", "2", "-k", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"watchman: resource cap: sequence length {limit + 1} exceeds "
+            f"size cap {limit}\n"
+        )
 
     def test_seq_file_runs_the_oracle_once_per_window_set(
         self, capsys, monkeypatch, tmp_path
@@ -418,9 +449,9 @@ class TestVerify:
     def test_seq_file_memo_holds_only_optima(self, capsys, monkeypatch, tmp_path):
         memos, real = [], cli.verify
 
-        def recording_verify(d, k, vertex_cap, solved):
+        def recording_verify(d, k, solved):
             memos.append(solved)
-            return real(d, k, vertex_cap, solved)
+            return real(d, k, solved)
 
         monkeypatch.setattr(cli, "verify", recording_verify)
         path = tmp_path / "seqs.txt"
@@ -571,13 +602,18 @@ def builds(monkeypatch):
 
 class TestCapBeforeBuild:
     """A subdigraph a sequence generates is W x {0..a-1}, so an input whose
-    a * |W| vertices do not fit is refused before that subdigraph is built."""
+    a * |W| vertices do not fit solve's vertex cap is refused before that
+    subdigraph is built; verify obeys no vertex cap and builds none."""
 
     @pytest.mark.parametrize("option", ["--seq", "--from-seq"])
     def test_over_cap_sequence_is_never_built(self, capsys, builds, option):
         command = "verify" if option == "--seq" else "solve"
-        n = generated_subdigraph(parse_sequence(_LONG, 2), 20).vertex_count
         code, out, err = run(capsys, command, option, _LONG, "-a", "2", "-k", "20")
+        if command == "verify":
+            assert (code, err, builds) == (0, "", [])
+            assert json.loads(out)["sequence"] == _LONG
+            return
+        n = generated_subdigraph(parse_sequence(_LONG, 2), 20).vertex_count
         assert (code, out, builds) == (2, "", [])
         assert err == (
             f"watchman: resource cap: digraph has {n} vertices, oracle cap is 24 "
@@ -607,6 +643,43 @@ class TestCapBeforeBuild:
         # builds from --from-seq, and from JSON builds the provenance's
         # subdigraph to compare
         assert builds == ["0011"] * 2
+
+
+class TestVertexCapIsSolveOnly:
+    """WATCHMAN_MAX_VERTICES caps solve's exact search; verify and sweep
+    run no search, so their output does not depend on it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--seq-file", "{golden}/seqs.txt", "-a", "2", "-k", "3"],
+            ["verify", "--seq", _LONG, "-a", "2", "-k", "20"],
+            ["sweep", "-a", "4", "-k", "3", "--lengths", "3..6", "--csv", "{csv}"],
+            ["sweep", "-a", "5", "-k", "2", "--lengths", "2..5", "--csv", "{csv}"],
+        ],
+        ids=["verify-file", "verify-long", "sweep-a4", "sweep-a5"],
+    )
+    def test_output_is_byte_identical_at_cap_one(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        golden = Path(__file__).parent / "golden"
+        outputs = []
+        for cap in (None, "1"):
+            if cap is not None:
+                monkeypatch.setenv("WATCHMAN_MAX_VERTICES", cap)
+            csv_path = tmp_path / f"report-{cap}.csv"
+            args = [
+                a.replace("{golden}", str(golden)).replace("{csv}", str(csv_path))
+                for a in argv
+            ]
+            code, out, err = run(capsys, *args)
+            assert (code, err) == (0, "")
+            csv_bytes = csv_path.read_bytes() if "{csv}" in argv else None
+            outputs.append((out.encode("utf-8"), csv_bytes))
+        assert outputs[0] == outputs[1]
+        # the cap is still read, and solve still obeys it
+        code, _, err = run(capsys, "solve", "--from-seq", "01", "-a", "2", "-k", "2")
+        assert code == 2 and "oracle cap is 1" in err
 
 
 class TestHugeIntegers:

@@ -23,9 +23,11 @@ MISSING = str(HERE / "no-such-dir" / "x.txt")
 CAPS = {"WATCHMAN_MAX_SEQ": "64", "WATCHMAN_MAX_VERTICES": "8"}
 
 ints = st.integers(-1, 5).map(str) | st.sampled_from(["37", "20000", "x", ""])
-# short sequences, and long ones up to WATCHMAN_MAX_SEQ symbols
+MAX_SEQ = int(CAPS["WATCHMAN_MAX_SEQ"])
+# short sequences, and long ones up to one symbol past WATCHMAN_MAX_SEQ,
+# which verify refuses
 seqs = st.text(alphabet="0123A", max_size=9) | st.text(
-    alphabet="0123A", min_size=10, max_size=int(CAPS["WATCHMAN_MAX_SEQ"])
+    alphabet="0123A", min_size=10, max_size=MAX_SEQ + 1
 )
 # A high end above WATCHMAN_MAX_SEQ is a length sweep refuses before it
 # verifies a record, as is, above 10**6, a range wider than any budget
@@ -35,7 +37,7 @@ seqs = st.text(alphabet="0123A", max_size=9) | st.text(
 lengths = st.builds(
     "{}..{}".format,
     st.integers(-1, 6),
-    st.integers(-1, 6) | st.integers(int(CAPS["WATCHMAN_MAX_SEQ"]) + 1, 10**12),
+    st.integers(-1, 6) | st.integers(MAX_SEQ + 1, 10**12),
 ) | st.sampled_from(["3", "..", "x..y", "5..2"])
 paths = st.sampled_from(["", "\0", os.devnull, SEQ_FILE, MISSING])
 junk = st.text(max_size=8) | st.sampled_from(["-", "--", "-h", "--seq", "-k", "=1"])
@@ -124,6 +126,7 @@ HUGE_GRAPH = json.dumps(
     ["sweep", "-a", "2", "-k", "2", "--lengths", "2..1000000000000", "--budget", "1"], ""
 )
 @example(["verify", "--seq", "0", "-a", "2", "-k", "1"], "")
+@example(["verify", "--seq", "0" * (MAX_SEQ + 1), "-a", "2", "-k", "3"], "")
 @example(["sweep", "-a", "2", "-k", "1", "--lengths", "1..3"], "")
 @example(["sweep", "-a", "2", "-k", "1", "--lengths", "65..65"], "")
 @example(["solve"], HUGE_GRAPH)
@@ -136,3 +139,29 @@ def test_main_exits_0_1_or_2(argv, stdin_text):
     ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), (code, err.getvalue())
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda a: st.tuples(
+            st.just(a),
+            st.text(alphabet="0123"[:a], min_size=MAX_SEQ + 1, max_size=MAX_SEQ + 1),
+            st.integers(1, 5) | st.just(20000),
+        )
+    )
+)
+def test_verify_refuses_a_sequence_past_the_size_cap(case):
+    # valid input one symbol too long: exit 2 before any window is built,
+    # whatever the order
+    a, text, k = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, CAPS), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(["verify", "--seq", text, "-a", str(a), "-k", str(k)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == (
+        f"watchman: resource cap: sequence length {MAX_SEQ + 1} exceeds "
+        f"size cap {MAX_SEQ}\n"
+    )
