@@ -160,6 +160,7 @@ def classify(d: CyclicSequence, k: int) -> Classification:
     walk of length 0, which is minimum, so the run certificate does not
     apply to it.
     """
+    _check_tour_args(d, k)
     return _classify(d, k, None)[0]
 
 
@@ -173,14 +174,13 @@ def _classify(
     ``windows`` is W (``seqcore.window_set(d, k)``) when the caller
     holds it, else None; it is built only if no negative certificate
     applies, so a long constant run costs one O(len d) scan at any k.
+    The caller has checked k against d (``seqcore._check_tour_args``).
     """
-    _check_tour_args(d, k)
     n = len(d)
     linear, cyclic = _longest_run(d)
     if n > 1 and cyclic >= k:
         return _CONSTANT_RUN, linear < k
-    half = n // 2
-    if n % 2 == 0 and half >= k and d.symbols[:half] == d.symbols[half:]:
+    if is_doubled(d, k):
         return _DOUBLED, False
     if windows is None:
         windows = window_set(d, k)
@@ -238,8 +238,9 @@ def verify(
     the watchman number of the generated subdigraph; no exponential
     search runs, and no vertex cap applies. The flow grows faster than
     linearly in |W|, so a caller bounds len(d), as the CLI does with
-    its size cap. Raises InvariantViolation if the optimum exceeds the
-    induced walk's length or, with |W| >= 2, falls below |W| (bounds
+    its size cap. Raises InvariantViolation if the flow fails its
+    primal-dual certificate, if the optimum exceeds the induced walk's
+    length or, with |W| >= 2, falls below |W| (bounds
     every closed dominating walk obeys), if the certificates and the
     optimum ever disagree (which would falsify a certificate, so it must
     never pass silently), or if an induced walk of optimum length is not

@@ -9,14 +9,18 @@ Sequences are always read cyclically; there is no linear mode.
 All values are immutable after construction. This module is the only
 place that converts between symbols or text and base-``a`` ranks: a
 k-string's rank is its symbols read as a base-``a`` number, so for a
-fixed ``k`` rank order is lexicographic order.
+fixed ``k`` rank order is lexicographic order. It is also the one place
+that builds a shift digraph on ranks (``_shift_arcs``: the arc
+prefix(w) -> suffix(w) of each rank w, as tail and head lists), on
+whose arc lists the Euler-circuit kernel ``_euler_circuit`` and the
+postman flow (``watchman._postman``) run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 
@@ -331,35 +335,68 @@ def gen_greedy(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequen
     return CyclicSequence(tuple(seq[:target]), alphabet)
 
 
+def _shift_arcs(windows: Iterable[int], a: int, m: int) -> tuple[list[int], list[int]]:
+    """The shift digraph of m-string ranks, as the tails and heads of its
+    arcs: one arc prefix(w) -> suffix(w), from w // a to w % a**(m-1),
+    for each rank w in the order given.
+
+    Vertices are the (m-1)-strings met, numbered 0, 1, ... in order of
+    first appearance, a tail before its head. On a window set W of
+    order k this is B_D (``watchman._postman_optimum``, m = k-1); on
+    every m-string it is G(a, m-1), whose vertex numbers are then its
+    ranks (``gen_eulerian``). At m = 1 every arc is a loop on the one
+    empty string.
+    """
+    drop = a ** (m - 1)
+    index: dict[int, int] = {}  # an (m-1)-string's rank -> its vertex
+    tails, heads = [], []
+    for w in windows:
+        tails.append(index.setdefault(w // a, len(index)))
+        heads.append(index.setdefault(w % drop, len(index)))
+    return tails, heads
+
+
+def _euler_circuit(tails: list[int], heads: list[int]) -> list[int]:
+    """An Euler circuit of the digraph with arcs tails[i] -> heads[i], as
+    arc indices in circuit order; loops and parallel arcs are allowed.
+
+    Hierholzer's algorithm from tails[0]: walk on by unused arcs, each
+    vertex spending its own in index order, and when stuck move the last
+    arc walked to the front of the circuit and go on from its tail. In a
+    balanced digraph each stop is where the circuit built so far begins;
+    stopping anywhere else, or leaving an arc unused, raises
+    InvariantViolation, so the result is a closed circuit through every
+    arc and the digraph was balanced and connected.
+    """
+    out: list[list[int]] = [[] for _ in range(max(max(tails), max(heads)) + 1)]
+    for i, u in enumerate(tails):
+        out[u].append(i)
+    unused = [iter(arcs) for arcs in out]
+    trail: list[int] = []  # arcs walked from the start, not yet in the circuit
+    circuit: list[int] = []  # in reverse circuit order
+    v = begin = tails[0]  # begin: the tail of the circuit's first arc so far
+    while (i := next(unused[v], None)) is not None or (trail and v == begin):
+        if i is None:  # stuck where the circuit begins: close the last arc walked
+            circuit.append(trail.pop())
+            v = begin = tails[circuit[-1]]
+        else:
+            trail.append(i)
+            v = heads[i]
+    if len(circuit) != len(tails):
+        raise InvariantViolation(f"{len(tails) - len(circuit)} arcs on no circuit")
+    return circuit[::-1]
+
+
 def gen_eulerian(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
     """De Bruijn sequence of order k read off an Eulerian circuit.
 
-    Runs Hierholzer's algorithm on the ranks of the order-(k-1) graph:
-    the arc with symbol ``c`` leaves rank ``v`` for ``(v*a + c) % a**(k-1)``,
-    and each vertex spends its arcs least symbol first. The sequence is
-    the symbol of each arc in circuit order. For k = 1 the graph is one
+    The Euler circuit (``_euler_circuit``) of G(a, k-1) as the shift
+    digraph of every k-string (``_shift_arcs``): the arc of rank
+    ``v*a + c`` leaves ``v`` with symbol ``c``, so from vertex 0 each
+    vertex spends its arcs least symbol first. The sequence is the
+    symbol of each arc in circuit order. For k = 1 the graph is one
     vertex with a loop per symbol, so the reading is each symbol once.
     """
     alphabet = _check_generator_args(a, k, size_cap)
-    size = a ** (k - 1)
-    spent = [0] * size
-    # a stack entry is an arc, as the rank v*a + c of its k-string: its
-    # head is that rank mod a**(k-1) and its symbol that rank mod a; the
-    # bottom entry 0 stands for the start, vertex 0, entered by no arc
-    stack = [0]
-    trail: list[int] = []
-    while stack:
-        v = stack[-1] % size
-        c = spent[v]
-        if c < a:
-            spent[v] = c + 1
-            stack.append(v * a + c)
-        else:
-            trail.append(stack.pop() % a)
-    if len(trail) != a**k + 1:
-        raise InvariantViolation(
-            f"Eulerian trail has {len(trail)} entries, not a^k + 1 = {a**k + 1}"
-        )
-    trail.pop()  # the start entry
-    trail.reverse()
-    return CyclicSequence(tuple(trail), alphabet)
+    circuit = _euler_circuit(*_shift_arcs(range(a**k), a, k))
+    return CyclicSequence(tuple(w % a for w in circuit), alphabet)

@@ -7,7 +7,10 @@ breadth-first search over (vertex, dominated-bitset) states, pruned by
 each start's cover masks, so it needs no formula and works on any
 digraph within the vertex cap. _postman_optimum gives the same optimum
 for a subdigraph a sequence generates in polynomial time, as a directed
-Chinese postman tour; it finds no walk.
+Chinese postman tour; it finds no walk. It runs the min-cost flow
+kernel _postman on the arc lists of the window digraph
+(``seqcore._shift_arcs``) and checks the flow's primal-dual certificate
+before it answers.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .seqcore import (
     DEFAULT_SIZE_CAP,
     Alphabet,
     CyclicSequence,
+    _shift_arcs,
     gen_fkm,
     is_de_bruijn_sequence,
     window_ranks,
@@ -164,45 +168,76 @@ def _postman_optimum(windows: frozenset[int], a: int, k: int) -> int:
 
     It is 0 when W holds one window, so for k = 1 and for constant
     sequences. Otherwise it is the directed Chinese postman tour of B_D,
-    the digraph on (k-2)-strings with one arc w // a -> w % a**(k-2) per
-    w in W: |W| plus the least number of extra arc copies that balance
-    every vertex (the README proves this). Those copies are a min-cost
-    flow, at cost 1 per copy and with no capacity limit, from the
-    vertices with more arcs in than out to those with more out than in.
+    the digraph on (k-2)-strings with one arc prefix(w) -> suffix(w) per
+    w in W (``seqcore._shift_arcs``): |W| plus the least number of extra
+    arc copies that balance every vertex (the README proves this), which
+    ``_postman`` routes as a min-cost flow.
+
+    The answer is checked against the flow's primal-dual certificate
+    before it is returned, in one pass over the arcs. The tour x_w = 1 +
+    copies[w] must balance every vertex, and the potentials p must give
+    every reduced cost r_w = 1 + p(prefix w) - p(suffix w) >= 0, with
+    sum(x) = sum(r) = |W| + extra. That proves the answer least: every
+    balanced x' >= 1 has sum(x') = sum(x'_w * r_w) >= sum(r), as the p
+    terms cancel at each balanced vertex. A failed check raises
+    InvariantViolation; a passed one returns sum(r).
+    """
+    if len(windows) == 1:
+        return 0
+    tails, heads = _shift_arcs(windows, a, k - 1)
+    extra, copies, potential = _postman(tails, heads)
+    balance = [0] * len(potential)  # arcs out minus arcs in, under x
+    reduced = 0  # the sum of the reduced costs r
+    for u, v, c in zip(tails, heads, copies):
+        r = 1 + potential[u] - potential[v]
+        if r < 0 or c < 0:
+            break
+        reduced += r
+        balance[u] += 1 + c
+        balance[v] -= 1 + c
+    else:  # every r_w >= 0 and x_w >= 1
+        if not any(balance) and sum(copies) == extra == reduced - len(windows):
+            return reduced
+    raise InvariantViolation(f"postman certificate fails on |W| = {len(windows)}")
+
+
+def _postman(tails: list[int], heads: list[int]) -> tuple[int, list[int], list[int]]:
+    """A least-cost set of extra arc copies that balances the strongly
+    connected digraph with arcs tails[i] -> heads[i] (vertices 0..n-1;
+    loops and parallel arcs allowed): their total, the copies of each
+    arc, and the final vertex potentials. Each copy costs 1 and has no
+    capacity limit; the copies are a min-cost flow from the vertices
+    with more arcs in than out to those with more out than in.
 
     Successive shortest paths: each round runs Dijkstra on the reduced
     costs of the residual graph from every vertex with supply left at
     once, then augments along the path to the nearest vertex with demand
-    left by the path's bottleneck. A residual arc adds a copy of w (cost
-    1, unbounded) or removes an added one (cost -1). Each vertex's
+    left by the path's bottleneck. A residual arc adds a copy (cost 1,
+    unbounded) or removes an added one (cost -1). Each vertex's
     potential is its distance in the last round, from a source joined at
     cost 0 to every vertex with supply left, which keeps every reduced
     cost non-negative; a vertex with supply starts a round at minus its
-    potential, the reduced cost of its arc from that source. D walks
-    every arc of B_D, so B_D is strongly connected and each round
-    reaches every vertex.
+    potential, the reduced cost of its arc from that source. Strong
+    connection lets each round reach every vertex. An arc is listed for
+    walking back once it gets a copy (again, if its copies ran out and
+    came back, which only relaxes it twice). A balanced digraph needs no
+    copies and returns before any residual arc is built.
     """
-    if len(windows) == 1:
-        return 0
-    drop = a ** (k - 2)
-    index: dict[int, int] = {}  # a (k-2)-string's rank -> its vertex
-    tails, heads = [], []
-    for w in windows:
-        tails.append(index.setdefault(w // a, len(index)))
-        heads.append(index.setdefault(w % drop, len(index)))
-    n = len(index)
-    out: list[list[int]] = [[] for _ in range(n)]  # arcs by tail, then by head
-    into: list[list[int]] = [[] for _ in range(n)]
+    n = max(tails) + 1  # every vertex has an arc out
     excess = [0] * n  # in-degree minus out-degree, then what is left to route
-    for i, (u, v) in enumerate(zip(tails, heads)):
-        out[u].append(i)
-        into[v].append(i)
+    for u, v in zip(tails, heads):
         excess[u] -= 1
         excess[v] += 1
     copies = [0] * len(tails)  # extra copies of each arc
     potential = [0] * n
+    if max(excess) == 0:  # balanced already: no copies
+        return 0, copies, potential
+    out: list[list[int]] = [[] for _ in range(n)]  # arcs by tail
+    for i, u in enumerate(tails):
+        out[u].append(i)
+    into: list[list[int]] = [[] for _ in range(n)]  # arcs given copies, by head
     extra = 0
-    while any(x > 0 for x in excess):
+    while max(excess) > 0:
         dist = [math.inf] * n
         pred: list[int | None] = [None] * n  # arc that reached each vertex
         heap = [(-potential[s], s) for s in range(n) if excess[s] > 0]
@@ -239,11 +274,13 @@ def _postman_optimum(windows: frozenset[int], a: int, k: int) -> int:
             v = tails[i] if step == 1 else heads[i]
         flow = min(excess[v], -excess[sink], *(copies[i] for i, s in path if s < 0))
         for i, step in path:
+            if not copies[i]:  # it gets a copy, so it can now be walked back
+                into[heads[i]].append(i)
             copies[i] += step * flow
         excess[v] -= flow
         excess[sink] += flow
         extra += flow * potential[sink]
-    return len(windows) + extra
+    return extra, copies, potential
 
 
 class _SearchSetup:

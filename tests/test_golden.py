@@ -21,6 +21,7 @@ from unittest import mock
 import pytest
 
 from debruijn.cli import main
+from debruijn.seqcore import gen_eulerian
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,6 +112,23 @@ def test_sweep_stdout_digest(args):
         code = main(["sweep", *args.split()])
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert (code, digest) == (0, SWEEP_DIGESTS[args])
+
+
+# sha256 of the lines "a k text" of gen_eulerian(a, k), for every a in
+# 2..36 and every k >= 1 with a**k <= 4096 (106 cases), a in the outer loop
+GEN_EULERIAN_DIGEST = "ec35ee74e2589c9099c527ced7d2c37b3480b7caad62905d37937d003e16e6c3"
+
+
+def test_gen_eulerian_digest():
+    digest = hashlib.sha256()
+    cases = 0
+    for a in range(2, 37):
+        k = 1
+        while a**k <= 4096:
+            digest.update(f"{a} {k} {gen_eulerian(a, k).text}\n".encode("ascii"))
+            cases += 1
+            k += 1
+    assert (cases, digest.hexdigest()) == (106, GEN_EULERIAN_DIGEST)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from debruijn import DomainError, ResourceCapError, watchman
-from debruijn.analysis import rotation_representatives
+from debruijn import DomainError, InvariantViolation, ResourceCapError, watchman
+from debruijn.analysis import Reason, Verdict, rotation_representatives, verify
 from debruijn.graphcore import (
     Digraph,
     Provenance,
@@ -20,6 +20,7 @@ from debruijn.graphcore import (
 from debruijn.seqcore import (
     Alphabet,
     CyclicSequence,
+    _shift_arcs,
     gen_eulerian,
     gen_fkm,
     gen_greedy,
@@ -30,6 +31,7 @@ from debruijn.seqcore import (
 )
 from debruijn.watchman import (
     _closed_dominating_ranks,
+    _postman,
     _postman_optimum,
     _SearchSetup,
     construct_watchman_walk,
@@ -661,6 +663,186 @@ class TestPostmanFlow:
             differ += degrees(g) != degrees(h)
             checked += 1
         assert differ
+
+
+def window_digraph(text, a, k):
+    """The arc lists of B_D for the sequence ``text``, as the flow reads them."""
+    return _shift_arcs(window_set(parse_sequence(text, a), k), a, k - 1)
+
+
+def certified(tails, heads, extra, copies, potential):
+    """True iff the flow's answer carries its certificate, checked here
+    from scratch: the tour 1 + copies balances every vertex and has
+    |W| + extra arcs, and the potentials' reduced costs are non-negative
+    with the same sum."""
+    x = [1 + c for c in copies]
+    balance = Counter()
+    for u, v, uses in zip(tails, heads, x):
+        balance[u] += uses
+        balance[v] -= uses
+    reduced = [1 + potential[u] - potential[v] for u, v in zip(tails, heads)]
+    return (
+        not any(balance.values())
+        and min(x) >= 1
+        and min(reduced) >= 0
+        and sum(x) == sum(reduced) == len(tails) + extra
+    )
+
+
+# sequences whose B_D needs extra arcs, one or two
+UNBALANCED = [
+    ("00101", 2, 4),
+    ("0010011", 2, 4),
+    ("001012", 3, 3),
+    ("001013", 4, 3),
+    ("000100011", 2, 5),
+]
+# sequences whose B_D is balanced already, with two vertices or more
+BALANCED = [("0011", 2, 3), ("011200122", 3, 3), ("0001011100", 2, 4)]
+# sequences at k = 2, whose B_D is loops on one vertex
+LOOPS = [("01", 2, 2), ("0121", 3, 2), ("0123", 4, 2)]
+
+
+def under_report(tails, heads, extra, copies, potential):
+    return extra - 1, copies, potential
+
+
+def drop_copy(tails, heads, extra, copies, potential):
+    i = next(i for i, c in enumerate(copies) if c)
+    return extra, copies[:i] + [copies[i] - 1] + copies[i + 1 :], potential
+
+
+def move_copy(tails, heads, extra, copies, potential):
+    # onto an arc with other ends, so only the balance breaks
+    arcs = list(zip(tails, heads))
+    i = next(i for i, c in enumerate(copies) if c)
+    j = next(j for j, arc in enumerate(arcs) if arc != arcs[i])
+    copies = list(copies)
+    copies[i] -= 1
+    copies[j] += 1
+    return extra, copies, potential
+
+
+def shift_potential(tails, heads, extra, copies, potential):
+    # at a vertex with more arcs out than in, or in than out, raising the
+    # potential by 1 changes the sum of the reduced costs
+    degree = Counter(tails)
+    degree.subtract(heads)
+    potential = list(potential)
+    potential[next(v for v, d in degree.items() if d)] += 1
+    return extra, copies, potential
+
+
+def sink_potential(tails, heads, extra, copies, potential):
+    # at a balanced vertex the sum of the reduced costs stays, but its
+    # arcs in from other vertices get reduced costs below 0
+    potential = list(potential)
+    potential[tails[0]] += len(tails) + extra + 1
+    return extra, copies, potential
+
+
+def negative_copy(tails, heads, extra, copies, potential):
+    # two loops: the balance and the sums stay, but one arc is used 0 times
+    return extra, [-1, 1] + copies[2:], potential
+
+
+def unreported_loop_copy(tails, heads, extra, copies, potential):
+    return extra, [copies[0] + 1] + copies[1:], potential
+
+
+def reported_loop_copy(tails, heads, extra, copies, potential):
+    # a longer balanced tour whose length the potentials do not certify
+    return extra + 1, [copies[0] + 1] + copies[1:], potential
+
+
+# each corruption of the flow's answer, with the sequences it applies to;
+# from move_copy on, each breaks exactly one part of the certificate
+CORRUPTIONS = [
+    (under_report, UNBALANCED),
+    (drop_copy, UNBALANCED),
+    (shift_potential, UNBALANCED),
+    (move_copy, UNBALANCED),
+    (sink_potential, BALANCED),
+    (negative_copy, LOOPS),
+    (unreported_loop_copy, LOOPS),
+    (reported_loop_copy, LOOPS),
+]
+
+
+class TestPostmanKernel:
+    """``watchman._postman``, the min-cost flow on arc lists, and the
+    certificate ``_postman_optimum`` checks before it answers."""
+
+    @pytest.mark.parametrize("text,a", [("01", 2), ("0121", 3), ("0123", 4), ("00", 2)])
+    def test_parallel_loops_at_order_two(self, text, a):
+        # at k = 2 every window is a loop on the one empty (k-2)-string
+        tails, heads = window_digraph(text, a, 2)
+        assert set(tails) == set(heads) == {0}
+        assert _postman(tails, heads) == (0, [0] * len(tails), [0])
+
+    # every necklace of the families, whatever its vertex count
+    @pytest.mark.parametrize(
+        "a,k,lengths,family_unbalanced",
+        [(a, k, lengths, u) for a, k, lengths, _, u in POSTMAN_FAMILIES],
+    )
+    def test_extra_equals_the_reference_on_every_necklace(
+        self, a, k, lengths, family_unbalanced
+    ):
+        checked = unbalanced = 0
+        for n in lengths:
+            for seq in rotation_representatives(a, n):
+                windows = window_set(seq, k)
+                if len(windows) == 1:
+                    continue
+                tails, heads = _shift_arcs(windows, a, k - 1)
+                extra, copies, potential = _postman(tails, heads)
+                assert len(windows) + extra == postman_optimum(seq, k), seq.text
+                assert certified(tails, heads, extra, copies, potential), seq.text
+                checked += 1
+                unbalanced += extra > 0
+        assert checked
+        assert bool(unbalanced) == bool(family_unbalanced)
+
+    @pytest.mark.parametrize("text,a,k", UNBALANCED + BALANCED + LOOPS)
+    def test_the_corrupted_sequences_are_what_their_lists_say(self, text, a, k):
+        tails, heads = window_digraph(text, a, k)
+        extra, copies, potential = _postman(tails, heads)
+        assert sum(copies) == extra
+        if (text, a, k) in UNBALANCED:
+            assert extra > 0
+        elif (text, a, k) in BALANCED:
+            assert extra == 0 and len(set(tails)) > 1
+        else:
+            assert tails == heads == [0] * len(tails) and len(tails) > 1
+
+    @pytest.mark.parametrize(
+        "corrupt,text,a,k",
+        [(corrupt, *case) for corrupt, cases in CORRUPTIONS for case in cases],
+    )
+    def test_a_corrupted_flow_fails_verify(self, monkeypatch, corrupt, text, a, k):
+        d = parse_sequence(text, a)
+        verify(d, k)  # the real flow passes
+        real = watchman._postman
+        monkeypatch.setattr(
+            watchman, "_postman", lambda t, h: corrupt(t, h, *real(t, h))
+        )
+        with pytest.raises(InvariantViolation):
+            verify(d, k)
+
+    def test_a_balanced_digraph_with_a_shorter_tour_than_its_sequence(self):
+        # 011200122 walks the arcs 0 -> 1, 1 -> 2 and 2 -> 0 of its
+        # balanced B_D twice each, so an Euler circuit of B_D is 3 arcs
+        # shorter, though no certificate applies to it
+        d = parse_sequence("011200122", 3)
+        windows = window_set(d, 3)
+        assert len(windows) == 6
+        rec = verify(d, 3)
+        assert rec.oracle_optimum == 6 and rec.induced_length == 9
+        assert not rec.is_watchman
+        assert rec.classification.verdict is Verdict.UNDETERMINED
+        assert rec.classification.reason is Reason.NONE
+        tails, heads = window_digraph("011200122", 3, 3)
+        assert certified(tails, heads, *_postman(tails, heads))
 
 
 def graphcore_closed_dominating(g, ranks):
