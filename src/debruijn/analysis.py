@@ -5,6 +5,10 @@ induced by a generating sequence is a minimum closed dominating walk of
 the subdigraph it generates: a length-k constant run or a doubled
 sequence certifies "never minimum", while pairwise-distinct (k-1)-windows
 certify "always minimum". All three read the sequence cyclically.
+The four outcomes (constant run, doubled sequence, distinct windows,
+or none of them) are the four members of the ``Classification`` enum;
+each member carries its verdict and its reason label, so a verdict
+cannot be paired with another outcome's reason.
 verify applies them in one pass (``_classify``): one run scan gives the
 cyclic longest run and the linear one behind the seam-only flag, and
 the distinct-window test reads the W that verify has already built for
@@ -45,6 +49,7 @@ from .seqcore import (
     CyclicSequence,
     _TO_TEXT,
     _check_tour_args,
+    _first_appearance,
     _symbols_text,
     necklaces,
     window_ranks,
@@ -59,40 +64,23 @@ class Verdict(Enum):
     UNDETERMINED = "Undetermined"
 
 
-class Reason(Enum):
-    CONSTANT_RUN = "ConstantRun"
-    DOUBLED_SEQUENCE = "DoubledSequence"
-    DISTINCT_WINDOWS = "DistinctWindows"
-    NONE = "None"
+class Classification(Enum):
+    """A certificate outcome, as its verdict and its reason label.
 
+    Each reason fixes its verdict, so a member is the whole outcome.
+    """
 
-_VALID_PAIRS = {
-    Verdict.PROVABLY_NOT_WATCHMAN: (Reason.CONSTANT_RUN, Reason.DOUBLED_SEQUENCE),
-    Verdict.PROVABLY_WATCHMAN: (Reason.DISTINCT_WINDOWS,),
-    Verdict.UNDETERMINED: (Reason.NONE,),
-}
+    CONSTANT_RUN = (Verdict.PROVABLY_NOT_WATCHMAN, "ConstantRun")
+    DOUBLED_SEQUENCE = (Verdict.PROVABLY_NOT_WATCHMAN, "DoubledSequence")
+    DISTINCT_WINDOWS = (Verdict.PROVABLY_WATCHMAN, "DistinctWindows")
+    UNDETERMINED = (Verdict.UNDETERMINED, "None")
 
-
-@dataclass(frozen=True)
-class Classification:
-    verdict: Verdict
-    reason: Reason
-
-    def __post_init__(self) -> None:
-        if self.reason not in _VALID_PAIRS[self.verdict]:
-            raise DomainError(
-                f"verdict {self.verdict.value} cannot carry reason {self.reason.value}"
-            )
+    def __init__(self, verdict: Verdict, reason: str) -> None:
+        self.verdict = verdict
+        self.reason = reason
 
     def __str__(self) -> str:
-        return f"{self.verdict.value} ({self.reason.value})"
-
-
-#: The four valid classifications, built once.
-_CONSTANT_RUN = Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.CONSTANT_RUN)
-_DOUBLED = Classification(Verdict.PROVABLY_NOT_WATCHMAN, Reason.DOUBLED_SEQUENCE)
-_DISTINCT = Classification(Verdict.PROVABLY_WATCHMAN, Reason.DISTINCT_WINDOWS)
-_UNDETERMINED = Classification(Verdict.UNDETERMINED, Reason.NONE)
+        return f"{self.verdict.value} ({self.reason})"
 
 
 def _longest_run(d: CyclicSequence) -> tuple[int, int]:
@@ -179,12 +167,14 @@ def _classify(
     n = len(d)
     linear, cyclic = _longest_run(d)
     if n > 1 and cyclic >= k:
-        return _CONSTANT_RUN, linear < k
+        return Classification.CONSTANT_RUN, linear < k
     if is_doubled(d, k):
-        return _DOUBLED, False
+        return Classification.DOUBLED_SEQUENCE, False
     if windows is None:
         windows = window_set(d, k)
-    return (_DISTINCT if len(windows) == n else _UNDETERMINED), False
+    if len(windows) == n:
+        return Classification.DISTINCT_WINDOWS, False
+    return Classification.UNDETERMINED, False
 
 
 @dataclass(frozen=True)
@@ -214,7 +204,7 @@ class VerificationRecord:
             "alphabet": self.sequence.alphabet.size,
             "order": self.order,
             "verdict": self.classification.verdict.value,
-            "reason": self.classification.reason.value,
+            "reason": self.classification.reason,
             "induced_length": self.induced_length,
             "oracle_optimum": self.oracle_optimum,
             "is_watchman": self.is_watchman,
@@ -305,14 +295,6 @@ def rotation_representatives(a: int, n: int):
         yield CyclicSequence(word, alphabet)
 
 
-def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
-    labels: dict[int, int] = {}
-    for s in word:
-        if s not in labels:
-            labels[s] = len(labels)
-    return tuple(map(labels.__getitem__, word))
-
-
 @dataclass
 class SweepReport:
     """Deterministically ordered records plus summary statistics.
@@ -384,7 +366,7 @@ class SweepReport:
                     _symbols_text(word),
                     len(word),
                     first.classification.verdict.value,
-                    first.classification.reason.value,
+                    first.classification.reason,
                     first.induced_length,
                     first.oracle_optimum,
                     first.is_watchman,
@@ -409,9 +391,13 @@ def check_sweep_args(
     Nothing is verified, so a caller can reject a sweep before it starts
     (the CLI does so before it opens its CSV target). A length above
     ``size_cap``, the cap on generated sequence lengths, raises
-    ResourceCapError before any word of that length is built.
+    ResourceCapError before any word of that length is built. The
+    alphabet, the order and the budget are checked first, so a bad one
+    raises DomainError whatever the lengths.
     """
     Alphabet(a)
+    if k < 1:
+        raise DomainError("order must be at least 1")
     if budget < 1:
         raise DomainError("budget must be positive")
     # every length >= k yields at least a records, so a range of more
@@ -431,8 +417,6 @@ def check_sweep_args(
         raise ResourceCapError(
             f"sweep length {lengths[-1]} exceeds size cap {size_cap}"
         )
-    if k < 1:
-        raise DomainError("order must be at least 1")
     return lengths
 
 

@@ -259,6 +259,16 @@ def _check_generator_args(a: int, k: int, size_cap: int) -> Alphabet:
     return alphabet
 
 
+def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
+    """``word`` with each symbol relabelled by the order of its first
+    appearance, so 2110 becomes 0112: the form ``necklaces`` yields."""
+    labels: dict[int, int] = {}
+    for s in word:
+        if s not in labels:
+            labels[s] = len(labels)
+    return tuple(map(labels.__getitem__, word))
+
+
 def necklaces(a: int, n: int):
     """Every length-n necklace over ``a`` symbols, in lexicographic order.
 

@@ -515,9 +515,9 @@ def enumerate_min_walks(
     rotation, in deterministic sorted order. Vertices may repeat within a
     walk. Asking below the optimum yields an empty list.
     """
-    setup = _SearchSetup(g, vertex_cap)
     if length < 0:
         raise DomainError("walk length cannot be negative")
+    setup = _SearchSetup(g, vertex_cap)
     n, full, nb, out = setup.n, setup.full, setup.nb, setup.out
     if length == 0:
         return [Walk(g, (v,), closed=True) for v in range(n) if nb[v] == full]

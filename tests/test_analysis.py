@@ -21,7 +21,6 @@ from debruijn import (
 )
 from debruijn.analysis import (
     Classification,
-    Reason,
     Verdict,
     classify,
     has_constant_run,
@@ -75,7 +74,7 @@ class TestPredicates:
                     # the seam flag is the linear scan of the same pass
                     classification, seam_only = analysis._classify(seq, k, None)
                     assert seam_only == (
-                        classification.reason is Reason.CONSTANT_RUN
+                        classification is Classification.CONSTANT_RUN
                         and not oracles.has_constant_window(syms, k, cyclic=False)
                     ), (syms, k)
 
@@ -119,22 +118,16 @@ class TestPredicates:
 
 class TestClassify:
     def test_fixtures(self):
-        assert classify(parse_sequence("0001", 2), 3) == Classification(
-            Verdict.PROVABLY_NOT_WATCHMAN, Reason.CONSTANT_RUN
-        )
-        assert classify(parse_sequence("0123", 4), 2) == Classification(
-            Verdict.PROVABLY_WATCHMAN, Reason.DISTINCT_WINDOWS
-        )
-        assert classify(parse_sequence("01210123", 4), 3) == Classification(
-            Verdict.UNDETERMINED, Reason.NONE
-        )
+        assert classify(parse_sequence("0001", 2), 3) is Classification.CONSTANT_RUN
+        assert classify(parse_sequence("0123", 4), 2) is Classification.DISTINCT_WINDOWS
+        assert classify(parse_sequence("01210123", 4), 3) is Classification.UNDETERMINED
 
     def test_precedence_constant_run_beats_doubled(self):
         # 0000 is doubled and constant; the constant run wins
-        assert classify(parse_sequence("0000", 2), 2).reason is Reason.CONSTANT_RUN
+        assert classify(parse_sequence("0000", 2), 2) is Classification.CONSTANT_RUN
 
     def test_doubled_without_run(self):
-        assert classify(parse_sequence("0101", 2), 2).reason is Reason.DOUBLED_SEQUENCE
+        assert classify(parse_sequence("0101", 2), 2) is Classification.DOUBLED_SEQUENCE
 
     def test_short_sequence_rejected(self):
         with pytest.raises(DomainError):
@@ -144,22 +137,22 @@ class TestClassify:
     def test_length_one_sequence_is_a_watchman(self, a):
         # its one window is constant, but the induced walk is stationary
         seq = parse_sequence(str(a - 1), a)
-        assert classify(seq, 1) == Classification(
-            Verdict.PROVABLY_WATCHMAN, Reason.DISTINCT_WINDOWS
-        )
+        assert classify(seq, 1) is Classification.DISTINCT_WINDOWS
         rec = verify(seq, 1)
         assert rec.is_watchman and rec.induced_length == rec.oracle_optimum == 0
-        assert classify(parse_sequence("00", a), 1).reason is Reason.CONSTANT_RUN
+        assert classify(parse_sequence("00", a), 1) is Classification.CONSTANT_RUN
+
+    def test_each_outcome_fixes_its_verdict(self):
+        assert [(c.name, c.verdict, c.reason) for c in Classification] == [
+            ("CONSTANT_RUN", Verdict.PROVABLY_NOT_WATCHMAN, "ConstantRun"),
+            ("DOUBLED_SEQUENCE", Verdict.PROVABLY_NOT_WATCHMAN, "DoubledSequence"),
+            ("DISTINCT_WINDOWS", Verdict.PROVABLY_WATCHMAN, "DistinctWindows"),
+            ("UNDETERMINED", Verdict.UNDETERMINED, "None"),
+        ]
 
     def test_render(self):
         c = classify(parse_sequence("0001", 2), 3)
         assert str(c) == "ProvablyNotWatchman (ConstantRun)"
-
-    def test_inconsistent_pairs_rejected(self):
-        with pytest.raises(DomainError):
-            Classification(Verdict.PROVABLY_WATCHMAN, Reason.CONSTANT_RUN)
-        with pytest.raises(DomainError):
-            Classification(Verdict.UNDETERMINED, Reason.DOUBLED_SEQUENCE)
 
     @given(sequences_with_order(), st.integers(0, 6))
     def test_classify_is_rotation_invariant(self, seq_k, r):
@@ -171,16 +164,15 @@ def _reference_classification(symbols, k):
     """classify and the seam-only flag by brute force, from the window
     scans of tests/oracles.py: no run scan and no window set."""
     n = len(symbols)
-    not_watchman = Verdict.PROVABLY_NOT_WATCHMAN
     if n > 1 and oracles.has_constant_window(symbols, k, cyclic=True):
         seam_only = not oracles.has_constant_window(symbols, k, cyclic=False)
-        return Classification(not_watchman, Reason.CONSTANT_RUN), seam_only
+        return Classification.CONSTANT_RUN, seam_only
     half = n // 2
     if n % 2 == 0 and half >= k and symbols[:half] == symbols[half:]:
-        return Classification(not_watchman, Reason.DOUBLED_SEQUENCE), False
+        return Classification.DOUBLED_SEQUENCE, False
     if len(set(oracles.cyclic_windows(symbols, k - 1))) == n:
-        return Classification(Verdict.PROVABLY_WATCHMAN, Reason.DISTINCT_WINDOWS), False
-    return Classification(Verdict.UNDETERMINED, Reason.NONE), False
+        return Classification.DISTINCT_WINDOWS, False
+    return Classification.UNDETERMINED, False
 
 
 def _random_certificate_cases(count, seed):
@@ -264,6 +256,24 @@ class TestVerify:
         with pytest.raises(InvariantViolation, match="closed dominating walk"):
             verify(parse_sequence("0011", 2), 3)
         assert not verify(parse_sequence("0001", 2), 3).is_watchman  # not checked
+
+    @pytest.mark.parametrize(
+        "text,a,k,wrong,message",
+        [
+            ("011200122", 3, 3, Classification.DISTINCT_WINDOWS, "distinct-window"),
+            ("0123", 4, 2, Classification.CONSTANT_RUN, "negative"),
+            ("0123", 4, 2, Classification.DOUBLED_SEQUENCE, "negative"),
+        ],
+    )
+    def test_certificate_contradicting_the_optimum_raises(
+        self, monkeypatch, text, a, k, wrong, message
+    ):
+        # 011200122 is not a watchman (optimum 6, length 9) and 0123 is one
+        d = parse_sequence(text, a)
+        assert verify(d, k).is_watchman == (text == "0123")
+        monkeypatch.setattr(analysis, "_classify", lambda *args: (wrong, False))
+        with pytest.raises(InvariantViolation, match=f"{message} certificate violated"):
+            verify(d, k)
 
     @pytest.mark.parametrize(
         "text,wrong",
@@ -622,7 +632,7 @@ class TestOrbitSharing:
                 oracles.symbols_text(entry.sequence.symbols),
                 len(entry.sequence),
                 entry.classification.verdict.value,
-                entry.classification.reason.value,
+                entry.classification.reason,
                 entry.induced_length,
                 entry.oracle_optimum,
                 entry.is_watchman,

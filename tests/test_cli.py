@@ -513,6 +513,9 @@ class TestSweep:
             (["-a", "2", "-k", "1", "--lengths", "4097..4097"], 2),  # size cap
             (["-a", "2", "-k", "0", "--lengths", "3..4"], 1),  # order below 1
             (["-a", "2", "-k", "-3", "--lengths", "3..4"], 1),
+            # the order is checked before the size cap and the record budget
+            (["-a", "2", "-k", "0", "--lengths", "5000..5000"], 1),
+            (["-a", "2", "-k", "0", "--lengths", "1..200000"], 1),
         ],
     )
     def test_rejected_sweep_leaves_the_csv_alone(self, capsys, tmp_path, args, exit_code):

@@ -131,6 +131,24 @@ def test_gen_eulerian_digest():
     assert (cases, digest.hexdigest()) == (106, GEN_EULERIAN_DIGEST)
 
 
+def test_readme_library_quickstart():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == [
+        "4",
+        "8",
+        "2",
+        "True",
+        "{'ProvablyNotWatchman:false': 23, 'ProvablyNotWatchman:true': 0, "
+        "'ProvablyWatchman:false': 0, 'ProvablyWatchman:true': 3, "
+        "'Undetermined:false': 6, 'Undetermined:true': 0}",
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     code, out, csv_bytes = run_case(name, tmp_path / "report.csv")

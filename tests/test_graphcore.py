@@ -95,6 +95,8 @@ class TestGeneratedSubdigraph:
         d = parse_sequence("01210123", 4)
         g = generated_subdigraph(d, 3)
         assert g.vertex_count == 24
+        assert all(g.has_vertex(label) for label in g.labels)
+        assert all(g.has_vertex(i) for i in range(g.vertex_count))
         assert set(k_tour(d, 3)) <= set(g.labels)
         assert g.provenance.sequence == "01210123"
 

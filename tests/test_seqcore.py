@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from debruijn import DomainError, InvariantViolation, ResourceCapError, seqcore
-from debruijn.analysis import _first_appearance
 from debruijn.seqcore import (
     SYMBOL_CHARS,
     Alphabet,
     CyclicSequence,
     _euler_circuit,
+    _first_appearance,
     _shift_arcs,
     gen_fkm,
     gen_greedy,
@@ -431,6 +431,11 @@ class TestValueTypes:
         with pytest.raises(DomainError) as err:
             CyclicSequence(symbols, Alphabet(2))
         assert str(err.value) == f"symbol {bad} out of range for alphabet of size 2"
+
+    @pytest.mark.parametrize("text,a", [("0", 2), ("0011", 2), ("0Z9A", 36)])
+    def test_str_is_the_text(self, text, a):
+        d = parse_sequence(text, a)
+        assert str(d) == d.text == text
 
     def test_sequence_indexing_is_cyclic(self):
         seq = parse_sequence("012", 3)

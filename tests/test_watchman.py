@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from debruijn import DomainError, InvariantViolation, ResourceCapError, watchman
-from debruijn.analysis import Reason, Verdict, rotation_representatives, verify
+from debruijn.analysis import Classification, Verdict, rotation_representatives, verify
 from debruijn.graphcore import (
     Digraph,
     Provenance,
@@ -303,6 +303,9 @@ class TestEnumerate:
     def test_negative_length_rejected(self):
         with pytest.raises(DomainError):
             enumerate_min_walks(build_de_bruijn_graph(2, 2), -1)
+        # G(2, 5) is above the vertex cap: the length is checked first
+        with pytest.raises(DomainError):
+            enumerate_min_walks(build_de_bruijn_graph(2, 5), -1)
 
     def test_one_arc_circuits_have_no_distinct_representation(self):
         # a dominating self-loop coincides with the stationary walk
@@ -840,7 +843,7 @@ class TestPostmanKernel:
         assert rec.oracle_optimum == 6 and rec.induced_length == 9
         assert not rec.is_watchman
         assert rec.classification.verdict is Verdict.UNDETERMINED
-        assert rec.classification.reason is Reason.NONE
+        assert rec.classification is Classification.UNDETERMINED
         tails, heads = window_digraph("011200122", 3, 3)
         assert certified(tails, heads, *_postman(tails, heads))
 
