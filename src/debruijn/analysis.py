@@ -393,7 +393,8 @@ def check_sweep_args(
     ``size_cap``, the cap on generated sequence lengths, raises
     ResourceCapError before any word of that length is built. The
     alphabet, the order and the budget are checked first, so a bad one
-    raises DomainError whatever the lengths.
+    raises DomainError whatever the lengths, and a length below the
+    order raises DomainError before the budget is checked.
     """
     Alphabet(a)
     if k < 1:
@@ -402,8 +403,11 @@ def check_sweep_args(
         raise DomainError("budget must be positive")
     # every length >= k yields at least a records, so a range of more
     # lengths than the budget can never be swept to its end; the slice
-    # asks without building the range (len() overflows past sys.maxsize)
+    # asks without building the range (len() overflows past sys.maxsize),
+    # and such a range's least length, at one of its ends, is checked first
     if isinstance(lengths, range) and lengths[budget:]:
+        if min(lengths[0], lengths[-1]) < k:
+            raise DomainError(f"sweep lengths must be at least the order k = {k}")
         raise ResourceCapError(
             f"length range {lengths[0]}..{lengths[-1]} has more lengths than "
             f"the record budget of {budget}"

@@ -33,6 +33,7 @@ from .graphcore import (
 )
 from .seqcore import (
     DEFAULT_SIZE_CAP,
+    _check_tour_args,
     gen_eulerian,
     gen_fkm,
     gen_greedy,
@@ -188,7 +189,10 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     seqs, size_cap = _sequences_from_args(args), _size_cap()
     # the postman flow grows faster than linearly in |W| <= len(seq), so
-    # every sequence is checked before any window set is built
+    # every sequence is checked before any window set is built: first
+    # the shortest against the order, a domain error, then the longest
+    # against the length cap
+    _check_tour_args(min(seqs, key=len), args.order)
     longest = max(map(len, seqs))
     if longest > size_cap:
         raise ResourceCapError(

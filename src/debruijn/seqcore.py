@@ -1,6 +1,6 @@
 """Alphabets, cyclic symbol sequences, k-tours, base-``a`` ranks, and
-de Bruijn sequence validation and generation (``gen_fkm``, ``gen_greedy``
-and ``gen_eulerian``).
+de Bruijn sequence validation and generation (``gen_fkm``, with
+``gen_greedy`` and ``gen_eulerian`` as two rotations of its output).
 
 Symbols are integer indices ``0..a-1`` rendered as the characters 0-9
 then A-Z, so every sequence has an exact one-character-per-symbol text
@@ -12,8 +12,7 @@ k-string's rank is its symbols read as a base-``a`` number, so for a
 fixed ``k`` rank order is lexicographic order. It is also the one place
 that builds a shift digraph on ranks (``_shift_arcs``: the arc
 prefix(w) -> suffix(w) of each rank w, as tail and head lists), on
-whose arc lists the Euler-circuit kernel ``_euler_circuit`` and the
-postman flow (``watchman._postman``) run.
+whose arc lists the postman flow (``watchman._postman``) runs.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import DomainError, InvariantViolation, ResourceCapError
+from .errors import DomainError, ResourceCapError
 
 SYMBOL_CHARS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -319,30 +318,34 @@ def gen_fkm(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
     return CyclicSequence(tuple(seq), alphabet)
 
 
-def gen_greedy(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
-    """Greedy de Bruijn generator seeded with k copies of the largest symbol.
+def _rotated(d: CyclicSequence, r: int) -> CyclicSequence:
+    """``d`` rotated left by ``r`` symbols, right by ``-r`` when r < 0."""
+    return CyclicSequence(d.symbols[r:] + d.symbols[:r], d.alphabet)
 
-    Repeatedly appends the smallest symbol whose new k-window is unused,
-    then keeps the first a**k symbols once every window has appeared
-    (Martin's construction). Independent of gen_fkm; output starts with
-    the largest symbols, e.g. (2,2) -> 1100.
+
+def gen_greedy(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
+    """Martin's greedy de Bruijn sequence: gen_fkm rotated right by k.
+
+    Martin's rule (1934) starts from k copies of the largest symbol and
+    appends the smallest symbol whose new k-window is unused. Its output
+    is (a-1)^k followed by a prefix of L = gen_fkm(a, k), and L ends in
+    (a-1)^k, so it is L rotated right by k (see the README); e.g.
+    (2,2) -> 1100.
     """
-    alphabet = _check_generator_args(a, k, size_cap)
-    seq = [a - 1] * k
-    used = {tuple(seq)}
-    target = a**k
-    while len(used) < target:
-        tail = tuple(seq[len(seq) - k + 1 :]) if k > 1 else ()
-        for c in range(a):
-            window = tail + (c,)
-            if window not in used:
-                used.add(window)
-                seq.append(c)
-                break
-        else:  # pragma: no cover - the greedy rule never stalls
-            raise InvariantViolation(f"greedy generator stalled at length {len(seq)}")
-    assert len(seq) == target + k - 1
-    return CyclicSequence(tuple(seq[:target]), alphabet)
+    return _rotated(gen_fkm(a, k, size_cap), -k)
+
+
+def gen_eulerian(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
+    """The de Bruijn sequence of Hierholzer's Euler circuit of G(a, k-1):
+    gen_fkm rotated left by k-1.
+
+    From 0^(k-1), trying arcs least symbol first, Hierholzer's algorithm
+    returns the lexicographically least Euler circuit, whose symbols are
+    the least de Bruijn sequence ending in 0^(k-1). With L = 0^k Y =
+    gen_fkm(a, k) that is 0 Y 0^(k-1), L rotated left by k-1 (see the
+    README). For k = 1 it is L itself, each symbol once.
+    """
+    return _rotated(gen_fkm(a, k, size_cap), k - 1)
 
 
 def _shift_arcs(windows: Iterable[int], a: int, m: int) -> tuple[list[int], list[int]]:
@@ -354,8 +357,7 @@ def _shift_arcs(windows: Iterable[int], a: int, m: int) -> tuple[list[int], list
     first appearance, a tail before its head. On a window set W of
     order k this is B_D (``watchman._postman_optimum``, m = k-1); on
     every m-string it is G(a, m-1), whose vertex numbers are then its
-    ranks (``gen_eulerian``). At m = 1 every arc is a loop on the one
-    empty string.
+    ranks. At m = 1 every arc is a loop on the one empty string.
     """
     drop = a ** (m - 1)
     index: dict[int, int] = {}  # an (m-1)-string's rank -> its vertex
@@ -364,49 +366,3 @@ def _shift_arcs(windows: Iterable[int], a: int, m: int) -> tuple[list[int], list
         tails.append(index.setdefault(w // a, len(index)))
         heads.append(index.setdefault(w % drop, len(index)))
     return tails, heads
-
-
-def _euler_circuit(tails: list[int], heads: list[int]) -> list[int]:
-    """An Euler circuit of the digraph with arcs tails[i] -> heads[i], as
-    arc indices in circuit order; loops and parallel arcs are allowed.
-
-    Hierholzer's algorithm from tails[0]: walk on by unused arcs, each
-    vertex spending its own in index order, and when stuck move the last
-    arc walked to the front of the circuit and go on from its tail. In a
-    balanced digraph each stop is where the circuit built so far begins;
-    stopping anywhere else, or leaving an arc unused, raises
-    InvariantViolation, so the result is a closed circuit through every
-    arc and the digraph was balanced and connected.
-    """
-    out: list[list[int]] = [[] for _ in range(max(max(tails), max(heads)) + 1)]
-    for i, u in enumerate(tails):
-        out[u].append(i)
-    unused = [iter(arcs) for arcs in out]
-    trail: list[int] = []  # arcs walked from the start, not yet in the circuit
-    circuit: list[int] = []  # in reverse circuit order
-    v = begin = tails[0]  # begin: the tail of the circuit's first arc so far
-    while (i := next(unused[v], None)) is not None or (trail and v == begin):
-        if i is None:  # stuck where the circuit begins: close the last arc walked
-            circuit.append(trail.pop())
-            v = begin = tails[circuit[-1]]
-        else:
-            trail.append(i)
-            v = heads[i]
-    if len(circuit) != len(tails):
-        raise InvariantViolation(f"{len(tails) - len(circuit)} arcs on no circuit")
-    return circuit[::-1]
-
-
-def gen_eulerian(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> CyclicSequence:
-    """De Bruijn sequence of order k read off an Eulerian circuit.
-
-    The Euler circuit (``_euler_circuit``) of G(a, k-1) as the shift
-    digraph of every k-string (``_shift_arcs``): the arc of rank
-    ``v*a + c`` leaves ``v`` with symbol ``c``, so from vertex 0 each
-    vertex spends its arcs least symbol first. The sequence is the
-    symbol of each arc in circuit order. For k = 1 the graph is one
-    vertex with a loop per symbol, so the reading is each symbol once.
-    """
-    alphabet = _check_generator_args(a, k, size_cap)
-    circuit = _euler_circuit(*_shift_arcs(range(a**k), a, k))
-    return CyclicSequence(tuple(w % a for w in circuit), alphabet)

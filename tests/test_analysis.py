@@ -482,6 +482,15 @@ class TestSweep:
             sweep(2, 3, range(2, 4))
         with pytest.raises(DomainError):
             sweep(2, 2, [])
+        with pytest.raises(DomainError, match="no lengths to sweep"):
+            sweep(2, 2, range(5, 5))
+
+    @pytest.mark.parametrize(
+        "lengths", [range(1, 200_001), range(200_000, 0, -1), range(1, 10**30)]
+    )
+    def test_lengths_below_order_are_checked_before_the_budget(self, lengths):
+        with pytest.raises(DomainError, match="at least the order k = 3"):
+            sweep(2, 3, lengths)
 
     def test_jsonl_round_trips(self):
         report = sweep(2, 2, range(2, 3))

@@ -392,6 +392,21 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert json.loads(out)["is_watchman"] is True
 
+    @pytest.mark.parametrize(
+        "k,lines,message",
+        [
+            ("0", ["0" * 5000], "order must be at least 1"),
+            ("3", ["0" * 5000, "01"], "sequence shorter than order: length 2 < k = 3"),
+        ],
+    )
+    def test_order_is_checked_before_the_length_cap(self, capsys, tmp_path, k, lines, message):
+        path = tmp_path / "long.seq"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            capsys, "verify", "-a", "2", "-k", k, "--seq-file", str(path)
+        )
+        assert (code, out, err) == (1, "", f"watchman: error: {message}\n")
+
     @pytest.mark.parametrize("cap", [None, "9"])
     def test_long_sequence_is_refused_before_its_windows(
         self, capsys, monkeypatch, tmp_path, cap
@@ -516,6 +531,8 @@ class TestSweep:
             # the order is checked before the size cap and the record budget
             (["-a", "2", "-k", "0", "--lengths", "5000..5000"], 1),
             (["-a", "2", "-k", "0", "--lengths", "1..200000"], 1),
+            # lengths below the order are checked before the record budget
+            (["-a", "2", "-k", "3", "--lengths", "1..200000"], 1),
         ],
     )
     def test_rejected_sweep_leaves_the_csv_alone(self, capsys, tmp_path, args, exit_code):

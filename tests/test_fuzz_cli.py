@@ -147,21 +147,32 @@ def test_main_exits_0_1_or_2(argv, stdin_text):
         lambda a: st.tuples(
             st.just(a),
             st.text(alphabet="0123"[:a], min_size=MAX_SEQ + 1, max_size=MAX_SEQ + 1),
-            st.integers(1, 5) | st.just(20000),
+            st.integers(1, 5) | st.sampled_from([0, 20000]),
         )
     )
 )
 def test_verify_refuses_a_sequence_past_the_size_cap(case):
     # valid input one symbol too long: exit 2 before any window is built,
-    # whatever the order
+    # whatever order it reaches; an order below 1 or above its length is
+    # a domain error, exit 1, found before the cap
     a, text, k = case
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, CAPS), contextlib.redirect_stdout(
         out
     ), contextlib.redirect_stderr(err):
         code = main(["verify", "--seq", text, "-a", str(a), "-k", str(k)])
-    assert (code, out.getvalue()) == (2, "")
-    assert err.getvalue() == (
-        f"watchman: resource cap: sequence length {MAX_SEQ + 1} exceeds "
-        f"size cap {MAX_SEQ}\n"
-    )
+    if k < 1:
+        expected = (1, "watchman: error: order must be at least 1\n")
+    elif k > len(text):
+        expected = (
+            1,
+            f"watchman: error: sequence shorter than order: length {len(text)} "
+            f"< k = {k}\n",
+        )
+    else:
+        expected = (
+            2,
+            f"watchman: resource cap: sequence length {MAX_SEQ + 1} exceeds "
+            f"size cap {MAX_SEQ}\n",
+        )
+    assert (code, out.getvalue(), err.getvalue()) == (expected[0], "", expected[1])

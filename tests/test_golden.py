@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 
 from debruijn.cli import main
-from debruijn.seqcore import gen_eulerian
+from debruijn.seqcore import gen_eulerian, gen_greedy
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -114,21 +114,32 @@ def test_sweep_stdout_digest(args):
     assert (code, digest) == (0, SWEEP_DIGESTS[args])
 
 
-# sha256 of the lines "a k text" of gen_eulerian(a, k), for every a in
-# 2..36 and every k >= 1 with a**k <= 4096 (106 cases), a in the outer loop
+# sha256 of the lines "a k text" of gen(a, k), for every a in 2..36 and
+# every k >= 1 with a**k <= 4096 (106 cases), a in the outer loop
 GEN_EULERIAN_DIGEST = "ec35ee74e2589c9099c527ced7d2c37b3480b7caad62905d37937d003e16e6c3"
+# taken from Martin's prefer-smallest loop, before gen_greedy became a
+# rotation of gen_fkm
+GEN_GREEDY_DIGEST = "8b62501a680bb95095e9dd073c176f3f53babfa7aa12f3da88f7be70c0d0a643"
 
 
-def test_gen_eulerian_digest():
+def gen_digest(gen):
     digest = hashlib.sha256()
     cases = 0
     for a in range(2, 37):
         k = 1
         while a**k <= 4096:
-            digest.update(f"{a} {k} {gen_eulerian(a, k).text}\n".encode("ascii"))
+            digest.update(f"{a} {k} {gen(a, k).text}\n".encode("ascii"))
             cases += 1
             k += 1
-    assert (cases, digest.hexdigest()) == (106, GEN_EULERIAN_DIGEST)
+    return cases, digest.hexdigest()
+
+
+def test_gen_eulerian_digest():
+    assert gen_digest(gen_eulerian) == (106, GEN_EULERIAN_DIGEST)
+
+
+def test_gen_greedy_digest():
+    assert gen_digest(gen_greedy) == (106, GEN_GREEDY_DIGEST)
 
 
 def test_readme_library_quickstart():

@@ -4,14 +4,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from debruijn import DomainError, InvariantViolation, ResourceCapError, seqcore
+from debruijn import DomainError, ResourceCapError, seqcore
 from debruijn.seqcore import (
     SYMBOL_CHARS,
     Alphabet,
     CyclicSequence,
-    _euler_circuit,
     _first_appearance,
     _shift_arcs,
+    gen_eulerian,
     gen_fkm,
     gen_greedy,
     is_de_bruijn_sequence,
@@ -313,6 +313,15 @@ class TestGenerators:
             for r in offsets:
                 assert is_de_bruijn_sequence(rotate(seq, r), k)
 
+    def test_greedy_and_euler_are_rotations_of_fkm(self):
+        # every a and k with a**k within the default size cap (106 cases)
+        cases = [(a, k) for a in range(2, 37) for k in range(1, 13) if a**k <= 4096]
+        assert len(cases) == 106
+        for a, k in cases:
+            fkm = gen_fkm(a, k)
+            assert gen_greedy(a, k) == rotate(fkm, -k), (a, k)
+            assert gen_eulerian(a, k) == rotate(fkm, k - 1), (a, k)
+
     def test_size_cap(self):
         with pytest.raises(ResourceCapError):
             gen_fkm(2, 13)
@@ -325,16 +334,6 @@ class TestGenerators:
             gen_fkm(1, 3)
         with pytest.raises(DomainError):
             gen_fkm(2, 0)
-
-
-def closed_walk_arcs(rng, n, length):
-    """The arcs of a random closed walk of ``length`` steps on vertices
-    0..n-1, shuffled: a balanced, connected multigraph in which loops
-    and parallel arcs occur. Vertex 0 is always on the walk."""
-    walk = [0] + [rng.randrange(n) for _ in range(length - 1)]
-    arcs = list(zip(walk, walk[1:] + walk[:1]))
-    rng.shuffle(arcs)
-    return [u for u, _ in arcs], [v for _, v in arcs]
 
 
 class TestShiftArcs:
@@ -352,54 +351,6 @@ class TestShiftArcs:
             [w // a for w in arcs],
             [w % a ** (m - 1) for w in arcs],
         )
-
-
-class TestEulerCircuit:
-    def test_random_closed_walks(self):
-        rng = random.Random(2031)
-        loops = parallel = 0
-        for _ in range(400):
-            tails, heads = closed_walk_arcs(rng, rng.randint(1, 6), rng.randint(1, 30))
-            circuit = _euler_circuit(tails, heads)
-            assert sorted(circuit) == list(range(len(tails)))  # each arc once
-            assert tails[circuit[0]] == tails[0]
-            for i, j in zip(circuit, circuit[1:] + circuit[:1]):
-                assert heads[i] == tails[j]
-            loops += any(u == v for u, v in zip(tails, heads))
-            parallel += len(set(zip(tails, heads))) < len(tails)
-        assert loops and parallel
-
-    def test_each_vertex_spends_its_arcs_in_index_order(self):
-        # vertex 0: its loop, arc 0, before arc 1 to vertex 1
-        assert _euler_circuit([0, 0, 1], [0, 1, 0]) == [0, 1, 2]
-        # vertex 1 spends arc 1 first, which closes the walk at 0; its
-        # loop, arc 2, is spliced in where the circuit passes vertex 1
-        assert _euler_circuit([0, 1, 1], [1, 0, 1]) == [0, 2, 1]
-
-    def test_an_open_euler_trail_is_no_circuit(self):
-        # every arc is used, but the walk ends at vertex 1, not at 0
-        with pytest.raises(InvariantViolation):
-            _euler_circuit([0], [1])
-        with pytest.raises(InvariantViolation):
-            _euler_circuit([0, 1, 1], [1, 1, 2])
-
-    def test_unbalanced_multigraphs_are_refused(self):
-        rng = random.Random(2032)
-        refused = 0
-        while refused < 200:
-            tails, heads = closed_walk_arcs(rng, rng.randint(2, 6), rng.randint(2, 30))
-            drop = rng.randrange(len(tails))
-            if tails[drop] == heads[drop]:
-                continue  # dropping a loop keeps every vertex balanced
-            del tails[drop], heads[drop]
-            with pytest.raises(InvariantViolation):
-                _euler_circuit(tails, heads)
-            refused += 1
-
-    def test_a_disconnected_balanced_digraph_is_refused(self):
-        # two disjoint 2-cycles: the circuit from 0 leaves the other unused
-        with pytest.raises(InvariantViolation):
-            _euler_circuit([0, 1, 2, 3], [1, 0, 3, 2])
 
 
 class TestNecklaces:
