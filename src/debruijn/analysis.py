@@ -37,7 +37,6 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -48,6 +47,7 @@ from .seqcore import (
     Alphabet,
     CyclicSequence,
     _TO_TEXT,
+    _Value,
     _check_tour_args,
     _first_appearance,
     _symbols_text,
@@ -177,8 +177,7 @@ def _classify(
     return Classification.UNDETERMINED, False
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(_Value):
     """One sequence checked against the exact optimum.
 
     oracle_optimum is the watchman number of the generated subdigraph,
@@ -190,13 +189,33 @@ class VerificationRecord:
     across the cyclic seam, as evidence for the cyclic reading.
     """
 
-    sequence: CyclicSequence
-    order: int
-    classification: Classification
-    induced_length: int
-    oracle_optimum: int
-    is_watchman: bool
-    constant_run_seam_only: bool = False
+    __slots__ = (
+        "sequence",
+        "order",
+        "classification",
+        "induced_length",
+        "oracle_optimum",
+        "is_watchman",
+        "constant_run_seam_only",
+    )
+
+    def __init__(
+        self,
+        sequence: CyclicSequence,
+        order: int,
+        classification: Classification,
+        induced_length: int,
+        oracle_optimum: int,
+        is_watchman: bool,
+        constant_run_seam_only: bool = False,
+    ) -> None:
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "induced_length", induced_length)
+        object.__setattr__(self, "oracle_optimum", oracle_optimum)
+        object.__setattr__(self, "is_watchman", is_watchman)
+        object.__setattr__(self, "constant_run_seam_only", constant_run_seam_only)
 
     def to_json(self) -> dict:
         return {
@@ -295,28 +314,37 @@ def rotation_representatives(a: int, n: int):
         yield CyclicSequence(word, alphabet)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(_Value):
     """Deterministically ordered records plus summary statistics.
 
     ``summary`` is folded row by row as ``sweep`` appends the rows.
     ``rows`` holds one ``(word, first)`` pair per record: the necklace's
     symbol tuple and the first entry of its symbol-permutation orbit,
     whose fields are the record's in all but the sequence. Rows of one
-    orbit share that entry object.
+    orbit share that entry object. A report is unhashable: its fields
+    are a list and a dict.
     """
 
-    rows: list[tuple[tuple[int, ...], VerificationRecord]]
-    summary: dict
+    __slots__ = ("rows", "summary", "__dict__")  # __dict__ holds ``records``
+    __hash__ = None
+
+    def __init__(
+        self, rows: list[tuple[tuple[int, ...], VerificationRecord]], summary: dict
+    ) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "summary", summary)
 
     @cached_property
     def records(self) -> list[VerificationRecord]:
         """Each row as its own record: the first entry for the orbit's
-        first necklace, a copy with the row's sequence for the others."""
+        first necklace, a copy with the row's sequence for the others
+        (the entry's fields after its sequence, in constructor order)."""
         return [
             first
             if word == first.sequence.symbols
-            else replace(first, sequence=CyclicSequence(word, first.sequence.alphabet))
+            else VerificationRecord(
+                CyclicSequence(word, first.sequence.alphabet), *first._key()[1:]
+            )
             for word, first in self.rows
         ]
 

@@ -15,14 +15,14 @@ is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .errors import DomainError, ResourceCapError
 from .seqcore import (
     DEFAULT_SIZE_CAP,
     Alphabet,
     CyclicSequence,
+    _Value,
     _check_generator_args,
     _rank_text,
     _text_rank,
@@ -32,24 +32,24 @@ from .seqcore import (
 
 PROVENANCE_KINDS = ("de_bruijn", "generated", "custom")
 
-VertexRef = Union[int, str]
+VertexRef = int | str
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(_Value):
     """How a digraph came to be; generated graphs record their source text."""
 
-    kind: str
-    sequence: str | None = None
+    __slots__ = ("kind", "sequence")
 
-    def __post_init__(self) -> None:
-        if self.kind not in PROVENANCE_KINDS:
-            raise DomainError(f"unknown provenance kind {self.kind!r}")
-        if self.kind == "generated" and self.sequence is None:
+    def __init__(self, kind: str, sequence: str | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "sequence", sequence)
+        if kind not in PROVENANCE_KINDS:
+            raise DomainError(f"unknown provenance kind {kind!r}")
+        if kind == "generated" and sequence is None:
             raise DomainError("generated provenance must record its sequence")
-        if self.sequence is not None and not isinstance(self.sequence, str):
+        if sequence is not None and not isinstance(sequence, str):
             raise DomainError(
-                f"provenance sequence must be a string, got {self.sequence!r}"
+                f"provenance sequence must be a string, got {sequence!r}"
             )
 
     def to_json(self) -> dict:
@@ -303,26 +303,31 @@ def _show(x: object) -> str:
     return repr(x)
 
 
-@dataclass(frozen=True, eq=False)
-class Walk:
+class Walk(_Value):
     """An ordered vertex sequence in a digraph, possibly closed.
 
     Length counts arcs traversed: a closed walk on m >= 2 vertices has m
     arcs (including the wraparound), an open walk has m - 1, and a closed
     walk on a single vertex is the stationary walk of length 0.
     Construction checks only index validity; whether consecutive pairs
-    are arcs is the business of is_closed_dominating_walk.
+    are arcs is the business of is_closed_dominating_walk. Two walks are
+    equal only when they are one object.
     """
 
-    digraph: Digraph
-    vertex_indices: tuple[int, ...]
-    closed: bool = True
+    __slots__ = ("digraph", "vertex_indices", "closed")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
-        if not self.vertex_indices:
+    def __init__(
+        self, digraph: Digraph, vertex_indices: tuple[int, ...], closed: bool = True
+    ) -> None:
+        object.__setattr__(self, "digraph", digraph)
+        object.__setattr__(self, "vertex_indices", vertex_indices)
+        object.__setattr__(self, "closed", closed)
+        if not vertex_indices:
             raise DomainError("a walk needs at least one vertex")
-        n = self.digraph.vertex_count
-        for i in self.vertex_indices:
+        n = digraph.vertex_count
+        for i in vertex_indices:
             if not 0 <= i < n:
                 raise DomainError(f"walk vertex index {i} out of range")
 

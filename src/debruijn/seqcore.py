@@ -17,9 +17,8 @@ whose arc lists the postman flow (``watchman._postman``) runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .errors import DomainError, ResourceCapError
 
@@ -39,17 +38,60 @@ _TO_SYMBOLS = bytes.maketrans(_SYMBOL_ASCII, _SYMBOL_BYTES)
 DEFAULT_SIZE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Value:
+    """Base of the immutable value types: the fields are the names in
+    ``__slots__``, which a subclass's ``__init__`` sets once, one
+    ``object.__setattr__`` call each.
+
+    Two values are equal when they are of one class with equal fields,
+    the hash is that of the field tuple and the repr reads
+    ``Name(field=value, ...)``. Assigning or deleting an attribute raises
+    AttributeError. A class that needs a ``__dict__`` (for a
+    ``cached_property``) lists it in its slots; it is no field.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:  # copy and pickle through the constructor
+        return type(self), self._key()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alphabet(_Value):
     """The symbol set {0, ..., size-1} with its canonical character form."""
 
-    size: int
+    __slots__ = ("size",)
 
-    def __post_init__(self) -> None:
-        if not 2 <= self.size <= len(SYMBOL_CHARS):
+    def __init__(self, size: int) -> None:
+        object.__setattr__(self, "size", size)
+        if not 2 <= size <= len(SYMBOL_CHARS):
             raise DomainError(
                 f"alphabet size must be between 2 and {len(SYMBOL_CHARS)}, "
-                f"got {self.size}"
+                f"got {size}"
             )
 
     def decode(self, ch: str) -> int:
@@ -74,17 +116,17 @@ def _check_symbols(symbols: tuple[int, ...], alphabet: Alphabet) -> None:
             )
 
 
-@dataclass(frozen=True)
-class CyclicSequence:
+class CyclicSequence(_Value):
     """A symbol string read cyclically: its windows wrap past the end."""
 
-    symbols: tuple[int, ...]
-    alphabet: Alphabet
+    __slots__ = ("symbols", "alphabet")
 
-    def __post_init__(self) -> None:
-        if len(self.symbols) < 1:
+    def __init__(self, symbols: tuple[int, ...], alphabet: Alphabet) -> None:
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "alphabet", alphabet)
+        if len(symbols) < 1:
             raise DomainError("a cyclic sequence needs at least one symbol")
-        _check_symbols(self.symbols, self.alphabet)
+        _check_symbols(symbols, alphabet)
 
     def __len__(self) -> int:
         return len(self.symbols)

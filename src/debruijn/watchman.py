@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, InvariantViolation, ResourceCapError
 from .graphcore import (
@@ -30,6 +29,7 @@ from .seqcore import (
     DEFAULT_SIZE_CAP,
     Alphabet,
     CyclicSequence,
+    _Value,
     _shift_arcs,
     gen_fkm,
     is_de_bruijn_sequence,
@@ -46,8 +46,7 @@ DEFAULT_VERTEX_CAP = 24
 _COVER_BITS = 1 << 24
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Value):
     """Outcome of the exact oracle.
 
     optimum_length and witness are None when the digraph admits no closed
@@ -55,9 +54,14 @@ class SolveResult:
     search, for diagnostics only.
     """
 
-    optimum_length: int | None
-    witness: Walk | None
-    explored_states: int
+    __slots__ = ("optimum_length", "witness", "explored_states")
+
+    def __init__(
+        self, optimum_length: int | None, witness: Walk | None, explored_states: int
+    ) -> None:
+        object.__setattr__(self, "optimum_length", optimum_length)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "explored_states", explored_states)
 
     @property
     def feasible(self) -> bool:
@@ -369,8 +373,7 @@ class _SearchSetup:
         return starts
 
 
-@dataclass(frozen=True)
-class _Start:
+class _Start(_Value):
     """One start of the searches: its return distances and cover masks.
 
     cover(t)[u] is the set of vertices dominated by some y with
@@ -390,9 +393,14 @@ class _Start:
     prunes nothing, which is still admissible.
     """
 
-    vertex: int
-    dist_back: list[int]
-    layers: list[list[int]]
+    __slots__ = ("vertex", "dist_back", "layers")
+
+    def __init__(
+        self, vertex: int, dist_back: list[int], layers: list[list[int]]
+    ) -> None:
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "dist_back", dist_back)
+        object.__setattr__(self, "layers", layers)
 
     def cover(self, t: int) -> list[int]:
         return self.layers[min(t, len(self.layers) - 1)]

@@ -4,11 +4,10 @@ and search machinery: they read only vertex_count and the raw arc set,
 and enumerate by brute force.
 """
 
-import dataclasses
 import itertools
 import math
 
-from debruijn.seqcore import SYMBOL_CHARS
+from debruijn.seqcore import SYMBOL_CHARS, CyclicSequence
 
 
 def naive_fkm(a, k):
@@ -32,7 +31,7 @@ def rotations(word):
 def rotate(seq, offset):
     """The cyclic sequence ``seq`` read from position ``offset``."""
     off = offset % len(seq.symbols)
-    return dataclasses.replace(seq, symbols=seq.symbols[off:] + seq.symbols[:off])
+    return CyclicSequence(seq.symbols[off:] + seq.symbols[:off], seq.alphabet)
 
 
 def is_least_rotation(word):

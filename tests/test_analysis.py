@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -22,6 +21,7 @@ from debruijn import (
 from debruijn.analysis import (
     Classification,
     Verdict,
+    VerificationRecord,
     classify,
     has_constant_run,
     has_distinct_windows,
@@ -661,7 +661,15 @@ class TestOrbitSharing:
             symbols = entry.sequence.symbols
             first = firsts.setdefault(oracles.symbol_orbit_key(symbols), entry)
             if first is not entry:
-                assert entry == dataclasses.replace(first, sequence=entry.sequence)
+                assert entry == VerificationRecord(
+                    entry.sequence,
+                    first.order,
+                    first.classification,
+                    first.induced_length,
+                    first.oracle_optimum,
+                    first.is_watchman,
+                    first.constant_run_seam_only,
+                )
         # the per-orbit tally equals a count over the records
         records = report.records
         cells = Counter(
@@ -683,23 +691,27 @@ class TestOrbitSharing:
     def test_output_builds_one_sequence_per_orbit(self, monkeypatch):
         # a later necklace of an orbit is a row of the report: sweep,
         # to_jsonl and to_csv build no record and no sequence for it
-        built = []
-        post_init = CyclicSequence.__post_init__
+        built, records = [], []
+        sequence_init = CyclicSequence.__init__
+        record_init = VerificationRecord.__init__
 
-        def counting_post_init(seq):
-            built.append(seq.symbols)
-            post_init(seq)
+        def counting_sequence_init(seq, symbols, alphabet):
+            built.append(symbols)
+            sequence_init(seq, symbols, alphabet)
 
-        def no_copy(entry, sequence):
-            raise AssertionError(f"copied a record for {sequence.text}")
+        def counting_record_init(entry, sequence, *args, **kwargs):
+            records.append(sequence.symbols)
+            record_init(entry, sequence, *args, **kwargs)
 
-        monkeypatch.setattr(CyclicSequence, "__post_init__", counting_post_init)
-        monkeypatch.setattr(analysis, "replace", no_copy)
+        monkeypatch.setattr(CyclicSequence, "__init__", counting_sequence_init)
+        monkeypatch.setattr(VerificationRecord, "__init__", counting_record_init)
         report = sweep(4, 3, range(3, 7))
         report.to_jsonl()
         report.to_csv()
         assert report.summary["total"] == 1002
         assert len(built) == sum(ORBIT_COUNTS[4].values()) == 60
+        # one record per orbit, each built by verify: no copy of a record
+        assert records == built
         assert built[:3] == [(0, 0, 0), (0, 0, 1), (0, 1, 2)]
 
     def test_oracle_runs_once_per_orbit(self, monkeypatch):

@@ -781,6 +781,25 @@ class TestHugeIntegers:
         assert err.count("\n") == 1
 
 
+class TestStartUp:
+    def test_cli_import_loads_no_dataclasses_inspect_or_typing(self):
+        # every watchman command is a fresh process; -S keeps site's .pth
+        # hooks from loading these modules before the package does
+        src = str(Path(debruijn.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import debruijn.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "[]\n"
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "bogus")

@@ -1,10 +1,22 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from debruijn import DomainError, ResourceCapError, seqcore
+from debruijn import (
+    DomainError,
+    Provenance,
+    ResourceCapError,
+    SolveResult,
+    Walk,
+    build_de_bruijn_graph,
+    seqcore,
+    sweep,
+    verify,
+)
 from debruijn.seqcore import (
     SYMBOL_CHARS,
     Alphabet,
@@ -409,3 +421,86 @@ def test_every_public_name_resolves():
     for name in debruijn.__all__:
         assert getattr(debruijn, name) is not None, name
     assert not {"KString", "KTour"} & set(dir(debruijn))
+
+
+# Each value type with one constructor call and its fields, in order.
+_GRAPH = build_de_bruijn_graph(2, 2)
+_WALK = Walk(_GRAPH, (0, 1, 3, 2))
+VALUE_TYPES = {
+    "Alphabet": (lambda: Alphabet(3), ("size",)),
+    "CyclicSequence": (
+        lambda: CyclicSequence((0, 1, 1, 2), Alphabet(3)),
+        ("symbols", "alphabet"),
+    ),
+    "Provenance": (lambda: Provenance("generated", "0112"), ("kind", "sequence")),
+    "VerificationRecord": (
+        lambda: verify(parse_sequence("0112", 3), 3),
+        (
+            "sequence",
+            "order",
+            "classification",
+            "induced_length",
+            "oracle_optimum",
+            "is_watchman",
+            "constant_run_seam_only",
+        ),
+    ),
+    "SolveResult": (
+        lambda: SolveResult(4, _WALK, 10),
+        ("optimum_length", "witness", "explored_states"),
+    ),
+    "Walk": (
+        lambda: Walk(_GRAPH, (0, 1, 3, 2)),
+        ("digraph", "vertex_indices", "closed"),
+    ),
+}
+
+
+class TestValueContract:
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_fields_refuse_assignment_and_deletion(self, name):
+        build, fields = VALUE_TYPES[name]
+        value = build()
+        for field in fields:
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, before)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_equal_fields_give_equal_values(self, name):
+        build, fields = VALUE_TYPES[name]
+        value, twin = build(), build()
+        assert type(value).__name__ == name
+        shown = ", ".join(f"{field}={getattr(value, field)!r}" for field in fields)
+        assert repr(value) == f"{name}({shown})"
+        assert value == value and value != object()
+        if name == "Walk":  # walks compare by identity
+            assert value != twin and hash(value) != hash(twin)
+            return
+        assert value == twin and hash(value) == hash(twin)
+        copies = [copy.copy(value)]
+        if name != "SolveResult":  # a deep copy of its witness is another walk
+            copies += (copy.deepcopy(value), pickle.loads(pickle.dumps(value)))
+        for copied in copies:
+            assert copied == value and hash(copied) == hash(value)
+
+    def test_unequal_fields_give_unequal_values(self):
+        assert Alphabet(2) != Alphabet(3)
+        assert Provenance("generated", "01") != Provenance("generated", "10")
+        assert parse_sequence("01", 2) != parse_sequence("01", 3)
+        assert SolveResult(4, _WALK, 10) != SolveResult(4, Walk(_GRAPH, (0,)), 10)
+
+    def test_sweep_report_is_unhashable_and_compares_its_fields(self):
+        report = sweep(2, 3, range(3, 6))
+        with pytest.raises(TypeError):
+            hash(report)
+        assert report == sweep(2, 3, range(3, 6))
+        assert report != sweep(2, 3, range(3, 5))
+        shown = f"rows={report.rows!r}, summary={report.summary!r}"
+        assert repr(report) == f"SweepReport({shown})"
+        assert report.records is report.records
