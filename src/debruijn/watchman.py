@@ -287,129 +287,121 @@ def _postman(tails: list[int], heads: list[int]) -> tuple[int, list[int], list[i
     return extra, copies, potential
 
 
-class _SearchSetup:
-    """Per-graph data shared by the oracle and the enumerator.
-
-    Both searches find each closed walk from its least vertex: the search
-    from ``start`` never steps to a smaller vertex, so every walk is met
-    from exactly one start.
+def _search_inputs(
+    g: Digraph, vertex_cap: int
+) -> tuple[list[list[int]], list[int], int]:
+    """The exact search's inputs for ``g``: its out-lists, the closed
+    out-neighbourhood of each vertex as a bitset, and the full mask.
+    A ``g`` over the vertex cap is refused before any mask is built.
     """
-
-    def __init__(self, g: Digraph, vertex_cap: int) -> None:
-        n = g.vertex_count
-        _check_vertex_cap(n, vertex_cap)
-        self.n = n
-        self.full = (1 << n) - 1
-        self.out = g.adjacency
-        self.nb = []  # closed out-neighborhood of each vertex, as a bitset
-        for v, targets in enumerate(self.out):
-            m = 1 << v
-            for u in targets:
-                m |= 1 << u
-            self.nb.append(m)
-        self.cover_horizon = _COVER_BITS // (n * n)
-        self.no_cover = [self.full] * n  # a layer that prunes nothing
-
-    def starts(self) -> list[_Start]:
-        """Every start whose walks could dominate, each with its return
-        distances and its cover table, built here in full.
-
-        dist_back[u] is the arc-distance from u back to start through
-        vertices >= start, or -1 if there is no such path; the searches
-        skip vertices at -1, which covers every vertex below start. A walk
-        from start stays in start's strong component among the vertices
-        >= start, so a start whose component cannot dominate is left out.
-        """
-        n, out, nb, full = self.n, self.out, self.nb, self.full
-        in_adj: list[list[int]] = [[] for _ in range(n)]
-        for u, targets in enumerate(out):
-            for v in targets:
-                in_adj[v].append(u)
-        starts = []
-        for start in range(n):
-            dist_back = [-1] * n
-            dist_back[start] = 0
-            returning = [start]  # breadth-first, so by return distance
-            for u in returning:
-                for p in in_adj[u]:
-                    if p >= start and dist_back[p] < 0:
-                        dist_back[p] = dist_back[u] + 1
-                        returning.append(p)
-            # the component is what start reaches among the vertices that
-            # can return to it
-            potential = nb[start]
-            component = {start}
-            stack = [start]
-            while stack:
-                for u in out[stack.pop()]:
-                    if dist_back[u] >= 0 and u not in component:
-                        component.add(u)
-                        potential |= nb[u]
-                        stack.append(u)
-            if potential != full:
-                continue
-            # the cover table, to its fixed point or its horizon
-            prev = [0] * n
-            prev[start] = nb[start]
-            layers = [prev]
-            while len(layers) <= self.cover_horizon:
-                layer = prev.copy()
-                for u in returning:
-                    if dist_back[u] > len(layers):
-                        break  # the covers of u onwards are still empty
-                    if prev[u] == full:
-                        continue
-                    m = nb[u]
-                    for v in out[u]:
-                        m |= prev[v]
-                    layer[u] = m
-                if layer == prev:
-                    break
-                layers.append(layer)
-                prev = layer
-            else:
-                layers.append(self.no_cover)
-            starts.append(_Start(start, dist_back, layers))
-        return starts
+    n = g.vertex_count
+    _check_vertex_cap(n, vertex_cap)
+    out = g.adjacency
+    nb = [sum(1 << u for u in {v, *targets}) for v, targets in enumerate(out)]
+    return out, nb, (1 << n) - 1
 
 
-class _Start(_Value):
-    """One start of the searches: its return distances and cover masks.
+def _starts(
+    out: list[list[int]], nb: list[int], full: int
+) -> list[tuple[int, int, list[int], list[list[int]]]]:
+    """Every start whose walks could dominate, as ``(vertex, bound,
+    dist_back, layers)``.
 
-    cover(t)[u] is the set of vertices dominated by some y with
-    d(u, y) + dist_back[y] <= t, where d is the arc distance through the
-    vertices that can return to start. Every walk from u that gets back
-    to start within t arcs visits only such y, so it dominates only
+    The search kernels read only successor lists ``out``, one mask
+    ``nb[u]`` per vertex (the set a visit to ``u`` dominates, which need
+    not hold ``u``) and the mask ``full`` a walk must reach. Both
+    searches find each closed walk from its least vertex: the search
+    from a start never steps to a smaller vertex, so every walk is met
+    from exactly one start.
+
+    dist_back[u] is the arc-distance from u back to the start through
+    vertices >= start, or -1 if there is no such path; the searches skip
+    vertices at -1, which covers every vertex below the start. A walk
+    from the start stays in its strong component among the vertices >=
+    start, so a start whose component cannot dominate is left out.
+
+    cover(t) = layers[min(t, len(layers) - 1)] is the start's cover
+    table: cover(t)[u] is the union of nb[y] over the y with d(u, y) +
+    dist_back[y] <= t, where d is the arc distance through the vertices
+    that can return to the start. Every walk from u that gets back to
+    the start within t arcs visits only such y, so it dominates only
     vertices in cover(t)[u]: a state (u, m) with t arcs left is dead
-    unless m | cover(t)[u] is the full set, and no closed dominating walk
-    through start is shorter than the least t with cover(t)[start] full.
-    The setup builds the table once per surviving start, one bitset
+    unless m | cover(t)[u] is full, and no closed dominating walk through
+    the start is shorter than ``bound``, the least t with
+    cover(t)[vertex] full. The table is built here in full, one bitset
     recurrence per layer: cover(t)[u] = (nb[u] if dist_back[u] <= t) |
     OR of cover(t-1)[v] over the out-neighbours v of u. cover(t)[u] is
     empty exactly while t < dist_back[u], so a layer equal to the one
     before it comes after every return distance and the recurrence has
     reached its fixed point, where the table ends. A table that reaches
-    the setup's cover_horizon first ends instead with a layer that
+    _COVER_BITS // n**2 layers first ends instead with a layer that
     prunes nothing, which is still admissible.
     """
-
-    __slots__ = ("vertex", "dist_back", "layers")
-
-    def __init__(
-        self, vertex: int, dist_back: list[int], layers: list[list[int]]
-    ) -> None:
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "dist_back", dist_back)
-        object.__setattr__(self, "layers", layers)
-
-    def cover(self, t: int) -> list[int]:
-        return self.layers[min(t, len(self.layers) - 1)]
+    n = len(out)
+    horizon = _COVER_BITS // (n * n)
+    no_cover = [full] * n  # a layer that prunes nothing
+    in_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, targets in enumerate(out):
+        for v in targets:
+            in_adj[v].append(u)
+    starts = []
+    for start in range(n):
+        dist_back = [-1] * n
+        dist_back[start] = 0
+        returning = [start]  # breadth-first, so by return distance
+        for u in returning:
+            for p in in_adj[u]:
+                if p >= start and dist_back[p] < 0:
+                    dist_back[p] = dist_back[u] + 1
+                    returning.append(p)
+        # the component is what start reaches among the vertices that
+        # can return to it
+        potential = nb[start]
+        component = {start}
+        stack = [start]
+        while stack:
+            for u in out[stack.pop()]:
+                if dist_back[u] >= 0 and u not in component:
+                    component.add(u)
+                    potential |= nb[u]
+                    stack.append(u)
+        if potential != full:
+            continue
+        # the cover table, to its fixed point or its horizon
+        prev = [0] * n
+        prev[start] = nb[start]
+        layers = [prev]
+        while len(layers) <= horizon:
+            layer = prev.copy()
+            for u in returning:
+                if dist_back[u] > len(layers):
+                    break  # the covers of u onwards are still empty
+                if prev[u] == full:
+                    continue
+                m = nb[u]
+                for v in out[u]:
+                    m |= prev[v]
+                layer[u] = m
+            if layer == prev:
+                break
+            layers.append(layer)
+            prev = layer
+        else:
+            layers.append(no_cover)
+        bound = next(t for t, layer in enumerate(layers) if layer[start] == full)
+        starts.append((start, bound, dist_back, layers))
+    return starts
 
 
 def _bounded_bfs(
-    setup: _SearchSetup, start: _Start, limit: int
+    out: list[list[int]],
+    nb: list[int],
+    full: int,
+    start: tuple[int, int, list[int], list[list[int]]],
+    limit: int,
 ) -> tuple[list[int] | None, int]:
-    """Shortest closed dominating walk through ``start`` of length <= limit.
+    """Shortest closed dominating walk through ``start`` (one of
+    ``_starts(out, nb, full)``) of length <= limit.
 
     Breadth-first over (vertex, dominated-bitset) states; returns the
     walk's vertex list (start first) or None, plus the number of states
@@ -421,8 +413,7 @@ def _bounded_bfs(
     reach a state keeps it and out-neighbors are tried in ascending
     order, so of all such walks the lexicographically least is found.
     """
-    out, nb, full = setup.out, setup.nb, setup.full
-    vertex, dist_back = start.vertex, start.dist_back
+    vertex, _, dist_back, layers = start
     explored = 0
     init = (vertex, nb[vertex])
     parent: dict[tuple[int, int], tuple[int, int] | None] = {init: None}
@@ -430,7 +421,7 @@ def _bounded_bfs(
     depth = 0
     while frontier and depth < limit:
         slack = limit - depth - 1  # arcs left after the next step
-        cover = start.cover(slack)
+        cover = layers[min(slack, len(layers) - 1)]
         nxt: list[tuple[int, int]] = []
         for state in frontier:
             v, m = state
@@ -476,8 +467,8 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     component among the vertices >= start cannot dominate are skipped;
     if no start survives, the instance is infeasible. Within a deepening
     round the starts are tried in ascending order and the first walk
-    found is returned; a start whose own cover at the round's limit is
-    not full has no walk through it that fits, and is skipped, so the
+    found is returned; a start whose bound (_starts) exceeds the round's
+    limit has no walk through it that fits, and is skipped, so the
     first round that searches at all is the least such bound over the
     starts. A stationary length-0 walk is returned iff some single
     vertex dominates the whole graph, the least such vertex.
@@ -488,23 +479,23 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     masks only cut states that lie on no walk completing within the
     limit, so they change explored_states and never the witness.
     """
-    setup = _SearchSetup(g, vertex_cap)
-    for v in range(setup.n):
-        if setup.nb[v] == setup.full:
+    out, nb, full = _search_inputs(g, vertex_cap)
+    for v, m in enumerate(nb):
+        if m == full:
             return SolveResult(0, Walk(g, (v,), closed=True), 0)
 
-    starts = setup.starts()
+    starts = _starts(out, nb, full)
     if not starts:
         return SolveResult(None, None, 0)
 
-    n = setup.n
+    n = len(out)
     explored = 0
-    limit = max(2, -(-n // max(m.bit_count() for m in setup.nb)))
+    limit = max(2, -(-n // max(m.bit_count() for m in nb)))
     while True:
         for start in starts:
-            if start.cover(limit)[start.vertex] != setup.full:
+            if start[1] > limit:
                 continue
-            found, expanded = _bounded_bfs(setup, start, limit)
+            found, expanded = _bounded_bfs(out, nb, full, start, limit)
             explored += expanded
             if found is not None:
                 witness = Walk(g, tuple(found), closed=True)
@@ -525,10 +516,9 @@ def enumerate_min_walks(
     """
     if length < 0:
         raise DomainError("walk length cannot be negative")
-    setup = _SearchSetup(g, vertex_cap)
-    n, full, nb, out = setup.n, setup.full, setup.nb, setup.out
+    out, nb, full = _search_inputs(g, vertex_cap)
     if length == 0:
-        return [Walk(g, (v,), closed=True) for v in range(n) if nb[v] == full]
+        return [Walk(g, (v,), closed=True) for v, m in enumerate(nb) if m == full]
     if length == 1:
         # a one-arc circuit is a self-loop whose vertex set equals the
         # stationary walk's; under the single-vertex-closed-walk = length 0
@@ -538,11 +528,10 @@ def enumerate_min_walks(
 
     found: set[tuple[int, ...]] = set()
 
-    for start in setup.starts():
-        if start.cover(length)[start.vertex] != full:
+    for vertex, bound, dist_back, layers in _starts(out, nb, full):
+        if bound > length:
             continue
-        vertex, dist_back = start.vertex, start.dist_back
-        covers = [start.cover(t) for t in range(length)]
+        covers = [layers[min(t, len(layers) - 1)] for t in range(length)]
         # depth-first with one frame per path vertex: its out-neighbours
         # not yet tried and the vertices dominated so far
         path = [vertex]

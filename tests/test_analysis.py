@@ -759,13 +759,12 @@ def _search_setups(monkeypatch):
     """The digraph of each exact-search setup built from here on: every
     solve_min_walk and enumerate_min_walks call builds one."""
     built = []
-
-    class CountingSetup(watchman._SearchSetup):
-        def __init__(self, g, vertex_cap):
-            built.append(g)
-            super().__init__(g, vertex_cap)
-
-    monkeypatch.setattr(watchman, "_SearchSetup", CountingSetup)
+    search_inputs = watchman._search_inputs
+    monkeypatch.setattr(
+        watchman,
+        "_search_inputs",
+        lambda g, vertex_cap: built.append(g) or search_inputs(g, vertex_cap),
+    )
     return built
 
 

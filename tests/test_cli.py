@@ -449,7 +449,7 @@ class TestVerify:
             lambda w, a, k: runs.append(w) or postman(w, a, k),
         )
         monkeypatch.setattr(
-            watchman, "_SearchSetup", lambda g, cap: setups.append(g)
+            watchman, "_search_inputs", lambda g, cap: setups.append(g)
         )  # no exact search runs
         path = tmp_path / "seqs.txt"
         path.write_text("\n".join(texts) + "\n")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -30,10 +31,12 @@ from debruijn.seqcore import (
     window_set,
 )
 from debruijn.watchman import (
+    _bounded_bfs,
     _closed_dominating_ranks,
     _postman,
     _postman_optimum,
-    _SearchSetup,
+    _search_inputs,
+    _starts,
     construct_watchman_walk,
     enumerate_min_walks,
     induced_walk,
@@ -339,13 +342,12 @@ def sweep_orbit_graphs(a, k, lengths):
 
 
 def assert_covers_match_detours(g):
-    setup = _SearchSetup(g, g.vertex_count)
-    for start in setup.starts():
-        back, detour = cover_detours(g, start.vertex)
-        assert start.dist_back == [back.get(u, -1) for u in range(g.vertex_count)]
+    for vertex, _, dist_back, layers in _starts(*_search_inputs(g, g.vertex_count)):
+        back, detour = cover_detours(g, vertex)
+        assert dist_back == [back.get(u, -1) for u in range(g.vertex_count)]
         last = max(max(row.values()) for row in detour.values())
         for t in range(last + 2):  # one layer past the fixed point
-            cover = start.cover(t)
+            cover = layers[min(t, len(layers) - 1)]
             for u in range(g.vertex_count):
                 row = detour.get(u, {})
                 assert cover[u] == sum(1 << x for x, d in row.items() if d <= t)
@@ -370,31 +372,32 @@ class TestCoverMasks:
         checked = 0
         for _ in range(150):
             g = random_custom_graph(rng, max_vertices=6)
-            setup = _SearchSetup(g, g.vertex_count)
-            starts = {start.vertex: start for start in setup.starts()}
+            bounds = {
+                vertex: bound
+                for vertex, bound, _, _ in _starts(*_search_inputs(g, g.vertex_count))
+            }
             shortest = {}
             for length in range(g.vertex_count + 3):
                 for walk in closed_dominating_walks(g, length):
                     shortest.setdefault(walk[0], length)
-            assert set(shortest) <= set(starts)
+            assert set(shortest) <= set(bounds)
             for vertex, length in shortest.items():
-                cover = starts[vertex].cover
-                bound = next(t for t in range(length + 1) if cover(t)[vertex] == setup.full)
-                assert bound <= length
+                assert bounds[vertex] <= length
                 checked += 1
         assert checked > 50
 
     def test_a_long_cycle_keeps_a_bounded_table(self):
         n = 1100
         g = Digraph(Alphabet(2), 11, range(n), [(i, (i + 1) % n) for i in range(n)])
-        setup = _SearchSetup(g, n)
-        (start,) = setup.starts()
-        horizon = setup.cover_horizon
-        assert horizon == (1 << 24) // n**2 == 13
-        assert start.cover(horizon)[start.vertex] != setup.full
-        assert start.cover(horizon + 1) is setup.no_cover
+        out, nb, full = _search_inputs(g, n)
+        ((vertex, bound, _, layers),) = _starts(out, nb, full)
+        horizon = (1 << 24) // n**2
+        assert horizon == 13 == len(layers) - 2
+        assert layers[horizon][vertex] != full
+        assert layers[horizon + 1] == [full] * n
         # past the horizon nothing is excluded
-        assert start.cover(n - 1)[start.vertex] == setup.full
+        assert layers[min(n - 1, len(layers) - 1)][vertex] == full
+        assert bound == horizon + 1
         assert solve_min_walk(g, vertex_cap=n).optimum_length == n
 
     def test_a_truncated_table_keeps_the_search_exact(self, monkeypatch):
@@ -408,7 +411,8 @@ class TestCoverMasks:
             n = g.vertex_count
             horizon = rng.randrange(4)
             monkeypatch.setattr(watchman, "_COVER_BITS", horizon * n * n)
-            assert _SearchSetup(g, n).cover_horizon == horizon
+            for *_, layers in _starts(*_search_inputs(g, n)):
+                assert len(layers) <= horizon + 2
             result = solve_min_walk(g)
             assert result.optimum_length == optimum
             if witness is not None:
@@ -433,6 +437,28 @@ class TestCoverMasks:
                 )
                 checked += 1
         assert checked > 50
+
+
+class TestSearchKernels:
+    @pytest.mark.parametrize("a, k", [(2, 3), (3, 3), (2, 4), (2, 5)])
+    def test_window_space_masks_give_the_watchman_number(self, a, k):
+        # on B = G(a, k-1) with mask {p} per vertex, a walk dominates what
+        # it visits: the search is over the windows, not over G(a, k)
+        out = build_de_bruijn_graph(a, k - 1).adjacency
+        n = len(out)
+        nb = [1 << v for v in range(n)]
+        full = (1 << n) - 1
+        (start,) = _starts(out, nb, full)  # only vertex 0 reaches all of B
+        found = next(
+            walk
+            for limit in itertools.count(start[1])  # deepened from its bound
+            if (walk := _bounded_bfs(out, nb, full, start, limit)[0])
+        )
+        assert sorted(found) == list(range(n))
+        assert all(v in out[u] for u, v in zip(found, found[1:] + found[:1]))
+        full_graph = build_de_bruijn_graph(a, k)
+        optimum = solve_min_walk(full_graph, vertex_cap=a**k).optimum_length
+        assert len(found) == optimum == a ** (k - 1) == watchman_number(a, k)
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """Print the code lines of each module of src/debruijn/ and their total.
 
-A code line is a source line that holds part of a statement: blank
-lines, comment-only lines and the lines of docstrings (a string literal
-that opens a module, class or function body) do not count. A line that
-a multi-line string or bracket continues counts like any other.
+A code line is a source line that holds part of a statement other than
+a docstring (a string literal that opens a module, class or function
+body): blank lines, comment-only lines and lines that hold nothing but
+a docstring do not count, while ``def f(): "doc"`` counts its header.
+A line that a multi-line string or bracket continues counts like any
+other.
 
 Run from anywhere: ``python3 tools/code_lines.py``.
 """
@@ -29,17 +31,27 @@ _NOT_CODE = {
 
 
 def code_lines(source: str) -> int:
-    """The number of code lines in ``source``."""
-    lines: set[int] = set()
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in _NOT_CODE:
-            lines.update(range(tok.start[0], tok.end[0] + 1))
-    for node in ast.walk(ast.parse(source)):
+    """The number of code lines in ``source``.
+
+    A docstring's own tokens are the string tokens within its lines: any
+    other token there is the header before it or a statement after it.
+    """
+    docs = [
+        (node.body[0].lineno, node.body[0].end_lineno)
+        for node in ast.walk(ast.parse(source))
         if isinstance(
             node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-        ) and ast.get_docstring(node, clean=False) is not None:
-            doc = node.body[0]
-            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+        )
+        and ast.get_docstring(node, clean=False) is not None
+    ]
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in _NOT_CODE or (
+            tok.type == tokenize.STRING
+            and any(first <= tok.start[0] and tok.end[0] <= end for first, end in docs)
+        ):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines)
 
 
