@@ -260,8 +260,11 @@ def _check_provenance(g: Digraph) -> None:
         try:
             d = parse_sequence(g.provenance.sequence, a)
             # the claim is W x {0..a-1}: one of another size is not built
-            same_size = a * len(window_set(d, g.order)) == g.vertex_count
-            claimed = generated_subdigraph(d, g.order) if same_size else None
+            windows = window_set(d, g.order)
+            same_size = a * len(windows) == g.vertex_count
+            claimed = (
+                generated_subdigraph(d, g.order, windows=windows) if same_size else None
+            )
         except DomainError as exc:
             raise DomainError(f"provenance sequence: {exc}") from exc
         if not same_size or claimed.ranks != g.ranks or claimed.adjacency != g.adjacency:
@@ -387,16 +390,20 @@ def build_de_bruijn_graph(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> D
     return _window_digraph(alphabet, k, range(a ** (k - 1)), Provenance("de_bruijn"))
 
 
-def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
+def generated_subdigraph(
+    d: CyclicSequence, k: int, *, windows: frozenset[int] | None = None
+) -> Digraph:
     """The subdigraph generated by a sequence of length >= k.
 
     Its vertices are the distinct k-tour windows of ``d`` plus every left
     shift of those windows, and its arcs are all left shifts between
     them (the arc-induced subdigraph of the full de Bruijn graph). The
     README proves these vertices are W x {0..a-1} for the set W of
-    cyclic (k-1)-windows of ``d``.
+    cyclic (k-1)-windows of ``d``. A caller that holds
+    ``window_set(d, k)`` already passes it as ``windows``.
     """
-    windows = window_set(d, k)  # rejects k > len(d) before a**k
+    if windows is None:
+        windows = window_set(d, k)  # rejects k > len(d) before a**k
     return _window_digraph(d.alphabet, k, windows, Provenance("generated", d.text))
 
 

@@ -10,7 +10,8 @@ for a subdigraph a sequence generates in polynomial time, as a directed
 Chinese postman tour; it finds no walk. It runs the min-cost flow
 kernel _postman on the arc lists of the window digraph
 (``seqcore._shift_arcs``) and checks the flow's primal-dual certificate
-before it answers.
+before it answers; given that optimum, solve_min_walk starts its
+deepening one round below it.
 """
 
 from __future__ import annotations
@@ -449,7 +450,9 @@ def _bounded_bfs(
     return None, explored
 
 
-def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveResult:
+def solve_min_walk(
+    g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP, *, optimum: int | None = None
+) -> SolveResult:
     """Exact minimum closed dominating walk by state-space search.
 
     States are (current vertex, bitset of dominated vertices), reached by
@@ -478,19 +481,33 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     itself, and equals ``enumerate_min_walks(g, optimum)[0]``. The cover
     masks only cut states that lie on no walk completing within the
     limit, so they change explored_states and never the witness.
+
+    A caller that knows the optimum in advance (``_postman_optimum``
+    for a generated or de Bruijn graph) passes it as ``optimum``, and
+    the deepening starts at max(counting bound, optimum - 1) instead.
+    One round at limit L finds any walk of at most L arcs, so that
+    first round finding nothing proves the optimum is not below the
+    seed; the next round, at the seed, is the round that ends the
+    unseeded deepening too, so the witness is the same and only
+    explored_states falls. A walk shorter than the seed, or none of its
+    length, raises InvariantViolation.
     """
     out, nb, full = _search_inputs(g, vertex_cap)
     for v, m in enumerate(nb):
         if m == full:
+            _check_seed(optimum, 0)
             return SolveResult(0, Walk(g, (v,), closed=True), 0)
 
     starts = _starts(out, nb, full)
     if not starts:
+        _check_seed(optimum, None)
         return SolveResult(None, None, 0)
 
     n = len(out)
     explored = 0
     limit = max(2, -(-n // max(m.bit_count() for m in nb)))
+    if optimum is not None:
+        limit = max(limit, optimum - 1)
     while True:
         for start in starts:
             if start[1] > limit:
@@ -498,11 +515,24 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
             found, expanded = _bounded_bfs(out, nb, full, start, limit)
             explored += expanded
             if found is not None:
+                _check_seed(optimum, len(found))
                 witness = Walk(g, tuple(found), closed=True)
                 return SolveResult(len(found), witness, explored)
+        if optimum is not None and limit >= optimum:
+            _check_seed(optimum, None)
         limit += 1
         if limit > n * n:  # pragma: no cover - feasibility precheck forbids this
             raise InvariantViolation("iterative deepening exceeded the n^2 bound")
+
+
+def _check_seed(seed: int | None, found: int | None) -> None:
+    """Refuse a search whose optimum ``found`` (None: no walk within the
+    seed) is not the ``seed`` it was given; no seed accepts anything."""
+    if seed is not None and found != seed:
+        raise InvariantViolation(
+            f"seeded optimum {seed}, but the search found "
+            + ("no walk of that length" if found is None else f"one of length {found}")
+        )
 
 
 def enumerate_min_walks(

@@ -142,10 +142,21 @@ class TestSolve:
             capsys, "solve", "--from-seq", "01210123", "-a", "4", "-k", "3"
         )
         assert code == 0
-        a, b = json.loads(via_stdin), json.loads(direct)
-        a.pop("explored_states")
-        b.pop("explored_states")
-        assert json.dumps(a) == json.dumps(b)
+        # both routes seed the search with the same postman optimum
+        assert via_stdin == direct
+
+    def test_de_bruijn_graph_json_is_seeded_and_custom_json_is_not(
+        self, capsys, monkeypatch
+    ):
+        graph = json.loads(run(capsys, "graph", "-a", "2", "-k", "4")[1])
+        plain = watchman.solve_min_walk(graphcore.build_de_bruijn_graph(2, 4))
+        for kind, states in [("de_bruijn", 21), ("custom", plain.explored_states)]:
+            graph["provenance"] = {"kind": kind}
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+            code, out, _ = run(capsys, "solve")
+            assert code == 0
+            assert json.loads(out) == plain.to_json() | {"explored_states": states}
+        assert plain.explored_states == 22  # the seeded search skips a round at 6
 
     @pytest.mark.parametrize(
         "field,value",
@@ -615,7 +626,7 @@ def builds(monkeypatch):
         monkeypatch.setattr(
             module,
             "generated_subdigraph",
-            lambda d, k, build=build: calls.append(d.text) or build(d, k),
+            lambda d, k, build=build, **kw: calls.append(d.text) or build(d, k, **kw),
         )
     return calls
 
@@ -639,6 +650,27 @@ class TestCapBeforeBuild:
             f"watchman: resource cap: digraph has {n} vertices, oracle cap is 24 "
             f"(worst-case state space ~{n} * 2^{n})\n"
         )
+
+    def test_over_cap_sequence_runs_no_postman_flow(self, capsys, monkeypatch):
+        def no_flow(windows, a, k):
+            raise AssertionError("ran the postman flow for an over-cap subdigraph")
+
+        monkeypatch.setattr(cli, "_postman_optimum", no_flow)
+        code, out, err = run(capsys, "solve", "--from-seq", _LONG, "-a", "2", "-k", "20")
+        assert (code, out) == (2, "")
+        assert err.startswith("watchman: resource cap: digraph has ")
+
+    def test_from_seq_builds_its_window_set_once(self, capsys, monkeypatch):
+        sets = []
+        for module in (cli, graphcore):
+            build = module.window_set
+            monkeypatch.setattr(
+                module,
+                "window_set",
+                lambda d, k, build=build: sets.append(d.text) or build(d, k),
+            )
+        code, out, _ = run(capsys, "solve", "--from-seq", "01210123", "-a", "4", "-k", "3")
+        assert (code, json.loads(out)["optimum"], sets) == (0, 8, ["01210123"])
 
     def test_provenance_of_another_size_is_never_built(
         self, capsys, monkeypatch, builds
@@ -823,7 +855,7 @@ class TestOutOfMemory:
 
     @pytest.mark.parametrize("name", ["cmd_solve", "solve_min_walk"])
     def test_memory_error_exits_2(self, capsys, monkeypatch, name):
-        def out_of_memory(*args):
+        def out_of_memory(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(cli, name, out_of_memory)

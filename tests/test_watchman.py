@@ -694,6 +694,99 @@ class TestPostmanFlow:
         assert differ
 
 
+def postman_seed(g):
+    """The postman optimum of a generated or de Bruijn graph, from its
+    window set W = {r // a for r in its ranks}, as ``solve`` seeds it."""
+    a = g.alphabet.size
+    return _postman_optimum(frozenset(r // a for r in g.ranks), a, g.order)
+
+
+def seeded_pairs():
+    """Every generated subdigraph this suite solves, with the cap it is
+    solved under, plus every full graph G(a, k) of at most 36 vertices."""
+    for a, k, lengths in [f[:3] for f in POSTMAN_FAMILIES] + [(3, 1, range(1, 6))]:
+        for n in lengths:
+            for seq in rotation_representatives(a, n):
+                g = generated_subdigraph(seq, k)
+                if g.vertex_count <= 24:
+                    yield g, 24
+    rng = random.Random(2026)  # the draws of the postman theorem's random test
+    drawn = 0
+    while drawn < 1500:
+        a, k = rng.choice((2, 3, 4)), rng.randint(2, 6)
+        n = rng.randint(k, 20)
+        g = generated_subdigraph(
+            CyclicSequence(tuple(rng.randrange(a) for _ in range(n)), Alphabet(a)), k
+        )
+        if g.vertex_count <= 30:
+            drawn += 1
+            yield g, 30
+    for text in json.loads(Path(__file__).with_name("solve_b6_witnesses.json").read_text()):
+        yield generated_subdigraph(parse_sequence(text, 2), 6), 64
+    yield fixture_graph(), 24
+    for a in range(2, 37):
+        for k in range(1, 6):
+            if a**k <= 36:
+                yield build_de_bruijn_graph(a, k), 64
+
+
+class TestSeededSolve:
+    """``solve_min_walk(g, optimum=...)`` starts its deepening one round
+    below the postman optimum; the unseeded search is the oracle it is
+    checked against."""
+
+    def test_seeded_and_unseeded_searches_agree(self):
+        checked = fewer = 0
+        for g, cap in seeded_pairs():
+            seeded = solve_min_walk(g, cap, optimum=postman_seed(g))
+            plain = solve_min_walk(g, cap)
+            assert seeded.optimum_length == plain.optimum_length, g.to_json()
+            assert seeded.witness.vertex_indices == plain.witness.vertex_indices
+            assert seeded.explored_states <= plain.explored_states
+            checked += 1
+            fewer += seeded.explored_states < plain.explored_states
+        assert checked == 4_334
+        assert fewer
+
+    def test_seeded_states_over_the_binary_order_six_pool_are_pinned(self):
+        # the unseeded total is 14,563 (TestSolve)
+        path = Path(__file__).with_name("solve_b6_witnesses.json")
+        total = 0
+        for text, witness in json.loads(path.read_text(encoding="utf-8")).items():
+            g = generated_subdigraph(parse_sequence(text, 2), 6)
+            result = solve_min_walk(g, vertex_cap=64, optimum=postman_seed(g))
+            assert list(result.witness.label_texts) == witness, text
+            total += result.explored_states
+        assert total == 8_142
+
+    def test_a_seed_above_the_optimum_meets_a_shorter_walk(self):
+        # the first round, at the true optimum 8, finds a walk
+        with pytest.raises(InvariantViolation, match="seeded optimum 9, .* length 8"):
+            solve_min_walk(fixture_graph(), optimum=9)
+
+    def test_a_seed_below_the_optimum_meets_no_walk(self):
+        # the rounds at 6 and 7 find nothing
+        with pytest.raises(InvariantViolation, match="seeded optimum 7, .* no walk"):
+            solve_min_walk(fixture_graph(), optimum=7)
+
+    @pytest.mark.parametrize("seed", [0, 2, 3, 5])
+    def test_wrong_seeds_around_the_counting_bound_are_refused(self, seed):
+        # G(2, 3): optimum 4, counting bound ceil(8 / 3) = 3, so the
+        # seeds 0, 2 and 3 start at the bound, where no walk fits
+        with pytest.raises(InvariantViolation, match=f"seeded optimum {seed}, "):
+            solve_min_walk(build_de_bruijn_graph(2, 3), optimum=seed)
+
+    def test_stationary_and_infeasible_graphs_check_their_seed(self):
+        stationary = custom_graph(["00", "01", "10"], [(0, 1), (0, 2)])
+        assert solve_min_walk(stationary, optimum=0).optimum_length == 0
+        with pytest.raises(InvariantViolation, match="length 0"):
+            solve_min_walk(stationary, optimum=2)
+        infeasible = custom_graph(["00", "01"], [(0, 0)])
+        assert not solve_min_walk(infeasible).feasible
+        with pytest.raises(InvariantViolation, match="no walk"):
+            solve_min_walk(infeasible, optimum=2)
+
+
 def window_digraph(text, a, k):
     """The arc lists of B_D for the sequence ``text``, as the flow reads them."""
     return _shift_arcs(window_set(parse_sequence(text, a), k), a, k - 1)
