@@ -39,12 +39,11 @@ from .seqcore import (
     gen_greedy,
     parse_sequence,
     read_sequences,
-    window_set,
+    window_count,
 )
 from .watchman import (
     DEFAULT_VERTEX_CAP,
     _check_vertex_cap,
-    _postman_optimum,
     construct_watchman_walk,
     enumerate_min_walks,
     induced_walk,
@@ -149,11 +148,9 @@ def cmd_solve(args) -> int:
         if args.alphabet is None or args.order is None:
             raise DomainError("--from-seq needs -a and -k")
         d = parse_sequence(args.from_seq, args.alphabet)
-        windows = window_set(d, args.order)
         # the subdigraph is W x {0..a-1}: an over-cap one is never built
-        _check_vertex_cap(args.alphabet * len(windows), cap)
-        optimum = _postman_optimum(windows, args.alphabet, args.order)
-        graph = generated_subdigraph(d, args.order, windows=windows)
+        _check_vertex_cap(args.alphabet * window_count(d, args.order), cap)
+        graph = generated_subdigraph(d, args.order)
     else:
         try:
             text = sys.stdin.read()
@@ -171,13 +168,7 @@ def cmd_solve(args) -> int:
         if isinstance(obj, dict) and isinstance(obj.get("vertices"), list):
             _check_vertex_cap(len(obj["vertices"]), cap)
         graph = Digraph.from_json(obj)
-        optimum = None
-        if graph.provenance.kind != "custom":
-            # from_json has checked that the graph is W x {0..a-1}
-            a = graph.alphabet.size
-            windows = frozenset(r // a for r in graph.ranks)
-            optimum = _postman_optimum(windows, a, graph.order)
-    result = solve_min_walk(graph, cap, optimum=optimum)
+    result = solve_min_walk(graph, cap)
     payload = result.to_json()
     if args.count:
         walks = (

@@ -70,9 +70,13 @@ class Digraph:
 
     Vertex ``i`` is the k-string whose base-``a`` rank is ``ranks[i]``;
     its label text is built from the rank when asked for. A repeated arc
-    is kept once. Unless the provenance is custom, every arc (u, v) must
-    be a left shift: label(v) drops the first symbol of label(u) and
-    appends one symbol. Self-loops are permitted.
+    is kept once. Self-loops are permitted. Unless the provenance is
+    custom, every arc (u, v) must be a left shift: label(v) drops the
+    first symbol of label(u) and appends one symbol. Such a graph must
+    also be the left-shift digraph on W x {0..a-1} (``_window_digraph``),
+    W = {r // a}: its a*|W| vertices in rank order, with all a shifts
+    out of each vertex whose (k-1)-suffix is in W; a de Bruijn graph
+    must have all a**k vertices.
     """
 
     def __init__(
@@ -125,6 +129,20 @@ class Digraph:
                             f"arc {self._text(ranks[u])} -> {self._text(ranks[v])} "
                             "is not a left shift"
                         )
+            # W x {0..a-1} in rank order, W = {r // a}; every arc is a shift,
+            # so a vertex whose suffix is not in W has none, and the others
+            # must have all a
+            windows = {r // a for r in ranks}
+            if (
+                list(ranks) != [s * a + c for s in sorted(windows) for c in range(a)]
+                or list(map(len, self._out)) != [a * (r % drop in windows) for r in ranks]
+                or provenance.kind == "de_bruijn" and n != size
+            ):
+                raise DomainError(
+                    "graph is not the subdigraph its provenance sequence generates"
+                    if provenance.kind == "generated"
+                    else f"graph is not the de Bruijn graph G({a},{order})"
+                )
         self._provenance = provenance
 
     def _text(self, rank: int) -> str:
@@ -253,29 +271,20 @@ class Digraph:
 
 
 def _check_provenance(g: Digraph) -> None:
-    """Reject a non-custom provenance that does not describe ``g``."""
-    kind = g.provenance.kind
+    """Reject a generated provenance whose sequence does not generate ``g``.
+
+    The constructor has made ``g`` the subdigraph on W x {0..a-1}, W =
+    {r // a}, so the sequence generates it iff its window set is W.
+    """
+    if g.provenance.kind != "generated":
+        return
     a = g.alphabet.size
-    if kind == "generated":
-        try:
-            d = parse_sequence(g.provenance.sequence, a)
-            # the claim is W x {0..a-1}: one of another size is not built
-            windows = window_set(d, g.order)
-            same_size = a * len(windows) == g.vertex_count
-            claimed = (
-                generated_subdigraph(d, g.order, windows=windows) if same_size else None
-            )
-        except DomainError as exc:
-            raise DomainError(f"provenance sequence: {exc}") from exc
-        if not same_size or claimed.ranks != g.ranks or claimed.adjacency != g.adjacency:
-            raise DomainError(
-                "graph is not the subdigraph its provenance sequence generates"
-            )
-    elif kind == "de_bruijn":
-        n = g.vertex_count
-        full = n == a**g.order and g.ranks == tuple(range(n))
-        if not full or any(len(ts) != a for ts in g.adjacency):
-            raise DomainError(f"graph is not the de Bruijn graph G({a},{g.order})")
+    try:
+        windows = window_set(parse_sequence(g.provenance.sequence, a), g.order)
+    except DomainError as exc:
+        raise DomainError(f"provenance sequence: {exc}") from exc
+    if windows != {r // a for r in g.ranks}:
+        raise DomainError("graph is not the subdigraph its provenance sequence generates")
 
 
 def _is_int(x: object) -> bool:
@@ -390,20 +399,16 @@ def build_de_bruijn_graph(a: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> D
     return _window_digraph(alphabet, k, range(a ** (k - 1)), Provenance("de_bruijn"))
 
 
-def generated_subdigraph(
-    d: CyclicSequence, k: int, *, windows: frozenset[int] | None = None
-) -> Digraph:
+def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
     """The subdigraph generated by a sequence of length >= k.
 
     Its vertices are the distinct k-tour windows of ``d`` plus every left
     shift of those windows, and its arcs are all left shifts between
     them (the arc-induced subdigraph of the full de Bruijn graph). The
     README proves these vertices are W x {0..a-1} for the set W of
-    cyclic (k-1)-windows of ``d``. A caller that holds
-    ``window_set(d, k)`` already passes it as ``windows``.
+    cyclic (k-1)-windows of ``d``.
     """
-    if windows is None:
-        windows = window_set(d, k)  # rejects k > len(d) before a**k
+    windows = window_set(d, k)  # rejects k > len(d) before a**k
     return _window_digraph(d.alphabet, k, windows, Provenance("generated", d.text))
 
 

@@ -274,6 +274,18 @@ def window_set(d: CyclicSequence, k: int) -> frozenset[int]:
     return frozenset(window_ranks(d, k - 1)) if k > 1 else frozenset((0,))
 
 
+def window_count(d: CyclicSequence, k: int) -> int:
+    """``len(window_set(d, k))``, counted on the sorted window ranks.
+
+    Sorting compares ranks and hashes none: the ranks of long windows
+    can share few hash buckets (powers of two, say), where building the
+    set takes quadratic time.
+    """
+    _check_tour_args(d, k)
+    ranks = sorted(window_ranks(d, k - 1)) if k > 1 else [0]
+    return 1 + sum(x != y for x, y in zip(ranks, ranks[1:]))
+
+
 def is_de_bruijn_sequence(s: CyclicSequence, k: int) -> bool:
     """True iff ``s`` has length a**k and its k-tour windows are all distinct.
 

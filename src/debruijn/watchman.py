@@ -10,8 +10,8 @@ for a subdigraph a sequence generates in polynomial time, as a directed
 Chinese postman tour; it finds no walk. It runs the min-cost flow
 kernel _postman on the arc lists of the window digraph
 (``seqcore._shift_arcs``) and checks the flow's primal-dual certificate
-before it answers; given that optimum, solve_min_walk starts its
-deepening one round below it.
+before it answers; solve_min_walk starts the deepening of every
+non-custom digraph one round below that optimum.
 """
 
 from __future__ import annotations
@@ -450,9 +450,7 @@ def _bounded_bfs(
     return None, explored
 
 
-def solve_min_walk(
-    g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP, *, optimum: int | None = None
-) -> SolveResult:
+def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveResult:
     """Exact minimum closed dominating walk by state-space search.
 
     States are (current vertex, bitset of dominated vertices), reached by
@@ -482,27 +480,30 @@ def solve_min_walk(
     masks only cut states that lie on no walk completing within the
     limit, so they change explored_states and never the witness.
 
-    A caller that knows the optimum in advance (``_postman_optimum``
-    for a generated or de Bruijn graph) passes it as ``optimum``, and
-    the deepening starts at max(counting bound, optimum - 1) instead.
-    One round at limit L finds any walk of at most L arcs, so that
-    first round finding nothing proves the optimum is not below the
-    seed; the next round, at the seed, is the round that ends the
-    unseeded deepening too, so the witness is the same and only
-    explored_states falls. A walk shorter than the seed, or none of its
-    length, raises InvariantViolation.
+    A non-custom ``g`` is the left-shift digraph on W x {0..a-1}, W =
+    {r // a} (``Digraph``); once the search has found a start, W is the
+    window set of some sequence (``_seed``). So its optimum is known in
+    advance: the postman optimum of W (``_postman_optimum``). The
+    deepening then starts at max(counting bound, optimum - 1) instead.
+    One round at limit L finds any walk of at most L arcs, so that first
+    round finding nothing proves the optimum is not below the seed; the
+    next round, at the seed, is the round that ends the unseeded
+    deepening too, so the witness is the same and only explored_states
+    falls. A walk shorter than the seed, or none of its length, raises
+    InvariantViolation. A custom graph, even one with the same vertices
+    and arcs, is searched unseeded, and so is an infeasible one.
     """
     out, nb, full = _search_inputs(g, vertex_cap)
     for v, m in enumerate(nb):
         if m == full:
-            _check_seed(optimum, 0)
+            _check_seed(_seed(g), 0)
             return SolveResult(0, Walk(g, (v,), closed=True), 0)
 
     starts = _starts(out, nb, full)
     if not starts:
-        _check_seed(optimum, None)
         return SolveResult(None, None, 0)
 
+    optimum = _seed(g)
     n = len(out)
     explored = 0
     limit = max(2, -(-n // max(m.bit_count() for m in nb)))
@@ -523,6 +524,24 @@ def solve_min_walk(
         limit += 1
         if limit > n * n:  # pragma: no cover - feasibility precheck forbids this
             raise InvariantViolation("iterative deepening exceeded the n^2 bound")
+
+
+def _seed(g: Digraph) -> int | None:
+    """The optimum solve_min_walk seeds a feasible ``g`` with: None for
+    a custom graph, else the postman optimum of its W = {r // a}.
+
+    The flow needs W to be the window set of some sequence, which the
+    ``Digraph`` constructor does not check for a graph built directly.
+    A W x {0..a-1} digraph has a closed dominating walk iff it is: the
+    prefixes along such a walk are a closed walk through every member
+    of W on the shift digraph of W, and reading one symbol per step of
+    it gives a sequence whose window set is W. So an infeasible graph
+    is never seeded.
+    """
+    if g.provenance.kind == "custom":
+        return None
+    a = g.alphabet.size
+    return _postman_optimum(frozenset(r // a for r in g.ranks), a, g.order)
 
 
 def _check_seed(seed: int | None, found: int | None) -> None:

@@ -149,7 +149,9 @@ class TestSolve:
         self, capsys, monkeypatch
     ):
         graph = json.loads(run(capsys, "graph", "-a", "2", "-k", "4")[1])
-        plain = watchman.solve_min_walk(graphcore.build_de_bruijn_graph(2, 4))
+        full = graphcore.build_de_bruijn_graph(2, 4)
+        custom = graphcore.Digraph(full.alphabet, 4, full.ranks, full.arcs)
+        plain = watchman.solve_min_walk(custom)
         for kind, states in [("de_bruijn", 21), ("custom", plain.explored_states)]:
             graph["provenance"] = {"kind": kind}
             monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
@@ -428,7 +430,7 @@ class TestVerify:
             raise AssertionError("built the window set of a refused input")
 
         monkeypatch.setattr(analysis, "window_set", no_windows)
-        monkeypatch.setattr(cli, "window_set", no_windows)
+        monkeypatch.setattr(cli, "window_count", no_windows)
         limit = 4096
         if cap is not None:
             monkeypatch.setenv("WATCHMAN_MAX_SEQ", cap)
@@ -626,7 +628,7 @@ def builds(monkeypatch):
         monkeypatch.setattr(
             module,
             "generated_subdigraph",
-            lambda d, k, build=build, **kw: calls.append(d.text) or build(d, k, **kw),
+            lambda d, k, build=build: calls.append(d.text) or build(d, k),
         )
     return calls
 
@@ -655,22 +657,24 @@ class TestCapBeforeBuild:
         def no_flow(windows, a, k):
             raise AssertionError("ran the postman flow for an over-cap subdigraph")
 
-        monkeypatch.setattr(cli, "_postman_optimum", no_flow)
+        monkeypatch.setattr(watchman, "_postman_optimum", no_flow)
         code, out, err = run(capsys, "solve", "--from-seq", _LONG, "-a", "2", "-k", "20")
         assert (code, out) == (2, "")
         assert err.startswith("watchman: resource cap: digraph has ")
 
     def test_from_seq_builds_its_window_set_once(self, capsys, monkeypatch):
-        sets = []
-        for module in (cli, graphcore):
-            build = module.window_set
+        # the cap check counts W on sorted ranks; the build makes the set
+        calls = []
+        for module, name in [(cli, "window_count"), (graphcore, "window_set")]:
+            real = getattr(module, name)
             monkeypatch.setattr(
                 module,
-                "window_set",
-                lambda d, k, build=build: sets.append(d.text) or build(d, k),
+                name,
+                lambda d, k, real=real, name=name: calls.append(name) or real(d, k),
             )
         code, out, _ = run(capsys, "solve", "--from-seq", "01210123", "-a", "4", "-k", "3")
-        assert (code, json.loads(out)["optimum"], sets) == (0, 8, ["01210123"])
+        assert (code, json.loads(out)["optimum"]) == (0, 8)
+        assert calls == ["window_count", "window_set"]
 
     def test_provenance_of_another_size_is_never_built(
         self, capsys, monkeypatch, builds
@@ -692,9 +696,9 @@ class TestCapBeforeBuild:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
         assert run(capsys, "solve")[0] == 0
         # verify checks its walk on window ranks and builds nothing; solve
-        # builds from --from-seq, and from JSON builds the provenance's
-        # subdigraph to compare
-        assert builds == ["0011"] * 2
+        # builds from --from-seq, and from JSON compares the provenance's
+        # window set with the graph's, building no subdigraph
+        assert builds == ["0011"]
 
 
 class TestVertexCapIsSolveOnly:
@@ -855,7 +859,7 @@ class TestOutOfMemory:
 
     @pytest.mark.parametrize("name", ["cmd_solve", "solve_min_walk"])
     def test_memory_error_exits_2(self, capsys, monkeypatch, name):
-        def out_of_memory(*args, **kwargs):
+        def out_of_memory(*args):
             raise MemoryError
 
         monkeypatch.setattr(cli, name, out_of_memory)

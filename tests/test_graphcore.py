@@ -435,6 +435,136 @@ class TestConstructor:
             Digraph.from_json(obj)
 
 
+def shift_digraph(ranks, kind, a=2, k=3, missing=None):
+    """The digraph on ``ranks``, in the order given, with every left shift
+    among them as an arc except ``missing``, under provenance ``kind``."""
+    index = {r: i for i, r in enumerate(ranks)}
+    drop = a ** (k - 1)
+    arcs = [
+        (i, index[r % drop * a + c])
+        for i, r in enumerate(ranks)
+        for c in range(a)
+        if r % drop * a + c in index and (i, index[r % drop * a + c]) != missing
+    ]
+    provenance = Provenance(kind, "0001" if kind == "generated" else None)
+    return Digraph(Alphabet(a), k, ranks, arcs, provenance)
+
+
+class TestWindowDigraphInvariant:
+    """A digraph of generated or de Bruijn provenance is the left-shift
+    digraph on W x {0..a-1}, W = {r // a}, with its vertices in rank
+    order; the constructor refuses any other."""
+
+    MESSAGES = {
+        "generated": "^graph is not the subdigraph its provenance sequence generates$",
+        "de_bruijn": r"^graph is not the de Bruijn graph G\(2,3\)$",
+    }
+
+    @pytest.mark.parametrize("kind", ["generated", "de_bruijn"])
+    def test_the_shift_digraph_on_w_times_sigma_is_accepted(self, kind):
+        # 0001 at order 3: W = {00, 01, 10}; for de Bruijn, every 2-string
+        ranks = list(range(6 if kind == "generated" else 8))
+        g = shift_digraph(ranks, kind)
+        assert g.ranks == tuple(ranks) and g.provenance.kind == kind
+        assert shift_digraph(ranks, "custom").adjacency == g.adjacency
+
+    @pytest.mark.parametrize("kind", ["generated", "de_bruijn"])
+    @pytest.mark.parametrize(
+        "cause",
+        ["missing vertex", "out of rank order", "missing shift arc"],
+    )
+    def test_each_cause_is_refused_with_the_kinds_message(self, kind, cause):
+        ranks = list(range(6 if kind == "generated" else 8))
+        missing = None
+        if cause == "missing vertex":
+            ranks.remove(3)  # 011: its block {010, 011} is half there
+        elif cause == "out of rank order":
+            ranks[0], ranks[1] = ranks[1], ranks[0]
+        else:
+            missing = (1, 2)  # 001 -> 010
+        shift_digraph(ranks, "custom", missing=missing)  # a valid custom graph
+        with pytest.raises(DomainError, match=self.MESSAGES[kind]):
+            shift_digraph(ranks, kind, missing=missing)
+
+    def test_a_de_bruijn_graph_of_another_size_is_refused(self):
+        # W x {0, 1} with W = {00, 01, 10}, all 6 vertices' shifts present
+        assert shift_digraph(list(range(6)), "generated").vertex_count == 6
+        with pytest.raises(DomainError, match=self.MESSAGES["de_bruijn"]):
+            shift_digraph(list(range(6)), "de_bruijn")
+
+    def test_accepted_iff_the_window_digraph_on_its_w(self):
+        rng = random.Random(2038)
+        outcomes = Counter()
+        provenances = {
+            "generated": Provenance("generated", "0"),
+            "de_bruijn": Provenance("de_bruijn"),
+        }
+        for _ in range(1500):
+            a, k = rng.choice((2, 3)), rng.randint(1, 4)
+            drop = a ** (k - 1)
+            windows = rng.sample(range(drop), rng.randint(1, drop))
+            ref = graphcore._window_digraph(
+                Alphabet(a), k, windows, Provenance("custom")
+            )
+            ranks, arcs = list(ref.ranks), sorted(ref.arcs)
+            change = rng.randrange(6)
+            if change == 1 and len(ranks) > 1:  # drop a vertex and its arcs
+                gone = rng.randrange(len(ranks))
+                ranks.pop(gone)
+                arcs = [
+                    (u - (u > gone), v - (v > gone))
+                    for u, v in arcs
+                    if gone not in (u, v)
+                ]
+            elif change == 2:  # add a vertex
+                extra = rng.randrange(a**k)
+                if extra not in ranks:
+                    ranks.append(extra)
+            elif change == 3:  # shuffle the vertex order
+                perm = list(range(len(ranks)))
+                rng.shuffle(perm)
+                ranks = [ranks[i] for i in perm]
+                where = {old: new for new, old in enumerate(perm)}
+                arcs = [(where[u], where[v]) for u, v in arcs]
+            elif change == 4 and arcs:  # drop an arc
+                arcs.pop(rng.randrange(len(arcs)))
+            elif change == 5:  # add an arc, a shift or not
+                arcs.append((rng.randrange(len(ranks)), rng.randrange(len(ranks))))
+            g = Digraph(Alphabet(a), k, ranks, arcs)
+            w = {r // a for r in ranks}
+            same = graphcore._window_digraph(Alphabet(a), k, w, Provenance("custom"))
+            equal = (g.ranks, g.adjacency) == (same.ranks, same.adjacency)
+            for kind in ("generated", "de_bruijn"):
+                expected = equal and (kind == "generated" or len(w) == drop)
+                try:
+                    Digraph(Alphabet(a), k, ranks, arcs, provenances[kind])
+                    accepted = True
+                except DomainError:
+                    accepted = False
+                assert accepted == expected, (a, k, ranks, arcs, kind)
+                outcomes[kind, accepted] += 1
+        assert min(outcomes.values()) > 100  # each kind both accepted and refused
+
+    def test_every_builder_graph_round_trips_through_json(self):
+        graphs = [
+            build_de_bruijn_graph(a, k)
+            for a in range(2, 7)
+            for k in range(1, 6)
+            if a**k <= 1296
+        ]
+        for a, k in [(2, 1), (2, 3), (3, 2), (3, 3), (4, 3)]:
+            for n in range(k, 6):
+                for symbols in itertools.product(range(a), repeat=n):
+                    graphs.append(
+                        generated_subdigraph(CyclicSequence(symbols, Alphabet(a)), k)
+                    )
+        for g in graphs:
+            back = Digraph.from_json(json.loads(json.dumps(g.to_json())))
+            assert (back.ranks, back.adjacency) == (g.ranks, g.adjacency)
+            assert back.provenance == g.provenance
+        assert len(graphs) == 2_196
+
+
 def assert_matches_text_graph(g, labels, arcs, a, k, provenance):
     assert list(g.labels) == labels
     assert {(g.label(u), g.label(v)) for u, v in g.arcs} == arcs
@@ -536,18 +666,17 @@ class TestRankConstructionMatchesStrings:
 
     @pytest.mark.parametrize("kind", ["generated", "de_bruijn"])
     def test_non_shift_arc_names_both_labels(self, kind):
-        ranks = [int(t, 3) for t in ("012", "120", "201")]
-        provenance = Provenance(kind, "012" if kind == "generated" else None)
-        g = Digraph(Alphabet(3), 3, ranks, [(0, 1), (1, 2)], provenance)
-        assert g.arcs == {(0, 1), (1, 2)}
+        # W x {0,1,2}, W the 2-windows of 012 or every 2-string
+        if kind == "generated":
+            g = generated_subdigraph(parse_sequence("012", 3), 3)
+        else:
+            g = build_de_bruijn_graph(3, 3)
+        ranks, arcs = g.ranks, sorted(g.arcs)
+        assert Digraph(Alphabet(3), 3, ranks, arcs, g.provenance).arcs == g.arcs
+        bad = (g.index("012"), g.index("201"))
         with pytest.raises(DomainError, match="arc 012 -> 201 is not a left shift"):
-            Digraph(Alphabet(3), 3, ranks, [(0, 1), (0, 2)], provenance)
-        obj = {
-            "alphabet": 3,
-            "order": 3,
-            "vertices": ["012", "120", "201"],
-            "arcs": [[2, 1]],
-            "provenance": provenance.to_json(),
-        }
+            Digraph(Alphabet(3), 3, ranks, arcs + [bad], g.provenance)
+        obj = g.to_json()
+        obj["arcs"].append([g.index("201"), g.index("120")])
         with pytest.raises(DomainError, match="arc 201 -> 120 is not a left shift"):
             Digraph.from_json(obj)

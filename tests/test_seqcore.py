@@ -31,6 +31,7 @@ from debruijn.seqcore import (
     necklaces,
     parse_sequence,
     read_sequences,
+    window_count,
     window_ranks,
     window_set,
 )
@@ -264,6 +265,44 @@ class TestWindowSet:
             window_set(parse_sequence("10", 2), 3)
         with pytest.raises(DomainError, match="at least 1"):
             window_set(parse_sequence("10", 2), 0)
+
+
+class TestWindowCount:
+    """``window_count`` is ``len(window_set)``, counted without a set."""
+
+    @staticmethod
+    def assert_counts_every_order(d):
+        for k in range(1, len(d) + 1):
+            assert window_count(d, k) == len(window_set(d, k)), (d.text, k)
+
+    @pytest.mark.parametrize(
+        "text,a",
+        [
+            ("0", 2),
+            ("1111111", 2),
+            ("2222", 3),  # constant runs: one window at every order
+            ("10000000", 2),
+            ("000000100", 2),  # a single 1 in zeros: n windows from k = 2
+            ("0101010101", 2),
+            ("012012012", 3),
+            ("0011001100", 2),  # periodic words: the period's windows
+        ],
+    )
+    def test_equals_the_set_size_on_structured_words(self, text, a):
+        self.assert_counts_every_order(parse_sequence(text, a))
+
+    def test_equals_the_set_size_on_random_sequences(self):
+        rng = random.Random(2039)
+        for _ in range(300):
+            a = rng.randint(2, 5)
+            symbols = tuple(rng.randrange(a) for _ in range(rng.randint(1, 24)))
+            self.assert_counts_every_order(CyclicSequence(symbols, Alphabet(a)))
+
+    def test_checks_the_order_like_the_set(self):
+        with pytest.raises(DomainError, match="shorter than order"):
+            window_count(parse_sequence("10", 2), 3)
+        with pytest.raises(DomainError, match="at least 1"):
+            window_count(parse_sequence("10", 2), 0)
 
 
 class TestValidator:

@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from debruijn import DomainError, InvariantViolation, ResourceCapError, watchman
+from debruijn import (
+    DomainError,
+    InvariantViolation,
+    ResourceCapError,
+    graphcore,
+    watchman,
+)
 from debruijn.analysis import Classification, Verdict, rotation_representatives, verify
 from debruijn.graphcore import (
     Digraph,
@@ -67,6 +73,12 @@ def fixture_graph():
 def custom_graph(texts, arcs, a=2):
     ranks = [int(t, a) for t in texts]
     return Digraph(Alphabet(a), len(texts[0]), ranks, arcs, Provenance("custom"))
+
+
+def custom_copy(g):
+    """``g`` with custom provenance, so that solve_min_walk searches it
+    unseeded."""
+    return Digraph(g.alphabet, g.order, g.ranks, g.arcs, Provenance("custom"))
 
 
 def random_custom_graph(rng, max_vertices=9):
@@ -174,16 +186,19 @@ class TestInducedWalk:
 
 
 class TestSolve:
+    """The unseeded search, on custom copies of the builders' graphs
+    where it is checked against a known optimum."""
+
     @pytest.mark.parametrize("a,k", FULL_GRAPHS)
     def test_full_graphs_match_closed_form(self, a, k):
-        g = build_de_bruijn_graph(a, k)
+        g = custom_copy(build_de_bruijn_graph(a, k))
         result = solve_min_walk(g, vertex_cap=64)
         assert result.optimum_length == watchman_number(a, k)
         assert is_closed_dominating_walk(g, result.witness)
         assert result.witness.length == result.optimum_length
 
     def test_fixture_subdigraph(self):
-        result = solve_min_walk(fixture_graph())
+        result = solve_min_walk(custom_copy(fixture_graph()))
         assert result.optimum_length == 8
 
     def test_witness_is_canonical_and_deterministic(self):
@@ -235,12 +250,12 @@ class TestSolve:
         pinned = json.loads(path.read_text(encoding="utf-8"))
         total = 0
         for text in pinned:
-            g = generated_subdigraph(parse_sequence(text, 2), 6)
+            g = custom_copy(generated_subdigraph(parse_sequence(text, 2), 6))
             total += solve_min_walk(g, vertex_cap=64).explored_states
         assert total == 14_563
 
     def test_explored_states_over_the_sweep_orbit_graphs_are_pinned(self):
-        graphs = sweep_orbit_graphs(4, 3, range(3, 7))
+        graphs = map(custom_copy, sweep_orbit_graphs(4, 3, range(3, 7)))
         assert sum(solve_min_walk(g).explored_states for g in graphs) == 324
 
     def test_json_shape(self):
@@ -694,13 +709,6 @@ class TestPostmanFlow:
         assert differ
 
 
-def postman_seed(g):
-    """The postman optimum of a generated or de Bruijn graph, from its
-    window set W = {r // a for r in its ranks}, as ``solve`` seeds it."""
-    a = g.alphabet.size
-    return _postman_optimum(frozenset(r // a for r in g.ranks), a, g.order)
-
-
 def seeded_pairs():
     """Every generated subdigraph this suite solves, with the cap it is
     solved under, plus every full graph G(a, k) of at most 36 vertices."""
@@ -731,15 +739,15 @@ def seeded_pairs():
 
 
 class TestSeededSolve:
-    """``solve_min_walk(g, optimum=...)`` starts its deepening one round
-    below the postman optimum; the unseeded search is the oracle it is
-    checked against."""
+    """``solve_min_walk`` starts the deepening of a generated or de Bruijn
+    graph one round below the postman optimum of its W; the unseeded
+    search, run on a custom copy, is the oracle it is checked against."""
 
     def test_seeded_and_unseeded_searches_agree(self):
         checked = fewer = 0
         for g, cap in seeded_pairs():
-            seeded = solve_min_walk(g, cap, optimum=postman_seed(g))
-            plain = solve_min_walk(g, cap)
+            seeded = solve_min_walk(g, cap)
+            plain = solve_min_walk(custom_copy(g), cap)
             assert seeded.optimum_length == plain.optimum_length, g.to_json()
             assert seeded.witness.vertex_indices == plain.witness.vertex_indices
             assert seeded.explored_states <= plain.explored_states
@@ -754,37 +762,74 @@ class TestSeededSolve:
         total = 0
         for text, witness in json.loads(path.read_text(encoding="utf-8")).items():
             g = generated_subdigraph(parse_sequence(text, 2), 6)
-            result = solve_min_walk(g, vertex_cap=64, optimum=postman_seed(g))
+            result = solve_min_walk(g, vertex_cap=64)
             assert list(result.witness.label_texts) == witness, text
             total += result.explored_states
         assert total == 8_142
 
-    def test_a_seed_above_the_optimum_meets_a_shorter_walk(self):
-        # the first round, at the true optimum 8, finds a walk
-        with pytest.raises(InvariantViolation, match="seeded optimum 9, .* length 8"):
-            solve_min_walk(fixture_graph(), optimum=9)
+    @staticmethod
+    def seed(monkeypatch, optimum):
+        """Make every seed ``optimum``, whatever the graph."""
+        monkeypatch.setattr(watchman, "_postman_optimum", lambda w, a, k: optimum)
 
-    def test_a_seed_below_the_optimum_meets_no_walk(self):
+    def test_a_seed_above_the_optimum_meets_a_shorter_walk(self, monkeypatch):
+        # the first round, at the true optimum 8, finds a walk
+        self.seed(monkeypatch, 9)
+        with pytest.raises(InvariantViolation, match="seeded optimum 9, .* length 8"):
+            solve_min_walk(fixture_graph())
+
+    def test_a_seed_below_the_optimum_meets_no_walk(self, monkeypatch):
         # the rounds at 6 and 7 find nothing
+        self.seed(monkeypatch, 7)
         with pytest.raises(InvariantViolation, match="seeded optimum 7, .* no walk"):
-            solve_min_walk(fixture_graph(), optimum=7)
+            solve_min_walk(fixture_graph())
 
     @pytest.mark.parametrize("seed", [0, 2, 3, 5])
-    def test_wrong_seeds_around_the_counting_bound_are_refused(self, seed):
+    def test_wrong_seeds_around_the_counting_bound_are_refused(self, monkeypatch, seed):
         # G(2, 3): optimum 4, counting bound ceil(8 / 3) = 3, so the
         # seeds 0, 2 and 3 start at the bound, where no walk fits
+        self.seed(monkeypatch, seed)
         with pytest.raises(InvariantViolation, match=f"seeded optimum {seed}, "):
-            solve_min_walk(build_de_bruijn_graph(2, 3), optimum=seed)
+            solve_min_walk(build_de_bruijn_graph(2, 3))
 
-    def test_stationary_and_infeasible_graphs_check_their_seed(self):
-        stationary = custom_graph(["00", "01", "10"], [(0, 1), (0, 2)])
-        assert solve_min_walk(stationary, optimum=0).optimum_length == 0
+    def test_stationary_graphs_check_their_seed_and_infeasible_ones_take_none(
+        self, monkeypatch
+    ):
+        # 000 generates {000, 001}, and 000 sees both
+        stationary = generated_subdigraph(parse_sequence("000", 2), 3)
+        assert solve_min_walk(stationary).optimum_length == 0
+        # W = {00, 11}: two blocks that no walk joins. No sequence has
+        # this window set, yet the constructor takes any W, so the
+        # search asks for no seed
+        infeasible = Digraph(
+            Alphabet(2), 3, [0, 1, 6, 7], [(0, 0), (0, 1), (3, 2), (3, 3)],
+            Provenance("generated", "0011"),
+        )
+        self.seed(monkeypatch, 2)
         with pytest.raises(InvariantViolation, match="length 0"):
-            solve_min_walk(stationary, optimum=2)
-        infeasible = custom_graph(["00", "01"], [(0, 0)])
+            solve_min_walk(stationary)
         assert not solve_min_walk(infeasible).feasible
-        with pytest.raises(InvariantViolation, match="no walk"):
-            solve_min_walk(infeasible, optimum=2)
+
+    def test_any_w_solves_like_its_custom_copy(self):
+        # a W that is no sequence's window set would stall the postman
+        # flow, so only a graph the search finds feasible is seeded
+        rng = random.Random(2040)
+        infeasible = 0
+        for _ in range(600):
+            a, k = rng.choice((2, 3)), rng.randint(1, 4)
+            strings = a ** (k - 1)
+            windows = rng.sample(range(strings), rng.randint(1, min(8, strings)))
+            g = graphcore._window_digraph(
+                Alphabet(a), k, windows, Provenance("generated", "0")
+            )
+            if g.vertex_count > 16:
+                continue
+            seeded, plain = solve_min_walk(g), solve_min_walk(custom_copy(g))
+            assert seeded.optimum_length == plain.optimum_length, (a, k, windows)
+            if plain.feasible:
+                assert seeded.witness.vertex_indices == plain.witness.vertex_indices
+            infeasible += not plain.feasible
+        assert infeasible > 50
 
 
 def window_digraph(text, a, k):
