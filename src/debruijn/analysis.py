@@ -153,7 +153,7 @@ def classify(d: CyclicSequence, k: int) -> Classification:
 
 
 def _classify(
-    d: CyclicSequence, k: int, windows: frozenset[int] | None
+    d: CyclicSequence, k: int, windows: tuple[int, ...] | None
 ) -> tuple[Classification, bool]:
     """classify's result, and whether its constant run exists only
     across the seam.
@@ -233,7 +233,7 @@ class VerificationRecord(_Value):
 
 #: A memo for verify: each solved window set W (``seqcore.window_set``)
 #: with its postman optimum.
-Solved = dict[frozenset[int], int]
+Solved = dict[tuple[int, ...], int]
 
 
 def verify(

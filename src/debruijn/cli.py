@@ -39,7 +39,7 @@ from .seqcore import (
     gen_greedy,
     parse_sequence,
     read_sequences,
-    window_count,
+    window_set,
 )
 from .watchman import (
     DEFAULT_VERTEX_CAP,
@@ -149,8 +149,12 @@ def cmd_solve(args) -> int:
             raise DomainError("--from-seq needs -a and -k")
         d = parse_sequence(args.from_seq, args.alphabet)
         # the subdigraph is W x {0..a-1}: an over-cap one is never built
-        _check_vertex_cap(args.alphabet * window_count(d, args.order), cap)
+        _check_vertex_cap(args.alphabet * len(window_set(d, args.order)), cap)
         graph = generated_subdigraph(d, args.order)
+    elif args.alphabet is not None or args.order is not None:
+        raise DomainError(
+            "-a and -k need --from-seq: graph JSON carries its own alphabet and order"
+        )
     else:
         try:
             text = sys.stdin.read()

@@ -24,6 +24,7 @@ from .seqcore import (
     CyclicSequence,
     _Value,
     _check_generator_args,
+    _distinct,
     _rank_text,
     _text_rank,
     parse_sequence,
@@ -31,6 +32,8 @@ from .seqcore import (
 )
 
 PROVENANCE_KINDS = ("de_bruijn", "generated", "custom")
+
+_NOT_GENERATED = "graph is not the subdigraph its provenance sequence generates"
 
 VertexRef = int | str
 
@@ -74,9 +77,9 @@ class Digraph:
     custom, every arc (u, v) must be a left shift: label(v) drops the
     first symbol of label(u) and appends one symbol. Such a graph must
     also be the left-shift digraph on W x {0..a-1} (``_window_digraph``),
-    W = {r // a}: its a*|W| vertices in rank order, with all a shifts
-    out of each vertex whose (k-1)-suffix is in W; a de Bruijn graph
-    must have all a**k vertices.
+    W being ``windows``: its a*|W| vertices in rank order, with all a
+    shifts out of each vertex whose (k-1)-suffix is in W; a de Bruijn
+    graph must have all a**k vertices.
     """
 
     def __init__(
@@ -106,6 +109,7 @@ class Digraph:
         self._order = order
         self._ranks = ranks
         self._index = index
+        self._windows = _distinct(r // a for r in ranks)
 
         n = len(ranks)
         out: list[list[int]] = [[] for _ in range(n)]
@@ -129,17 +133,16 @@ class Digraph:
                             f"arc {self._text(ranks[u])} -> {self._text(ranks[v])} "
                             "is not a left shift"
                         )
-            # W x {0..a-1} in rank order, W = {r // a}; every arc is a shift,
-            # so a vertex whose suffix is not in W has none, and the others
-            # must have all a
-            windows = {r // a for r in ranks}
+            # W x {0..a-1} in rank order; every arc is a shift, so a vertex
+            # whose suffix s is not in W, and so has no vertex s*a, has none,
+            # and the others must have all a
             if (
-                list(ranks) != [s * a + c for s in sorted(windows) for c in range(a)]
-                or list(map(len, self._out)) != [a * (r % drop in windows) for r in ranks]
+                list(ranks) != [s * a + c for s in self._windows for c in range(a)]
+                or list(map(len, self._out)) != [a * (r % drop * a in index) for r in ranks]
                 or provenance.kind == "de_bruijn" and n != size
             ):
                 raise DomainError(
-                    "graph is not the subdigraph its provenance sequence generates"
+                    _NOT_GENERATED
                     if provenance.kind == "generated"
                     else f"graph is not the de Bruijn graph G({a},{order})"
                 )
@@ -157,6 +160,13 @@ class Digraph:
     def ranks(self) -> tuple[int, ...]:
         """The base-``a`` rank of each vertex label, by vertex index."""
         return self._ranks
+
+    @property
+    def windows(self) -> tuple[int, ...]:
+        """W, the distinct (k-1)-prefixes r // a of the vertex ranks, in
+        ascending order: for a non-custom graph, the window set it is
+        built on (``seqcore.window_set``)."""
+        return self._windows
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -260,31 +270,19 @@ class Digraph:
                     f"vertex {text!r} must be a string of length {order}"
                 )
             ranks.append(_text_rank(text, alphabet))
-        provenance = (
-            Provenance.from_json(obj["provenance"])
-            if "provenance" in obj
-            else Provenance("custom")
-        )
+        provenance = Provenance.from_json(obj.get("provenance", {"kind": "custom"}))
         g = cls(alphabet, order, ranks, obj["arcs"], provenance)
-        _check_provenance(g)
+        if provenance.kind == "generated":
+            # the constructor has made g the subdigraph on g.windows x
+            # {0..a-1}, so the sequence generates it iff its W is that one
+            try:
+                d = parse_sequence(provenance.sequence, alphabet.size)
+                windows = window_set(d, order)
+            except DomainError as exc:
+                raise DomainError(f"provenance sequence: {exc}") from exc
+            if windows != g.windows:
+                raise DomainError(_NOT_GENERATED)
         return g
-
-
-def _check_provenance(g: Digraph) -> None:
-    """Reject a generated provenance whose sequence does not generate ``g``.
-
-    The constructor has made ``g`` the subdigraph on W x {0..a-1}, W =
-    {r // a}, so the sequence generates it iff its window set is W.
-    """
-    if g.provenance.kind != "generated":
-        return
-    a = g.alphabet.size
-    try:
-        windows = window_set(parse_sequence(g.provenance.sequence, a), g.order)
-    except DomainError as exc:
-        raise DomainError(f"provenance sequence: {exc}") from exc
-    if windows != {r // a for r in g.ranks}:
-        raise DomainError("graph is not the subdigraph its provenance sequence generates")
 
 
 def _is_int(x: object) -> bool:
@@ -370,10 +368,11 @@ def least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
 def _window_digraph(
     alphabet: Alphabet, k: int, windows: Iterable[int], provenance: Provenance
 ) -> Digraph:
-    """The left-shift digraph on W x {0..a-1}, W a set of (k-1)-string ranks.
+    """The left-shift digraph on W x {0..a-1}, W being ``windows``,
+    distinct (k-1)-string ranks in ascending order.
 
-    Vertex ``s*a + c`` exists for each ``s`` in W, in ascending order,
-    and each symbol ``c``, so vertices come in rank order. The a left
+    Vertex ``s*a + c`` exists for each ``s`` in W, in that order, and
+    each symbol ``c``, so vertices come in rank order. The a left
     shifts of a vertex are the block of its (k-1)-suffix, so a vertex
     whose suffix is in W has arcs to all a of them and any other vertex
     has none.
@@ -381,7 +380,7 @@ def _window_digraph(
     a = alphabet.size
     drop = a ** (k - 1)
     # block[s] is the index of vertex s*a, and vertex s*a + c is at block[s] + c
-    block = {s: i * a for i, s in enumerate(sorted(windows))}
+    block = {s: i * a for i, s in enumerate(windows)}
     ranks = [s * a + c for s in block for c in range(a)]
     heads = [block.get(r % drop) for r in ranks]
     arcs = [(i, j + c) for i, j in enumerate(heads) if j is not None for c in range(a)]

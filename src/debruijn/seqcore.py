@@ -9,10 +9,12 @@ Sequences are always read cyclically; there is no linear mode.
 All values are immutable after construction. This module is the only
 place that converts between symbols or text and base-``a`` ranks: a
 k-string's rank is its symbols read as a base-``a`` number, so for a
-fixed ``k`` rank order is lexicographic order. It is also the one place
-that builds a shift digraph on ranks (``_shift_arcs``: the arc
-prefix(w) -> suffix(w) of each rank w, as tail and head lists), on
-whose arc lists the postman flow (``watchman._postman``) runs.
+fixed ``k`` rank order is lexicographic order. It is the one place that
+makes a window set W (``window_set``: an ascending tuple of ranks,
+sorted and never hashed), and the one place that builds a shift
+digraph on ranks (``_shift_arcs``: the arc prefix(w) -> suffix(w) of
+each rank w, as tail and head lists), on whose arc lists the postman
+flow (``watchman._postman``) runs.
 """
 
 from __future__ import annotations
@@ -264,26 +266,27 @@ def window_ranks(d: CyclicSequence, k: int) -> list[int]:
     return ranks
 
 
-def window_set(d: CyclicSequence, k: int) -> frozenset[int]:
-    """The set W of ranks of the cyclic (k-1)-windows of ``d``.
+def _distinct(items: Iterable) -> tuple:
+    """The distinct ``items``, at least one, in ascending order: sorted,
+    then the first and each that differs from the one before it.
+
+    The items are compared, never hashed: the ranks of long windows can
+    share few hash buckets (powers of two, say), where building a set of
+    them takes quadratic time.
+    """
+    items = sorted(items)
+    return (items[0], *[y for x, y in zip(items, items[1:]) if x != y])
+
+
+def window_set(d: CyclicSequence, k: int) -> tuple[int, ...]:
+    """The window set W of ``d`` at order k: the distinct ranks of its
+    cyclic (k-1)-windows, in ascending order.
 
     For k = 1, W holds the one empty window, of rank 0. The subdigraph
     that ``d`` generates at order k depends on W alone (see the README).
     """
     _check_tour_args(d, k)
-    return frozenset(window_ranks(d, k - 1)) if k > 1 else frozenset((0,))
-
-
-def window_count(d: CyclicSequence, k: int) -> int:
-    """``len(window_set(d, k))``, counted on the sorted window ranks.
-
-    Sorting compares ranks and hashes none: the ranks of long windows
-    can share few hash buckets (powers of two, say), where building the
-    set takes quadratic time.
-    """
-    _check_tour_args(d, k)
-    ranks = sorted(window_ranks(d, k - 1)) if k > 1 else [0]
-    return 1 + sum(x != y for x, y in zip(ranks, ranks[1:]))
+    return _distinct(window_ranks(d, k - 1)) if k > 1 else (0,)
 
 
 def is_de_bruijn_sequence(s: CyclicSequence, k: int) -> bool:
@@ -294,11 +297,10 @@ def is_de_bruijn_sequence(s: CyclicSequence, k: int) -> bool:
     """
     if k < 1:
         raise DomainError("order must be at least 1")
-    # a**k > k, so a sequence shorter than k is no de Bruijn sequence;
-    # testing that first never builds a huge power
-    if k > len(s) or len(s) != s.alphabet.size**k:
-        return False
-    return len(set(window_ranks(s, k))) == len(s)
+    # a**k > k, so a sequence shorter than k is no de Bruijn sequence, and
+    # testing that first never builds a huge power; its k-windows are its
+    # window set at order k + 1
+    return k <= len(s) == s.alphabet.size**k and len(window_set(s, k + 1)) == len(s)
 
 
 def _check_generator_args(a: int, k: int, size_cap: int) -> Alphabet:

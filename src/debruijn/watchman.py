@@ -31,6 +31,7 @@ from .seqcore import (
     Alphabet,
     CyclicSequence,
     _Value,
+    _distinct,
     _shift_arcs,
     gen_fkm,
     is_de_bruijn_sequence,
@@ -141,7 +142,7 @@ def _check_vertex_cap(n: int, vertex_cap: int) -> None:
 
 
 def _closed_dominating_ranks(
-    walk: list[int], windows: frozenset[int], a: int, k: int
+    walk: list[int], windows: tuple[int, ...], a: int, k: int
 ) -> bool:
     """True iff the closed walk on the vertex ranks ``walk`` is a closed
     dominating walk of the left-shift digraph on W x {0..a-1}, W being
@@ -159,15 +160,16 @@ def _closed_dominating_ranks(
     its prefixes are exactly W: "within" for being vertices, "all of" for
     dominating. A one-vertex walk is stationary, yet testing its "step"
     x -> x changes nothing: with W = {x // a}, x dominates iff
-    x % a**(k-1) is in W, which is that step's test. O(len(walk)).
+    x % a**(k-1) is in W, which is that step's test. The prefixes are
+    sorted, not hashed (``seqcore._distinct``), as W is.
     """
     drop = a ** (k - 1)
-    return {x // a for x in walk} == windows and all(
+    return _distinct([x // a for x in walk]) == windows and all(
         y // a == x % drop for x, y in zip(walk, walk[1:] + walk[:1])
     )
 
 
-def _postman_optimum(windows: frozenset[int], a: int, k: int) -> int:
+def _postman_optimum(windows: tuple[int, ...], a: int, k: int) -> int:
     """The watchman number of the subdigraph a sequence generates at
     order k, from its window set W (``seqcore.window_set``).
 
@@ -481,7 +483,7 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
     limit, so they change explored_states and never the witness.
 
     A non-custom ``g`` is the left-shift digraph on W x {0..a-1}, W =
-    {r // a} (``Digraph``); once the search has found a start, W is the
+    ``g.windows`` (``Digraph``); once the search has found a start, W is the
     window set of some sequence (``_seed``). So its optimum is known in
     advance: the postman optimum of W (``_postman_optimum``). The
     deepening then starts at max(counting bound, optimum - 1) instead.
@@ -528,7 +530,7 @@ def solve_min_walk(g: Digraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SolveRes
 
 def _seed(g: Digraph) -> int | None:
     """The optimum solve_min_walk seeds a feasible ``g`` with: None for
-    a custom graph, else the postman optimum of its W = {r // a}.
+    a custom graph, else the postman optimum of its W, ``g.windows``.
 
     The flow needs W to be the window set of some sequence, which the
     ``Digraph`` constructor does not check for a graph built directly.
@@ -540,8 +542,7 @@ def _seed(g: Digraph) -> int | None:
     """
     if g.provenance.kind == "custom":
         return None
-    a = g.alphabet.size
-    return _postman_optimum(frozenset(r // a for r in g.ranks), a, g.order)
+    return _postman_optimum(g.windows, g.alphabet.size, g.order)
 
 
 def _check_seed(seed: int | None, found: int | None) -> None:

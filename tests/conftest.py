@@ -3,6 +3,8 @@ import warnings
 
 import pytest
 
+from debruijn import graphcore
+
 
 def pytest_runtest_logreport(report):
     # one visible pass/fail line per acceptance criterion
@@ -26,3 +28,19 @@ def pytest_runtest_makereport(item, call):
             "ignore", message="mypy_extensions.TypedDict", category=DeprecationWarning
         )
         return (yield)
+
+
+@pytest.fixture(autouse=True)
+def _window_digraphs_keep_their_w(monkeypatch):
+    """Every W x {0..a-1} digraph a test builds keeps its W as
+    ``Digraph.windows``: ``window_set(d, k)`` for a generated subdigraph,
+    every (k-1)-string for G(a, k). Both go through ``_window_digraph``,
+    which is checked here on each call."""
+    build = graphcore._window_digraph
+
+    def checked(alphabet, k, windows, provenance):
+        g = build(alphabet, k, windows, provenance)
+        assert g.windows == tuple(windows), (alphabet.size, k, provenance)
+        return g
+
+    monkeypatch.setattr(graphcore, "_window_digraph", checked)

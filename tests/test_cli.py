@@ -251,6 +251,19 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--from-seq", "0011")
         assert code == 1 and "-a" in err
 
+    @pytest.mark.parametrize("dims", [("-a", "3", "-k", "5"), ("-a", "2"), ("-k", "2")])
+    def test_dimensions_need_from_seq(self, capsys, monkeypatch, dims):
+        # graph JSON carries its own alphabet and order, which -a and -k
+        # would not change: they are refused, not ignored
+        graph = debruijn.build_de_bruijn_graph(2, 2).to_json()
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(graph)))
+        code, out, err = run(capsys, "solve", *dims)
+        assert (code, out) == (1, "")
+        assert err == (
+            "watchman: error: -a and -k need --from-seq: graph JSON carries its "
+            "own alphabet and order\n"
+        )
+
     def test_vertex_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("WATCHMAN_MAX_VERTICES", "4")
         code, _, err = run(
@@ -430,7 +443,7 @@ class TestVerify:
             raise AssertionError("built the window set of a refused input")
 
         monkeypatch.setattr(analysis, "window_set", no_windows)
-        monkeypatch.setattr(cli, "window_count", no_windows)
+        monkeypatch.setattr(cli, "window_set", no_windows)
         limit = 4096
         if cap is not None:
             monkeypatch.setenv("WATCHMAN_MAX_SEQ", cap)
@@ -662,19 +675,29 @@ class TestCapBeforeBuild:
         assert (code, out) == (2, "")
         assert err.startswith("watchman: resource cap: digraph has ")
 
-    def test_from_seq_builds_its_window_set_once(self, capsys, monkeypatch):
-        # the cap check counts W on sorted ranks; the build makes the set
+    @pytest.mark.parametrize("cap", ["24", "23"])
+    def test_from_seq_checks_the_cap_before_the_build(self, capsys, monkeypatch, cap):
+        # the cap check reads a * |W| off W; the build comes after it, and
+        # only for a subdigraph within the cap (here 4 * 6 = 24 vertices)
         calls = []
-        for module, name in [(cli, "window_count"), (graphcore, "window_set")]:
-            real = getattr(module, name)
+        for name in ("window_set", "generated_subdigraph"):
+            real = getattr(cli, name)
             monkeypatch.setattr(
-                module,
+                cli,
                 name,
                 lambda d, k, real=real, name=name: calls.append(name) or real(d, k),
             )
-        code, out, _ = run(capsys, "solve", "--from-seq", "01210123", "-a", "4", "-k", "3")
-        assert (code, json.loads(out)["optimum"]) == (0, 8)
-        assert calls == ["window_count", "window_set"]
+        monkeypatch.setenv("WATCHMAN_MAX_VERTICES", cap)
+        code, out, err = run(
+            capsys, "solve", "--from-seq", "01210123", "-a", "4", "-k", "3"
+        )
+        if cap == "24":
+            assert (code, json.loads(out)["optimum"]) == (0, 8)
+            assert calls == ["window_set", "generated_subdigraph"]
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("watchman: resource cap: digraph has 24 vertices")
+            assert calls == ["window_set"]
 
     def test_provenance_of_another_size_is_never_built(
         self, capsys, monkeypatch, builds

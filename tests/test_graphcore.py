@@ -26,6 +26,7 @@ from debruijn.seqcore import (
     is_de_bruijn_sequence,
     k_tour,
     parse_sequence,
+    window_set,
 )
 from debruijn.watchman import induced_walk
 
@@ -299,6 +300,21 @@ class TestJson:
         with pytest.raises(DomainError):
             Digraph.from_json({**obj, "provenance": provenance})
 
+    def test_provenance_sequence_must_have_the_graphs_w(self):
+        # the 2-windows of 0001 and of 0010 are {00, 01, 10}, those of 0110
+        # all four and those of 000 only 00; the graph is W x {0, 1} for
+        # the first W, so only the sequence tells the three apart
+        obj = generated_subdigraph(parse_sequence("0001", 2), 3).to_json()
+        same = {"kind": "generated", "sequence": "0010"}
+        assert Digraph.from_json({**obj, "provenance": same}).windows == (0, 1, 2)
+        for seq in ("0110", "000"):
+            provenance = {"kind": "generated", "sequence": seq}
+            with pytest.raises(DomainError, match="^graph is not the subdigraph its"):
+                Digraph.from_json({**obj, "provenance": provenance})
+        short = {"kind": "generated", "sequence": "01"}
+        with pytest.raises(DomainError, match="^provenance sequence: sequence shorter"):
+            Digraph.from_json({**obj, "provenance": short})
+
     def test_schema_keys(self):
         obj = build_de_bruijn_graph(2, 2).to_json()
         assert set(obj) == {"alphabet", "order", "vertices", "arcs", "provenance"}
@@ -435,6 +451,43 @@ class TestConstructor:
             Digraph.from_json(obj)
 
 
+class TestWindows:
+    """``Digraph.windows`` is W, the distinct prefixes r // a of the
+    vertex ranks in ascending order: the W a non-custom graph is W x
+    {0..a-1} on."""
+
+    def test_full_graph_has_every_prefix(self):
+        for a, k in SMALL_PAIRS:
+            g = build_de_bruijn_graph(a, k)
+            assert g.windows == tuple(range(a ** (k - 1))), (a, k)
+
+    def test_generated_subdigraph_keeps_its_window_set(self):
+        rng = random.Random(2042)
+        for _ in range(300):
+            a, n = rng.randint(2, 4), rng.randint(1, 12)
+            d = CyclicSequence(tuple(rng.randrange(a) for _ in range(n)), Alphabet(a))
+            k = rng.randint(1, n)
+            g = generated_subdigraph(d, k)
+            assert g.windows == window_set(d, k), (d.text, k)
+            assert g.windows == tuple(sorted({r // a for r in g.ranks}))
+
+    def test_custom_copy_keeps_the_windows(self):
+        for g in (
+            build_de_bruijn_graph(3, 2),
+            generated_subdigraph(parse_sequence("01210123", 4), 3),
+        ):
+            copy = Digraph(g.alphabet, g.order, g.ranks, g.arcs)
+            assert copy.provenance.kind == "custom"
+            assert copy.windows == g.windows
+            assert Digraph.from_json(g.to_json()).windows == g.windows
+
+    def test_custom_graph_has_its_distinct_prefixes(self):
+        g = Digraph(Alphabet(2), 3, [5, 4, 1], [])  # 101 100 001
+        assert g.windows == (0, 2)  # 00 and 10
+        with pytest.raises(AttributeError):
+            g.windows = (0,)
+
+
 def shift_digraph(ranks, kind, a=2, k=3, missing=None):
     """The digraph on ``ranks``, in the order given, with every left shift
     among them as an arc except ``missing``, under provenance ``kind``."""
@@ -502,7 +555,7 @@ class TestWindowDigraphInvariant:
         for _ in range(1500):
             a, k = rng.choice((2, 3)), rng.randint(1, 4)
             drop = a ** (k - 1)
-            windows = rng.sample(range(drop), rng.randint(1, drop))
+            windows = sorted(rng.sample(range(drop), rng.randint(1, drop)))
             ref = graphcore._window_digraph(
                 Alphabet(a), k, windows, Provenance("custom")
             )
@@ -531,7 +584,7 @@ class TestWindowDigraphInvariant:
             elif change == 5:  # add an arc, a shift or not
                 arcs.append((rng.randrange(len(ranks)), rng.randrange(len(ranks))))
             g = Digraph(Alphabet(a), k, ranks, arcs)
-            w = {r // a for r in ranks}
+            w = sorted({r // a for r in ranks})
             same = graphcore._window_digraph(Alphabet(a), k, w, Provenance("custom"))
             equal = (g.ranks, g.adjacency) == (same.ranks, same.adjacency)
             for kind in ("generated", "de_bruijn"):

@@ -21,6 +21,7 @@ from debruijn.seqcore import (
     SYMBOL_CHARS,
     Alphabet,
     CyclicSequence,
+    _distinct,
     _first_appearance,
     _shift_arcs,
     gen_eulerian,
@@ -31,7 +32,6 @@ from debruijn.seqcore import (
     necklaces,
     parse_sequence,
     read_sequences,
-    window_count,
     window_ranks,
     window_set,
 )
@@ -248,32 +248,23 @@ class TestWindowRanks:
 
 
 class TestWindowSet:
-    def test_order_one_has_the_one_empty_window(self):
-        for text in ("0", "0110", "21"):
-            assert window_set(parse_sequence(text, 3), 1) == {0}
-
-    def test_the_set_of_the_previous_order_ranks(self):
-        seq = parse_sequence("01210123", 4)
-        # the 2-windows 01 12 21 10 01 12 23 30, each once, in base 4
-        assert window_set(seq, 3) == {1, 6, 9, 4, 11, 12}
-        for k in range(2, len(seq) + 1):
-            assert window_set(seq, k) == set(window_ranks(seq, k - 1))
-
-    def test_checks_the_order_against_the_sequence(self):
-        # k = len(d) + 1 has (k-1)-windows, but no k-windows to generate
-        with pytest.raises(DomainError, match="shorter than order"):
-            window_set(parse_sequence("10", 2), 3)
-        with pytest.raises(DomainError, match="at least 1"):
-            window_set(parse_sequence("10", 2), 0)
-
-
-class TestWindowCount:
-    """``window_count`` is ``len(window_set)``, counted without a set."""
+    """``window_set`` is W in ascending order, each rank once."""
 
     @staticmethod
-    def assert_counts_every_order(d):
+    def assert_sorted_distinct_every_order(d):
         for k in range(1, len(d) + 1):
-            assert window_count(d, k) == len(window_set(d, k)), (d.text, k)
+            brute = tuple(sorted(set(window_ranks(d, k - 1)))) if k > 1 else (0,)
+            assert window_set(d, k) == brute, (d.text, k)
+
+    def test_order_one_has_the_one_empty_window(self):
+        for text in ("0", "0110", "21"):
+            assert window_set(parse_sequence(text, 3), 1) == (0,)
+
+    def test_the_ascending_distinct_previous_order_ranks(self):
+        seq = parse_sequence("01210123", 4)
+        # the 2-windows 01 12 21 10 01 12 23 30, each once, in base 4
+        assert window_set(seq, 3) == (1, 4, 6, 9, 11, 12)
+        self.assert_sorted_distinct_every_order(seq)
 
     @pytest.mark.parametrize(
         "text,a",
@@ -288,21 +279,38 @@ class TestWindowCount:
             ("0011001100", 2),  # periodic words: the period's windows
         ],
     )
-    def test_equals_the_set_size_on_structured_words(self, text, a):
-        self.assert_counts_every_order(parse_sequence(text, a))
+    def test_equals_the_brute_force_on_structured_words(self, text, a):
+        self.assert_sorted_distinct_every_order(parse_sequence(text, a))
 
-    def test_equals_the_set_size_on_random_sequences(self):
+    def test_equals_the_brute_force_on_random_sequences(self):
         rng = random.Random(2039)
         for _ in range(300):
             a = rng.randint(2, 5)
             symbols = tuple(rng.randrange(a) for _ in range(rng.randint(1, 24)))
-            self.assert_counts_every_order(CyclicSequence(symbols, Alphabet(a)))
+            self.assert_sorted_distinct_every_order(CyclicSequence(symbols, Alphabet(a)))
 
-    def test_checks_the_order_like_the_set(self):
+    def test_checks_the_order_against_the_sequence(self):
+        # k = len(d) + 1 has (k-1)-windows, but no k-windows to generate
         with pytest.raises(DomainError, match="shorter than order"):
-            window_count(parse_sequence("10", 2), 3)
+            window_set(parse_sequence("10", 2), 3)
         with pytest.raises(DomainError, match="at least 1"):
-            window_count(parse_sequence("10", 2), 0)
+            window_set(parse_sequence("10", 2), 0)
+
+
+class TestDistinct:
+    """``_distinct`` sorts and drops repeats, comparing items and never
+    hashing one."""
+
+    class Unhashable(int):
+        def __hash__(self):
+            raise AssertionError("hashed an item")
+
+    def test_dedupes_items_whose_hash_raises(self):
+        items = [self.Unhashable(x) for x in (5, 2, 5, 9, 2, 2)]
+        with pytest.raises(AssertionError, match="hashed"):
+            hash(items[0])
+        assert _distinct(items) == (2, 5, 9)
+        assert _distinct([[3], [1], [3]]) == ([1], [3])  # lists have no hash
 
 
 class TestValidator:
