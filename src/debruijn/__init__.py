@@ -6,8 +6,6 @@ from .analysis import (
     Verdict,
     VerificationRecord,
     classify,
-    has_constant_run,
-    has_distinct_windows,
     is_doubled,
     rotation_representatives,
     sweep,
@@ -19,10 +17,8 @@ from .graphcore import (
     Provenance,
     Walk,
     build_de_bruijn_graph,
-    closed_out_neighborhood,
     generated_subdigraph,
     is_closed_dominating_walk,
-    is_dominating_set,
     to_dot,
 )
 from .seqcore import (
@@ -44,7 +40,6 @@ from .watchman import (
     enumerate_min_walks,
     induced_walk,
     solve_min_walk,
-    watchman_number,
 )
 
 __version__ = "0.1.0"
@@ -67,19 +62,15 @@ __all__ = [
     "Walk",
     "build_de_bruijn_graph",
     "classify",
-    "closed_out_neighborhood",
     "construct_watchman_walk",
     "enumerate_min_walks",
     "gen_eulerian",
     "gen_fkm",
     "gen_greedy",
     "generated_subdigraph",
-    "has_constant_run",
-    "has_distinct_windows",
     "induced_walk",
     "is_closed_dominating_walk",
     "is_de_bruijn_sequence",
-    "is_dominating_set",
     "is_doubled",
     "k_tour",
     "parse_sequence",
@@ -89,5 +80,4 @@ __all__ = [
     "sweep",
     "to_dot",
     "verify",
-    "watchman_number",
 ]

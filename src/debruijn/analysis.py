@@ -107,19 +107,11 @@ def _longest_run(d: CyclicSequence) -> tuple[int, int]:
         run = 1
     if run > linear:
         linear = run
-    if first and syms[0] == prev:  # the last run meets the first across the seam
+    # the last run meets the first across the seam; a single run has
+    # first = 0, so there first + run is linear
+    if syms[0] == prev:
         return linear, max(linear, first + run)
     return linear, linear
-
-
-def has_constant_run(d: CyclicSequence, k: int) -> bool:
-    """True iff some cyclic window of length k is constant.
-
-    Runs may cross the seam: 1001 has the cyclic 2-run 11 at positions
-    3, 0 even though no linear window repeats.
-    """
-    _check_tour_args(d, k)
-    return _longest_run(d)[1] >= k
 
 
 def is_doubled(d: CyclicSequence, k: int) -> bool:
@@ -128,15 +120,6 @@ def is_doubled(d: CyclicSequence, k: int) -> bool:
     n = len(d)
     half = n // 2
     return n % 2 == 0 and half >= k and d.symbols[:half] == d.symbols[half:]
-
-
-def has_distinct_windows(d: CyclicSequence, k: int) -> bool:
-    """True iff all cyclic windows of length k-1 are pairwise distinct.
-
-    For k = 1 every sequence has the one empty window, so only a
-    length-1 sequence qualifies.
-    """
-    return len(window_set(d, k)) == len(d)
 
 
 def classify(d: CyclicSequence, k: int) -> Classification:

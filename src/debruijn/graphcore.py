@@ -1,5 +1,5 @@
 """Directed graph representation, de Bruijn graph and generated-subdigraph
-construction, domination predicates, and DOT/JSON export.
+construction, the closed-dominating-walk predicate, and DOT/JSON export.
 
 A vertex is a k-string, stored as its base-``a`` rank: the successors of
 rank ``r`` are ``(r*a + c) % a**k``, and for a fixed ``k`` rank order is
@@ -411,20 +411,6 @@ def generated_subdigraph(d: CyclicSequence, k: int) -> Digraph:
     return _window_digraph(d.alphabet, k, windows, Provenance("generated", d.text))
 
 
-def closed_out_neighborhood(g: Digraph, v: VertexRef) -> frozenset[int]:
-    """The vertex itself plus its out-neighbors, as vertex indices."""
-    i = g.index(v)
-    return frozenset((i, *g.adjacency[i]))
-
-
-def is_dominating_set(g: Digraph, vertices: Iterable[VertexRef]) -> bool:
-    """True iff the closed out-neighborhoods of ``vertices`` cover the graph."""
-    covered: set[int] = set()
-    for v in vertices:
-        covered |= closed_out_neighborhood(g, v)
-    return len(covered) == g.vertex_count
-
-
 def is_closed_dominating_walk(g: Digraph, walk: Walk) -> bool:
     """True iff the walk is closed, follows arcs, and its vertices dominate.
 
@@ -439,7 +425,9 @@ def is_closed_dominating_walk(g: Digraph, walk: Walk) -> bool:
     for u, v in walk.arc_steps():
         if v not in out[u]:
             return False
-    return is_dominating_set(g, set(walk.vertex_indices))
+    # a vertex dominates itself and its out-neighbours
+    visited = set(walk.vertex_indices)
+    return len(visited.union(*(out[v] for v in visited))) == g.vertex_count
 
 
 def to_dot(g: Digraph, highlight: Walk | None = None) -> str:

@@ -77,19 +77,6 @@ class SolveResult(_Value):
         }
 
 
-def watchman_number(a: int, k: int) -> int:
-    """Closed-form watchman number of the full de Bruijn graph: a**(k-1).
-
-    Defined for k >= 2 (the attaining walk lifts an order-(k-1)
-    sequence). For k = 1 use the oracle, which reports 0: every vertex of
-    the order-1 graph sees the whole graph.
-    """
-    Alphabet(a)
-    if k < 2:
-        raise DomainError("the closed-form watchman number needs order k >= 2")
-    return a ** (k - 1)
-
-
 def construct_watchman_walk(
     a: int,
     k: int,
@@ -101,7 +88,8 @@ def construct_watchman_walk(
     The walk visits the k-tour windows of a de Bruijn sequence of order
     k-1 (the given ``seed``, or the canonical gen_fkm one). Its a**(k-1)
     visited vertices have pairwise disjoint out-neighborhoods covering
-    all a**k vertices, so the walk dominates and attains watchman_number.
+    all a**k vertices, so the walk dominates, and its length is the
+    watchman number a**(k-1) of that graph.
     """
     Alphabet(a)
     if k < 2:

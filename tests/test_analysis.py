@@ -23,8 +23,6 @@ from debruijn.analysis import (
     Verdict,
     VerificationRecord,
     classify,
-    has_constant_run,
-    has_distinct_windows,
     is_doubled,
     rotation_representatives,
     sweep,
@@ -52,15 +50,21 @@ def sequences_with_order(draw):
 
 class TestPredicates:
     def test_constant_run(self):
-        assert has_constant_run(parse_sequence("0001", 2), 3)
-        assert not has_constant_run(parse_sequence("0101", 2), 2)
+        assert classify(parse_sequence("0001", 2), 3) is Classification.CONSTANT_RUN
+        assert classify(parse_sequence("0101", 2), 2) is not Classification.CONSTANT_RUN
+        assert analysis._longest_run(parse_sequence("0001", 2)) == (3, 3)
+        assert analysis._longest_run(parse_sequence("0101", 2)) == (1, 1)
 
     def test_constant_run_crosses_the_seam(self):
         # 1001 read cyclically has the 2-run 1,1 at positions 3,0
-        assert has_constant_run(parse_sequence("1001", 2), 2)
+        assert analysis._longest_run(parse_sequence("1001", 2)) == (2, 2)
+        assert oracles.has_constant_window((1, 0, 0, 1), 2, cyclic=True)
         assert not oracles.has_constant_window((0, 1, 0), 2, cyclic=False)
-        assert has_constant_run(parse_sequence("010", 2), 2)
-        assert analysis._classify(parse_sequence("010", 2), 2, None)[1]  # seam only
+        assert analysis._longest_run(parse_sequence("010", 2)) == (1, 2)
+        assert analysis._classify(parse_sequence("010", 2), 2, None) == (
+            Classification.CONSTANT_RUN,
+            True,  # seam only
+        )
 
     @pytest.mark.parametrize("a", [2, 3])
     def test_constant_runs_match_brute_force(self, a):
@@ -70,9 +74,12 @@ class TestPredicates:
                 seq = CyclicSequence(syms, alphabet)
                 for k in range(1, n + 1):
                     cyclic = oracles.has_constant_window(syms, k, cyclic=True)
-                    assert has_constant_run(seq, k) == cyclic, (syms, k)
+                    assert (analysis._longest_run(seq)[1] >= k) == cyclic, (syms, k)
                     # the seam flag is the linear scan of the same pass
                     classification, seam_only = analysis._classify(seq, k, None)
+                    assert (classification is Classification.CONSTANT_RUN) == (
+                        cyclic and n > 1
+                    ), (syms, k)
                     assert seam_only == (
                         classification is Classification.CONSTANT_RUN
                         and not oracles.has_constant_window(syms, k, cyclic=False)
@@ -81,15 +88,16 @@ class TestPredicates:
     def test_constant_run_scan_is_linear(self):
         n = 100_000
         near_constant = CyclicSequence((0,) * (n - 1) + (1,), Alphabet(2))
-        assert not has_constant_run(near_constant, n)
-        assert has_constant_run(near_constant, n - 1)
+        assert analysis._longest_run(near_constant) == (n - 1, n - 1)
+        assert classify(near_constant, n - 1) is Classification.CONSTANT_RUN
         across_the_seam = oracles.rotate(near_constant, n // 2)
-        assert has_constant_run(across_the_seam, n - 1)
-        assert has_constant_run(CyclicSequence((1,) * n, Alphabet(2)), n)
+        assert analysis._longest_run(across_the_seam) == (n // 2, n - 1)
+        assert classify(across_the_seam, n - 1) is Classification.CONSTANT_RUN
+        assert analysis._longest_run(CyclicSequence((1,) * n, Alphabet(2))) == (n, n)
 
     def test_constant_run_needs_enough_symbols(self):
         with pytest.raises(DomainError):
-            has_constant_run(parse_sequence("01", 2), 3)
+            classify(parse_sequence("01", 2), 3)
 
     def test_doubled(self):
         assert is_doubled(parse_sequence("0101", 2), 2)
@@ -103,17 +111,25 @@ class TestPredicates:
             is_doubled(parse_sequence("0101", 2), 5)
 
     def test_distinct_windows(self):
-        assert has_distinct_windows(parse_sequence("0123", 4), 2)
-        assert not has_distinct_windows(parse_sequence("01210123", 4), 3)
-        assert not has_distinct_windows(parse_sequence("00", 2), 2)
+        for text, a, k, expected in [
+            ("0123", 4, 2, True),
+            ("01210123", 4, 3, False),
+            ("00", 2, 2, False),
+        ]:
+            seq = parse_sequence(text, a)
+            windows = oracles.cyclic_windows(seq.symbols, k - 1)
+            assert (len(set(windows)) == len(windows)) == expected, text
+            assert (len(window_set(seq, k)) == len(seq)) == expected, text
+        assert classify(parse_sequence("0123", 4), 2) is Classification.DISTINCT_WINDOWS
 
     @given(sequences_with_order(), st.integers(0, 6))
     def test_predicates_are_rotation_invariant(self, seq_k, r):
         seq, k = seq_k
         rot = oracles.rotate(seq, r)
-        assert has_constant_run(seq, k) == has_constant_run(rot, k)
+        assert analysis._longest_run(seq)[1] == analysis._longest_run(rot)[1]
         assert is_doubled(seq, k) == is_doubled(rot, k)
-        assert has_distinct_windows(seq, k) == has_distinct_windows(rot, k)
+        assert window_set(seq, k) == window_set(rot, k)
+        assert classify(seq, k) is classify(rot, k)
 
 
 class TestClassify:
@@ -879,7 +895,6 @@ class TestWindowSetMemo:
             raise AssertionError("verify classifies from the W it holds")
 
         monkeypatch.setattr(analysis, "classify", forbidden)
-        monkeypatch.setattr(analysis, "has_distinct_windows", forbidden)
         report = sweep(4, 3, range(3, 7))
         assert report.summary["verified"] == 1002
         filed = [

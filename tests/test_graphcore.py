@@ -13,10 +13,8 @@ from debruijn.graphcore import (
     Provenance,
     Walk,
     build_de_bruijn_graph,
-    closed_out_neighborhood,
     generated_subdigraph,
     is_closed_dominating_walk,
-    is_dominating_set,
     to_dot,
 )
 from debruijn.seqcore import (
@@ -140,24 +138,26 @@ class TestGeneratedSubdigraph:
 class TestDomination:
     def test_closed_out_neighborhood(self):
         g = build_de_bruijn_graph(2, 3)
-        assert labels_of(g, closed_out_neighborhood(g, "100")) == {"100", "000", "001"}
+        i = g.index("100")
+        assert labels_of(g, {i, *g.adjacency[i]}) == {"100", "000", "001"}
 
     def test_loop_collapses(self):
         g = build_de_bruijn_graph(2, 2)
-        assert labels_of(g, closed_out_neighborhood(g, "00")) == {"00", "01"}
+        i = g.index("00")
+        assert labels_of(g, {i, *g.adjacency[i]}) == {"00", "01"}
 
     @pytest.mark.parametrize("a,k", [(2, 3), (3, 2), (4, 2)])
     def test_neighborhood_size_bound(self, a, k):
         g = build_de_bruijn_graph(a, k)
         for v in range(g.vertex_count):
-            assert len(closed_out_neighborhood(g, v)) <= a + 1
+            assert len({v, *g.adjacency[v]}) <= a + 1
 
     def test_unknown_vertex(self):
         g = build_de_bruijn_graph(2, 2)
         with pytest.raises(DomainError):
-            closed_out_neighborhood(g, "22")
+            g.index("22")
         with pytest.raises(DomainError):
-            closed_out_neighborhood(g, 99)
+            g.index(99)
 
     def test_label_of_the_right_length_that_is_no_vertex(self):
         g = generated_subdigraph(parse_sequence("0000", 2), 3)  # 000 and 001
@@ -172,9 +172,10 @@ class TestDomination:
 
     def test_dominating_sets(self):
         g = build_de_bruijn_graph(2, 3)
-        assert is_dominating_set(g, {"100", "001", "011", "110"})
-        assert is_dominating_set(g, set(range(8)))
-        assert not is_dominating_set(g, {"000"})
+        out = oracles.out_lists(g)
+        assert oracles.dominates(out, 8, map(g.index, ["100", "001", "011", "110"]))
+        assert oracles.dominates(out, 8, range(8))
+        assert not oracles.dominates(out, 8, [g.index("000")])
 
 
 class TestWalks:
@@ -222,6 +223,20 @@ class TestWalks:
         g = build_de_bruijn_graph(2, 3)
         walk = Walk(g, (g.index("100"), g.index("001")), closed=False)
         assert not is_closed_dominating_walk(g, walk)
+
+    @pytest.mark.parametrize("text, a, k", [("0011", 2, 2), ("1001", 2, 3), ("0001", 2, 3)])
+    def test_closed_dominating_walk_matches_brute_force(self, text, a, k):
+        # every vertex sequence of up to 4 vertices, against the raw arcs
+        g = generated_subdigraph(parse_sequence(text, a), k)
+        out = oracles.out_lists(g)
+        n = g.vertex_count
+        for m in range(1, 5):
+            for vi in itertools.product(range(n), repeat=m):
+                steps = zip(vi, vi[1:] + vi[:1]) if m > 1 else ()
+                expected = all(v in out[u] for u, v in steps) and oracles.dominates(
+                    out, n, vi
+                )
+                assert is_closed_dominating_walk(g, Walk(g, vi)) == expected, vi
 
     def test_rejects_foreign_digraph(self):
         g1 = build_de_bruijn_graph(2, 2)
@@ -699,10 +714,6 @@ class TestRankConstructionMatchesStrings:
         with pytest.raises(DomainError, match="a vertex is an index or a label text"):
             g.index(ref)
         assert not g.has_vertex(ref)
-        with pytest.raises(DomainError):
-            closed_out_neighborhood(g, ref)
-        with pytest.raises(DomainError):
-            is_dominating_set(g, [0, ref])
 
     def test_index_checks_a_label_length_before_ranking_it(self, monkeypatch):
         g = build_de_bruijn_graph(2, 3)

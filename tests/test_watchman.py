@@ -47,7 +47,6 @@ from debruijn.watchman import (
     enumerate_min_walks,
     induced_walk,
     solve_min_walk,
-    watchman_number,
 )
 
 from oracles import (
@@ -92,11 +91,10 @@ def random_custom_graph(rng, max_vertices=9):
 class TestWatchmanNumber:
     @pytest.mark.parametrize("a,k,expected", [(2, 3, 4), (3, 2, 3), (2, 2, 2)])
     def test_closed_form(self, a, k, expected):
-        assert watchman_number(a, k) == expected
-
-    def test_order_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            watchman_number(2, 1)
+        # w(G(a, k)) = a**(k-1): the search and the construction attain it
+        assert a ** (k - 1) == expected
+        assert solve_min_walk(build_de_bruijn_graph(a, k)).optimum_length == expected
+        assert construct_watchman_walk(a, k).length == expected
 
     def test_order_one_graphs_have_a_stationary_watchman(self):
         # not covered by the closed form; reported by the oracle instead
@@ -140,7 +138,7 @@ class TestConstructWatchmanWalk:
     def test_every_generator_seed_attains_the_formula(self, a, k):
         for gen in (gen_fkm, gen_greedy, gen_eulerian):
             walk = construct_watchman_walk(a, k, gen(a, k - 1))
-            assert walk.length == watchman_number(a, k)
+            assert walk.length == a ** (k - 1)
             assert is_closed_dominating_walk(walk.digraph, walk)
 
 
@@ -193,7 +191,7 @@ class TestSolve:
     def test_full_graphs_match_closed_form(self, a, k):
         g = custom_copy(build_de_bruijn_graph(a, k))
         result = solve_min_walk(g, vertex_cap=64)
-        assert result.optimum_length == watchman_number(a, k)
+        assert result.optimum_length == a ** (k - 1)
         assert is_closed_dominating_walk(g, result.witness)
         assert result.witness.length == result.optimum_length
 
@@ -473,7 +471,18 @@ class TestSearchKernels:
         assert all(v in out[u] for u, v in zip(found, found[1:] + found[:1]))
         full_graph = build_de_bruijn_graph(a, k)
         optimum = solve_min_walk(full_graph, vertex_cap=a**k).optimum_length
-        assert len(found) == optimum == a ** (k - 1) == watchman_number(a, k)
+        assert len(found) == optimum == a ** (k - 1)
+
+    def test_the_return_distance_prunes_a_state(self):
+        # a state whose way back to its start is longer than the arcs left
+        # is dropped, not expanded: without that check 5 states are
+        g = custom_graph(
+            ["000", "001", "010", "110"], [(0, 1), (1, 3), (2, 0), (3, 1), (3, 2)]
+        )
+        result = solve_min_walk(g)
+        assert result.optimum_length == 4
+        assert result.witness.label_texts == ("000", "001", "110", "010")
+        assert result.explored_states == 4
 
 
 @st.composite
