@@ -182,24 +182,6 @@ class VerificationRecord(_Value):
         "constant_run_seam_only",
     )
 
-    def __init__(
-        self,
-        sequence: CyclicSequence,
-        order: int,
-        classification: Classification,
-        induced_length: int,
-        oracle_optimum: int,
-        is_watchman: bool,
-        constant_run_seam_only: bool = False,
-    ) -> None:
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "induced_length", induced_length)
-        object.__setattr__(self, "oracle_optimum", oracle_optimum)
-        object.__setattr__(self, "is_watchman", is_watchman)
-        object.__setattr__(self, "constant_run_seam_only", constant_run_seam_only)
-
     def to_json(self) -> dict:
         return {
             "sequence": self.sequence.text,
@@ -276,13 +258,7 @@ def verify(
             f"negative certificate violated by {d.text} (k={k})"
         )
     return VerificationRecord(
-        sequence=d,
-        order=k,
-        classification=classification,
-        induced_length=induced_length,
-        oracle_optimum=optimum,
-        is_watchman=is_watchman,
-        constant_run_seam_only=seam_only,
+        d, k, classification, induced_length, optimum, is_watchman, seam_only
     )
 
 
@@ -310,12 +286,6 @@ class SweepReport(_Value):
 
     __slots__ = ("rows", "summary", "__dict__")  # __dict__ holds ``records``
     __hash__ = None
-
-    def __init__(
-        self, rows: list[tuple[tuple[int, ...], VerificationRecord]], summary: dict
-    ) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "summary", summary)
 
     @cached_property
     def records(self) -> list[VerificationRecord]:
@@ -482,7 +452,7 @@ def sweep(
     # each orbit as (its first record, its summary cell), under the
     # first-appearance forms of its first necklace's rotations that
     # start a run
-    by_form: dict[tuple[int, ...], tuple[VerificationRecord, str]] = {}
+    by_form: dict[bytes, tuple[VerificationRecord, str]] = {}
     counts: Counter[str] = Counter()  # rows per summary cell
     solved: Solved = {}  # verify's memo: orbits with one window set share it
     truncated = False

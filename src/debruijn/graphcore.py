@@ -44,8 +44,7 @@ class Provenance(_Value):
     __slots__ = ("kind", "sequence")
 
     def __init__(self, kind: str, sequence: str | None = None) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "sequence", sequence)
+        super().__init__(kind, sequence)
         if kind not in PROVENANCE_KINDS:
             raise DomainError(f"unknown provenance kind {kind!r}")
         if kind == "generated" and sequence is None:
@@ -331,9 +330,7 @@ class Walk(_Value):
     def __init__(
         self, digraph: Digraph, vertex_indices: tuple[int, ...], closed: bool = True
     ) -> None:
-        object.__setattr__(self, "digraph", digraph)
-        object.__setattr__(self, "vertex_indices", vertex_indices)
-        object.__setattr__(self, "closed", closed)
+        super().__init__(digraph, vertex_indices, closed)
         if not vertex_indices:
             raise DomainError("a walk needs at least one vertex")
         n = digraph.vertex_count

@@ -40,10 +40,15 @@ _TO_SYMBOLS = bytes.maketrans(_SYMBOL_ASCII, _SYMBOL_BYTES)
 DEFAULT_SIZE_CAP = 4096
 
 
+_set_field = object.__setattr__  # bypasses _Value.__setattr__, which refuses
+
+
 class _Value:
     """Base of the immutable value types: the fields are the names in
-    ``__slots__``, which a subclass's ``__init__`` sets once, one
-    ``object.__setattr__`` call each.
+    ``__slots__``, and the constructor takes them positionally, in that
+    order. This ``__init__`` is the only one that sets fields, each
+    once; a subclass defines its own only to give defaults or to
+    validate, and calls this one first.
 
     Two values are equal when they are of one class with equal fields,
     the hash is that of the field tuple and the repr reads
@@ -57,6 +62,15 @@ class _Value:
 
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *values: object, **keywords: object) -> None:
+        if keywords or len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes its fields {self._fields} "
+                f"positionally, got {len(values)} values and keywords {tuple(keywords)}"
+            )
+        for name, value in zip(self._fields, values):
+            _set_field(self, name, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -89,7 +103,7 @@ class Alphabet(_Value):
     __slots__ = ("size",)
 
     def __init__(self, size: int) -> None:
-        object.__setattr__(self, "size", size)
+        super().__init__(size)
         if not 2 <= size <= len(SYMBOL_CHARS):
             raise DomainError(
                 f"alphabet size must be between 2 and {len(SYMBOL_CHARS)}, "
@@ -124,8 +138,7 @@ class CyclicSequence(_Value):
     __slots__ = ("symbols", "alphabet")
 
     def __init__(self, symbols: tuple[int, ...], alphabet: Alphabet) -> None:
-        object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "alphabet", alphabet)
+        super().__init__(symbols, alphabet)
         if len(symbols) < 1:
             raise DomainError("a cyclic sequence needs at least one symbol")
         _check_symbols(symbols, alphabet)
@@ -314,14 +327,16 @@ def _check_generator_args(a: int, k: int, size_cap: int) -> Alphabet:
     return alphabet
 
 
-def _first_appearance(word: tuple[int, ...]) -> tuple[int, ...]:
+def _first_appearance(word: tuple[int, ...]) -> bytes:
     """``word`` with each symbol relabelled by the order of its first
-    appearance, so 2110 becomes 0112: the form ``necklaces`` yields."""
+    appearance, so 2110 becomes 0112: the form ``necklaces`` yields,
+    one byte per label. A form is bytes, not a tuple, so that a table
+    keyed by forms holds one byte per symbol, not one pointer."""
     labels: dict[int, int] = {}
     for s in word:
         if s not in labels:
             labels[s] = len(labels)
-    return tuple(map(labels.__getitem__, word))
+    return bytes(map(labels.__getitem__, word))
 
 
 def necklaces(a: int, n: int):
@@ -330,8 +345,9 @@ def necklaces(a: int, n: int):
     A necklace is the lexicographically least rotation of its class.
     Yields (word, p, form) where p is the length of the word's longest
     Lyndon prefix, so the necklace is word[:p] repeated n // p times,
-    and form is the word's first-appearance form: each symbol relabelled
-    by the order of first appearance, so 2110 has form 0112. Iterative
+    and form is the word's first-appearance form as bytes: each symbol
+    relabelled by the order of first appearance, so 2110 has form
+    bytes((0, 1, 1, 2)). The word is a tuple. Iterative
     FKM successor rule (Ruskey, Savage & Wang 1992): bump the last
     symbol below a - 1, then extend the new prefix periodically; the
     result is a prenecklace with period p, and a necklace iff p divides n.
@@ -345,7 +361,7 @@ def necklaces(a: int, n: int):
     p = 1
     while True:
         if n % p == 0:
-            yield tuple(word), p, tuple(form)
+            yield tuple(word), p, bytes(form)
         i = n - 1
         while i >= 0 and word[i] == a - 1:
             i -= 1

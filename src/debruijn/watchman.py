@@ -58,13 +58,6 @@ class SolveResult(_Value):
 
     __slots__ = ("optimum_length", "witness", "explored_states")
 
-    def __init__(
-        self, optimum_length: int | None, witness: Walk | None, explored_states: int
-    ) -> None:
-        object.__setattr__(self, "optimum_length", optimum_length)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "explored_states", explored_states)
-
     @property
     def feasible(self) -> bool:
         return self.optimum_length is not None

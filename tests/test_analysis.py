@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -468,6 +470,28 @@ class TestSweep:
         report = sweep(2, 2, range(2, 4), budget=3)
         assert len(report.records) == 3
         assert report.summary["truncated"]
+
+    def test_orbit_table_of_long_necklaces_stays_small(self):
+        # the orbit table keys each run-start rotation of an orbit's first
+        # necklace by its first-appearance form, one byte per symbol: 500
+        # binary necklaces of length 400 peak near 3 MiB, where forms
+        # kept as tuples of ints peaked at 11 MiB
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = sweep(2, 3, [400], budget=500)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 6 * 2**20, f"sweep peaked at {peak / 2**20:.1f} MiB"
+        assert report.summary["total"] == 500 and report.summary["truncated"]
+        assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == (
+            "be4e767d40c2072564d500321cb1d3d436cf2e3fcb6e462d6fd4e5f803bb3b8b"
+        )
 
     def test_range_wider_than_budget_is_a_cap_error(self):
         with pytest.raises(ResourceCapError, match=r"2\.\.4 .* budget of 2$"):

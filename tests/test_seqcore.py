@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,8 @@ from debruijn import (
     Provenance,
     ResourceCapError,
     SolveResult,
+    SweepReport,
+    VerificationRecord,
     Walk,
     build_de_bruijn_graph,
     seqcore,
@@ -422,6 +425,7 @@ class TestNecklaces:
         # the generator updates the form at each successor step; the
         # reference relabels each yielded word from scratch
         for word, p, form in necklaces(a, n):
+            assert type(form) is bytes and type(word) is tuple
             assert form == _first_appearance(word), word
             assert word == word[:p] * (n // p)
 
@@ -541,6 +545,65 @@ class TestValueContract:
         assert Provenance("generated", "01") != Provenance("generated", "10")
         assert parse_sequence("01", 2) != parse_sequence("01", 3)
         assert SolveResult(4, _WALK, 10) != SolveResult(4, Walk(_GRAPH, (0,)), 10)
+
+    @pytest.mark.parametrize("name", [*VALUE_TYPES, "SweepReport"])
+    def test_the_fields_in_order_rebuild_the_value(self, name):
+        if name == "SweepReport":
+            value = sweep(2, 3, range(3, 5))
+        else:
+            value = VALUE_TYPES[name][0]()
+        rebuilt = type(value)(*value._key())
+        assert rebuilt._key() == value._key()
+        if name != "Walk":  # walks compare by identity
+            assert rebuilt == value
+
+    @pytest.mark.parametrize("cls", [SolveResult, VerificationRecord, SweepReport])
+    def test_plain_types_take_exactly_their_fields_positionally(self, cls):
+        assert "__init__" not in vars(cls)  # the base sets every field
+        fields = cls._fields
+        shown = re.escape(f"{cls.__name__} takes its fields {fields} positionally")
+        for values in (fields[:-1], fields + ("extra",), ()):
+            with pytest.raises(TypeError, match=shown):
+                cls(*values)
+        with pytest.raises(TypeError, match=shown):
+            cls(*fields[:-1], **{fields[-1]: fields[-1]})
+        with pytest.raises(TypeError, match=shown):
+            cls(**dict(zip(fields, fields)))
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Alphabet(1), "alphabet size must be between 2 and 36, got 1"),
+            (lambda: Alphabet(37), "alphabet size must be between 2 and 36, got 37"),
+            (
+                lambda: CyclicSequence((), Alphabet(2)),
+                "a cyclic sequence needs at least one symbol",
+            ),
+            (
+                lambda: CyclicSequence((0, 2), Alphabet(2)),
+                "symbol 2 out of range for alphabet of size 2",
+            ),
+            (lambda: Provenance("made"), "unknown provenance kind 'made'"),
+            (
+                lambda: Provenance("generated"),
+                "generated provenance must record its sequence",
+            ),
+            (
+                lambda: Provenance("custom", 5),
+                "provenance sequence must be a string, got 5",
+            ),
+            (lambda: Walk(_GRAPH, ()), "a walk needs at least one vertex"),
+            (lambda: Walk(_GRAPH, (0, 4)), "walk vertex index 4 out of range"),
+        ],
+    )
+    def test_validating_types_keep_their_messages(self, build, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_validating_types_keep_their_defaults(self):
+        assert Provenance("custom")._key() == ("custom", None)
+        assert Walk(_GRAPH, (0,))._key() == (_GRAPH, (0,), True)
+        assert Walk(_GRAPH, (0, 1), closed=False)._key() == (_GRAPH, (0, 1), False)
 
     def test_sweep_report_is_unhashable_and_compares_its_fields(self):
         report = sweep(2, 3, range(3, 6))
